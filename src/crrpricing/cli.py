@@ -2,20 +2,20 @@
 portfolios, and check market viability.
 
 Exit codes: 0 success; 2 market not viable (price/replicate); 3 malformed
-input (config, payoff, CSV); 4 portfolio does not replicate; 5 market not
-viable (check). Identical inputs produce byte-identical output: node order
-is fixed, reports round to 6 significant digits, CSV numbers use the
-shortest round-trip form.
+input (config, payoff, CSV, tolerance); 4 portfolio does not replicate; 5
+market not viable (check). Identical inputs produce byte-identical output:
+node order is fixed, reports round to 6 significant digits, CSV numbers use
+the shortest round-trip form.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import io
+import math
 import sys
-from dataclasses import dataclass
 
-from .crr import CrrMarket, CrrParams, MarketNotViableError, is_viable, risk_neutral_q
+from .crr import CrrMarket, MarketNotViableError, is_viable, risk_neutral_q
 from .lattice import TossPath, iter_paths
 from .market import (
     PredictabilityError,
@@ -41,31 +41,14 @@ EXIT_NOT_REPLICATING = 4
 EXIT_CHECK_INVIABLE = 5
 
 
-@dataclass(frozen=True)
-class MarketConfig:
-    """Validated market description as read from a JSON config file."""
-
-    params: CrrParams
-    horizon: int
-
-    @classmethod
-    def from_json(cls, text: str) -> "MarketConfig":
-        market = CrrMarket.from_json(text)
-        return cls(market.params, market.horizon)
-
-    @classmethod
-    def from_file(cls, path: str) -> "MarketConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                return cls.from_json(f.read())
-        except OSError as exc:
-            raise ValueError(f"cannot read config {path!r}: {exc}") from None
-
-    def build(self) -> CrrMarket:
-        return CrrMarket(self.params, self.horizon)
-
-    def to_json(self) -> str:
-        return self.build().to_json()
+def _read_market(path: str) -> CrrMarket:
+    """The market described by the JSON config file at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path!r}: {exc}") from None
+    return CrrMarket.from_json(text)
 
 
 def read_path_table(text: str, maturity: int) -> dict[TossPath, float]:
@@ -119,7 +102,7 @@ def _load_payoff(args: argparse.Namespace, maturity: int) -> PayoffLike:
 
 
 def cmd_price(args: argparse.Namespace) -> int:
-    crr = MarketConfig.from_file(args.config).build()
+    crr = _read_market(args.config)
     payoff = _load_payoff(args, args.maturity)
     price = fair_price(crr, payoff, args.maturity)
     if args.tree:
@@ -131,7 +114,7 @@ def cmd_price(args: argparse.Namespace) -> int:
 
 
 def cmd_replicate(args: argparse.Namespace) -> int:
-    crr = MarketConfig.from_file(args.config).build()
+    crr = _read_market(args.config)
     payoff = _load_payoff(args, args.maturity)
     portfolio = replicating_portfolio(crr, payoff, args.maturity)
     report = verify_replication(crr, portfolio, payoff, args.maturity)
@@ -150,7 +133,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    crr = MarketConfig.from_file(args.config).build()
+    crr = _read_market(args.config)
     payoff = _load_payoff(args, args.maturity)
     try:
         with open(args.portfolio, "r", encoding="utf-8") as f:
@@ -187,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    crr = MarketConfig.from_file(args.config).build()
+    crr = _read_market(args.config)
     if is_viable(crr.params):
         print(f"viable; q = {_fmt(risk_neutral_q(crr.params))}")
         return EXIT_OK
@@ -203,6 +186,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         value = closing_value_process(crr.market, portfolio, witness, w)
         print(f"  closing value[{w.label()}] = {_fmt(value)}")
     return EXIT_CHECK_INVIABLE
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _add_payoff_arguments(sub: argparse.ArgumentParser) -> None:
@@ -245,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", required=True, help="market config JSON file")
         sub.add_argument(
             "--tolerance",
-            type=float,
+            type=_tolerance,
             default=1e-9,
             help="replication tolerance (default 1e-9)",
         )

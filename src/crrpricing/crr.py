@@ -45,6 +45,9 @@ class CrrParams:
             raise ValueError(f"per-period rate must exceed -1, got r={self.r}")
         if not 0 < self.p < 1:
             raise ValueError(f"up-probability must lie strictly in (0, 1), got p={self.p}")
+        for name in ("u", "v", "r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {name}={getattr(self, name)}")
 
 
 def geom_rand_walk(params: CrrParams, n: int, path: TossPath) -> float:
@@ -71,19 +74,12 @@ def disc_rfr_proc(r: float, n: int) -> float:
     return (1.0 + r) ** n
 
 
-def discount_factor(r: float, n: int) -> float:
-    """Present value at time 0 of one unit of cash paid at time ``n``."""
-    if not r > -1:
-        raise ValueError(f"per-period rate must exceed -1, got r={r}")
-    return (1.0 + r) ** -n
-
-
 def discounted_value(r: float, process: LatticeProcess) -> LatticeProcess:
     """The process deflated by the risk-free growth at each time."""
     if not r > -1:
         raise ValueError(f"per-period rate must exceed -1, got r={r}")
-    return LatticeProcess.from_function(
-        process.horizon, lambda n, w: discount_factor(r, n) * process.at(n, w)
+    return LatticeProcess(
+        process.horizon, lambda n, w: process.at(n, w) / disc_rfr_proc(r, n)
     )
 
 
@@ -146,10 +142,10 @@ class CrrMarket:
         self.extra = Asset(EXTRA_ID, kind="extra")
         self.market = Market(
             prices={
-                self.risky: LatticeProcess.from_function(
+                self.risky: LatticeProcess(
                     horizon, lambda n, w: geom_rand_walk(params, n, w)
                 ),
-                self.riskfree: LatticeProcess.from_function(
+                self.riskfree: LatticeProcess(
                     horizon, lambda n, w: disc_rfr_proc(params.r, n)
                 ),
                 self.extra: LatticeProcess.constant(horizon, 0.0),

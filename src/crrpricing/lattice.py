@@ -98,11 +98,6 @@ def enumerate_paths(length: int) -> list[TossPath]:
     return list(iter_paths(length))
 
 
-def truncate(path: TossPath, n: int) -> TossPath:
-    """The first ``n`` outcomes of ``path``."""
-    return path.truncate(n)
-
-
 @dataclass(frozen=True, slots=True)
 class BinaryLattice:
     """Carrier of all toss prefixes up to a fixed horizon."""
@@ -111,17 +106,6 @@ class BinaryLattice:
 
     def __post_init__(self) -> None:
         check_horizon(self.horizon)
-
-    def nodes_at(self, n: int) -> Iterator[TossPath]:
-        if n < 0 or n > self.horizon:
-            raise ValueError(f"time {n} outside lattice horizon {self.horizon}")
-        return iter_paths(n)
-
-    def nodes(self) -> Iterator[tuple[int, TossPath]]:
-        """Every (time, prefix) node, times ascending, prefixes lexicographic."""
-        for n in range(self.horizon + 1):
-            for prefix in iter_paths(n):
-                yield n, prefix
 
     def terminal_paths(self) -> Iterator[TossPath]:
         return iter_paths(self.horizon)
@@ -172,14 +156,6 @@ class LatticeProcess:
         for n in range(self.horizon + 1):
             for prefix in iter_paths(n):
                 yield n, prefix
-
-    def table(self) -> dict[tuple[int, TossPath], float]:
-        """Materialize every node value (exponential in the horizon)."""
-        return {(n, w): self._fn(n, w) for n, w in self.nodes()}
-
-    @classmethod
-    def from_function(cls, horizon: int, fn: Callable[[int, TossPath], float]) -> "LatticeProcess":
-        return cls(horizon, fn)
 
     @classmethod
     def from_table(cls, horizon: int, table: Mapping[tuple[int, TossPath], float]) -> "LatticeProcess":

@@ -71,12 +71,6 @@ class Market:
         except KeyError:
             raise ValueError(f"asset {asset.id!r} is not traded on this market") from None
 
-    def asset_by_id(self, asset_id: str) -> Asset:
-        for a in self.assets:
-            if a.id == asset_id:
-                return a
-        raise ValueError(f"unknown asset id {asset_id!r}")
-
 
 class QuantityProcess:
     """Per-asset predictable holdings over a finite trading horizon.
@@ -113,9 +107,6 @@ class QuantityProcess:
             )
         fn = self._components.get(asset)
         return 0.0 if fn is None else fn(n, prefix)
-
-
-Portfolio = QuantityProcess
 
 
 def qty_empty(horizon: int) -> QuantityProcess:
@@ -337,18 +328,23 @@ def _collapse_rows(
     collapsed: dict[str, dict[tuple[int, TossPath], float]] = {}
     for (asset_id, t), given in sorted(by_key.items()):
         depth = max(t, max(len(w) for w in given))
-        cells: dict[TossPath, float] = {}
+        # one pass over the depth cells: each looks up its own prefixes among
+        # the given rows (first given row first) and joins its length-t class
+        ranked = {g.outcomes: (i, v) for i, (g, v) in enumerate(given.items())}
+        lengths = sorted({len(g) for g in given})
+        classes: dict[tuple[bool, ...], list[float]] = {}
         for w in iter_paths(depth):
-            covering = [v for g, v in given.items() if w.truncate(len(g)) == g]
+            keys = (w.outcomes[:k] for k in lengths)
+            covering = [v for _, v in sorted(ranked[g] for g in keys if g in ranked)]
             if len(set(covering)) > 1:
                 raise PredictabilityError(
                     f"asset {asset_id!r}: overlapping rows disagree at "
                     f"(t={t}, {w.label()})"
                 )
-            cells[w] = covering[0] if covering else 0.0
+            classes.setdefault(w.outcomes[:t], []).append(covering[0] if covering else 0.0)
         target = collapsed.setdefault(asset_id, {})
-        for cls in iter_paths(t):
-            values = {cells[w] for w in iter_paths(depth) if w.truncate(t) == cls}
+        for outcomes, cells in classes.items():
+            cls, values = TossPath(outcomes), set(cells)
             if len(values) > 1:
                 raise PredictabilityError(
                     f"asset {asset_id!r}: quantity chosen at time {t} varies with "

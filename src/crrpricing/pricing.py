@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Mapping, Union, get_args
 
 from .crr import (
     CrrMarket,
-    MarketNotViableError,
     disc_rfr_proc,
     discounted_value,
     is_viable,
@@ -57,16 +56,6 @@ ARBITRAGE_CLAUSES = (
     "no-strict-gain",
     "none",
 )
-
-
-def _require_viable(crr: CrrMarket) -> float:
-    if not is_viable(crr.params):
-        p = crr.params
-        raise MarketNotViableError(
-            f"no risk-neutral measure: requires d < 1+r < u, got "
-            f"d={p.d}, 1+r={1.0 + p.r}, u={p.u}"
-        )
-    return risk_neutral_q(crr.params)
 
 
 def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> dict[TossPath, float]:
@@ -110,7 +99,7 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> dict[
 
 def fair_price(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> float:
     """Discounted risk-neutral expectation of the payoff over maturity paths."""
-    q = _require_viable(crr)
+    q = risk_neutral_q(crr.params)
     kappa = terminal_payoffs(crr, payoff, maturity)
     measure = PathMeasure(q)
     expectation = math.fsum(
@@ -156,7 +145,7 @@ def price_lattice(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> PriceLat
     discrepancy beyond 1e-9 means the engine itself is inconsistent and is
     raised rather than returned.
     """
-    q = _require_viable(crr)
+    q = risk_neutral_q(crr.params)
     r = crr.params.r
     table: dict[tuple[int, TossPath], float] = {
         (maturity, w): v for w, v in terminal_payoffs(crr, payoff, maturity).items()

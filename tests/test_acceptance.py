@@ -192,7 +192,7 @@ def test_criterion_06_martingale_suite():
         hedged_horizon = 8
         hedged_crr = CrrMarket(params, hedged_horizon)
         hedge = replicating_portfolio(hedged_crr, parse_payoff("lookback"), hedged_horizon)
-        wealth = LatticeProcess.from_function(
+        wealth = LatticeProcess(
             hedged_horizon,
             lambda n, w: closing_value_process(hedged_crr.market, hedge, n, w),
         )
@@ -250,8 +250,8 @@ def test_criterion_07_viability_suite():
         slot = Asset("slot", kind="extra")
         two_rate = Market(
             prices={
-                low: LatticeProcess.from_function(horizon, lambda n, w: 1.01**n),
-                high: LatticeProcess.from_function(horizon, lambda n, w: 1.03**n),
+                low: LatticeProcess(horizon, lambda n, w: 1.01**n),
+                high: LatticeProcess(horizon, lambda n, w: 1.03**n),
                 slot: LatticeProcess.constant(horizon, 0.0),
             },
             stocks=[low, high],

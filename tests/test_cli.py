@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -11,10 +12,10 @@ from crrpricing.cli import (
     EXIT_INVIABLE,
     EXIT_NOT_REPLICATING,
     EXIT_OK,
-    MarketConfig,
     main,
     read_path_table,
 )
+from crrpricing.crr import CrrMarket
 
 REFERENCE = {"u": 1.2, "d": 0.8, "v": 10.0, "r": 0.03, "p": 0.5, "horizon": 4}
 
@@ -355,18 +356,38 @@ class TestArgumentHandling:
         capsys.readouterr()
         assert code == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("key", ["u", "v", "r"])
+    def test_infinite_config_value_is_bad_input(self, capsys, tmp_path, key):
+        cfg = write_config(tmp_path, **{key: math.inf})  # written as Infinity
+        payoff = ["--payoff", "put(100)", "--maturity", "3"]
+        for argv in (["check"], ["price", *payoff], ["replicate", *payoff]):
+            code, out, _ = run(capsys, *argv, "--config", cfg)
+            assert code == EXIT_BAD_INPUT
+            assert "nan" not in out.lower() and "inf" not in out.lower()
 
-class TestMarketConfig:
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_invalid_tolerance_is_bad_input(self, capsys, config, tmp_path, tolerance):
+        hedge = tmp_path / "hedge.csv"
+        argv = ["--config", config, "--payoff", "call(10)", "--maturity", "3"]
+        assert run(capsys, "replicate", *argv, "--out", str(hedge))[0] == EXIT_OK
+        for cmd in (["replicate", *argv], ["verify", *argv, "--portfolio", str(hedge)]):
+            code, out, err = run(capsys, *cmd, "--tolerance", tolerance)
+            assert code == EXIT_BAD_INPUT
+            assert out == ""
+            assert "--tolerance" in err
+
+
+class TestConfigJson:
     def test_round_trip(self):
-        cfg = MarketConfig.from_json(json.dumps(REFERENCE))
-        again = MarketConfig.from_json(cfg.to_json())
-        assert again == cfg
+        cfg = CrrMarket.from_json(json.dumps(REFERENCE))
+        again = CrrMarket.from_json(cfg.to_json())
+        assert again.to_dict() == cfg.to_dict() == REFERENCE
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            MarketConfig.from_json(json.dumps(dict(REFERENCE, horizon=0)))
+            CrrMarket.from_json(json.dumps(dict(REFERENCE, horizon=0)))
         with pytest.raises(ValueError):
-            MarketConfig.from_json(json.dumps(dict(REFERENCE, horizon=99)))
+            CrrMarket.from_json(json.dumps(dict(REFERENCE, horizon=99)))
 
 
 class TestPathTableParsing:

@@ -1,4 +1,6 @@
 """Binomial market parameters, discounting, viability, risk-neutral weight."""
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from crrpricing.crr import (
     CrrParams,
     MarketNotViableError,
     disc_rfr_proc,
-    discount_factor,
     discounted_value,
     filtration_equivalent_bernoulli,
     geom_rand_walk,
@@ -68,6 +69,9 @@ class TestCrrParams:
             (dict(u=1.2, d=0.8, v=10, r=-1.0, p=0.5), "exceed -1"),
             (dict(u=1.2, d=0.8, v=10, r=0.0, p=0.0), "strictly in (0, 1)"),
             (dict(u=1.2, d=1.2, v=10, r=0.0, p=0.5), "0 < d < u"),
+            (dict(u=math.inf, d=0.8, v=10, r=0.0, p=0.5), "u must be finite"),
+            (dict(u=1.2, d=0.8, v=math.inf, r=0.0, p=0.5), "v must be finite"),
+            (dict(u=1.2, d=0.8, v=10, r=math.inf, p=0.5), "r must be finite"),
         ],
     )
     def test_invariants_named_in_errors(self, kwargs, fragment):
@@ -122,19 +126,20 @@ class TestDiscounting:
     def test_two_percent_two_periods(self):
         assert disc_rfr_proc(0.02, 2) == pytest.approx(1.0404, abs=1e-12)
 
-    def test_discount_factor_strike_example(self):
-        df = discount_factor(0.02, 2)
+    def test_discounted_strike_example(self):
+        df = 1 / disc_rfr_proc(0.02, 2)
         assert df == pytest.approx(0.96117, abs=5e-6)
         assert round(98 * df, 2) == 94.19
 
-    def test_discount_factor_identity(self):
-        assert discount_factor(0.03, 0) == 1.0
-        assert discount_factor(0.03, 2) == pytest.approx(1 / 1.0609, abs=1e-15)
+    def test_discounting_identity(self):
+        assert 1 / disc_rfr_proc(0.03, 0) == 1.0
+        assert 1 / disc_rfr_proc(0.03, 2) == pytest.approx(1 / 1.0609, abs=1e-15)
 
     def test_rate_floor_enforced(self):
-        for fn in (disc_rfr_proc, discount_factor):
-            with pytest.raises(ValueError):
-                fn(-1.0, 1)
+        with pytest.raises(ValueError):
+            disc_rfr_proc(-1.0, 1)
+        with pytest.raises(ValueError):
+            discounted_value(-1.0, LatticeProcess.constant(1, 1.0))
 
     def test_discounted_riskfree_price_is_constant_one(self):
         mkt = CrrMarket(PARAMS, horizon=4)
@@ -143,7 +148,7 @@ class TestDiscounting:
             assert deflated.at(n, w) == pytest.approx(1.0, abs=1e-15)
 
     def test_discounted_payoff_value(self):
-        proc = LatticeProcess.from_function(2, lambda n, w: 2.4 if n == 2 else 0.0)
+        proc = LatticeProcess(2, lambda n, w: 2.4 if n == 2 else 0.0)
         deflated = discounted_value(0.03, proc)
         assert deflated.at(2, path("UD")) == pytest.approx(2.262, abs=5e-4)
 
@@ -293,8 +298,8 @@ class TestTwoRateArbitrage:
         slot = Asset("slot", kind="extra")
         mkt = Market(
             prices={
-                low: LatticeProcess.from_function(horizon, lambda n, w: 1.01**n),
-                high: LatticeProcess.from_function(horizon, lambda n, w: 1.03**n),
+                low: LatticeProcess(horizon, lambda n, w: 1.01**n),
+                high: LatticeProcess(horizon, lambda n, w: 1.03**n),
                 slot: LatticeProcess.constant(horizon, 0.0),
             },
             stocks=[low, high],

@@ -17,7 +17,6 @@ from crrpricing.lattice import (
     expectation,
     is_measurable_at,
     path_probability,
-    truncate,
 )
 
 
@@ -77,17 +76,17 @@ class TestEnumeratePaths:
 
 class TestTruncate:
     def test_prefix(self):
-        assert truncate(path("UDU"), 2) == path("UD")
+        assert path("UDU").truncate(2) == path("UD")
 
     def test_to_empty(self):
-        assert truncate(path("UD"), 0) == TossPath()
+        assert path("UD").truncate(0) == TossPath()
 
     def test_identity(self):
-        assert truncate(path("DD"), 2) == path("DD")
+        assert path("DD").truncate(2) == path("DD")
 
     def test_beyond_length_rejected(self):
         with pytest.raises(ValueError):
-            truncate(path("UD"), 3)
+            path("UD").truncate(3)
 
 
 class TestPathProbability:
@@ -124,7 +123,7 @@ class TestExpectation:
         # discounted terminal payoffs of the two-period lookback example,
         # weighted with up-probability 0.575
         payoff = {"UU": 0.0, "UD": 2.4, "DU": 0.4, "DD": 3.6}
-        f = LatticeProcess.from_function(
+        f = LatticeProcess(
             2, lambda n, w: payoff[w.label()] / 1.03**2 if n == 2 else 0.0
         )
         got = expectation(PathMeasure(0.575), f, 2)
@@ -160,7 +159,7 @@ class TestConditionalExpectationStep:
     def test_lookback_up_node(self):
         # option values one step after an initial up move: 0 (up) and 2.4 (down)
         values = {"UU": 0.0, "UD": 2.4, "DU": 0.4, "DD": 3.6}
-        f = LatticeProcess.from_function(
+        f = LatticeProcess(
             2, lambda n, w: values[w.label()] if n == 2 else 0.0
         )
         step = conditional_expectation_step(PathMeasure(0.575), f, 1, path("U"))
@@ -169,7 +168,7 @@ class TestConditionalExpectationStep:
 
     def test_symmetric_measure(self):
         table = {"UU": 1.0, "UD": 0.0, "DU": 0.0, "DD": 0.0}
-        f = LatticeProcess.from_function(
+        f = LatticeProcess(
             2, lambda n, w: table[w.label()] if n == 2 else 0.0
         )
         got = conditional_expectation_step(PathMeasure(0.5), f, 1, path("U"))
@@ -251,7 +250,7 @@ class TestLatticeLaws:
             assert abs(extended - expectation(m, f, n)) <= 1e-12
 
     def test_conditional_step_of_constant_pair_is_exact(self):
-        f = LatticeProcess.from_function(2, lambda n, w: 3.7)
+        f = LatticeProcess(2, lambda n, w: 3.7)
         got = conditional_expectation_step(PathMeasure(0.123456), f, 1, path("D"))
         assert got == 3.7
 
@@ -262,7 +261,7 @@ class TestLatticeLaws:
         for p in (0.25, 0.575):
             m = PathMeasure(p)
             for n in range(T):
-                g = LatticeProcess.from_function(
+                g = LatticeProcess(
                     n, lambda k, w: conditional_expectation_step(m, f, n, w)
                 )
                 lhs = expectation(m, g, n)

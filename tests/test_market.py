@@ -3,9 +3,12 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crrpricing.lattice import LatticeProcess, TossPath, enumerate_paths
+from crrpricing.lattice import LatticeProcess, TossPath, enumerate_paths, iter_paths
 from crrpricing.market import (
+    _collapse_rows,
     Asset,
     Market,
     PortfolioFormatError,
@@ -360,3 +363,95 @@ class TestPortfolioCsv:
             "time,prefix,asset,quantity\n", horizon=3, assets=[APL, SLOT]
         )
         assert quantities_allclose(p, qty_empty(3))
+
+
+def brute_force_collapse(rows, horizon):
+    """Reference for ``_collapse_rows``: the original O(4^T) scan, which
+    compares every depth cell against every given row and every class."""
+    by_key = {}
+    for row in rows:
+        if not 0 <= row.time < horizon:
+            raise PortfolioFormatError(
+                f"decision time {row.time} outside 0..{horizon - 1}"
+            )
+        if len(row.prefix) > horizon:
+            raise PortfolioFormatError(
+                f"prefix {row.prefix.label()!r} longer than the horizon {horizon}"
+            )
+        slot = by_key.setdefault((row.asset, row.time), {})
+        if row.prefix in slot and slot[row.prefix] != row.quantity:
+            raise PortfolioFormatError(
+                f"conflicting quantities for asset {row.asset!r} at "
+                f"(t={row.time}, {row.prefix.label()})"
+            )
+        slot[row.prefix] = row.quantity
+
+    collapsed = {}
+    for (asset_id, t), given in sorted(by_key.items()):
+        depth = max(t, max(len(w) for w in given))
+        cells = {}
+        for w in iter_paths(depth):
+            covering = [v for g, v in given.items() if w.truncate(len(g)) == g]
+            if len(set(covering)) > 1:
+                raise PredictabilityError(
+                    f"asset {asset_id!r}: overlapping rows disagree at "
+                    f"(t={t}, {w.label()})"
+                )
+            cells[w] = covering[0] if covering else 0.0
+        target = collapsed.setdefault(asset_id, {})
+        for cls in iter_paths(t):
+            values = {cells[w] for w in iter_paths(depth) if w.truncate(t) == cls}
+            if len(values) > 1:
+                raise PredictabilityError(
+                    f"asset {asset_id!r}: quantity chosen at time {t} varies with "
+                    f"tosses after {cls.label()}"
+                )
+            target[(t, cls)] = values.pop()
+    return collapsed
+
+
+@st.composite
+def row_tables(draw):
+    """Small row tables: coarse, deeper-keyed, overlapping and conflicting
+    rows over two assets and a few quantities (signed zeros included)."""
+    horizon = draw(st.integers(1, 4))
+    prefixes = st.integers(0, horizon).flatmap(
+        lambda n: st.tuples(*[st.booleans()] * n).map(TossPath)
+    )
+    row = st.builds(
+        PortfolioRow,
+        time=st.integers(0, horizon - 1),
+        prefix=prefixes,
+        asset=st.sampled_from(["S", "rf"]),
+        quantity=st.sampled_from([1.0, 0.0, -0.0, 2.5]),
+    )
+    return draw(st.lists(row, max_size=10)), horizon
+
+
+def collapse_outcome(collapse, rows, horizon):
+    try:
+        return repr(collapse(rows, horizon))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestCollapseRows:
+    @settings(max_examples=400, deadline=None)
+    @given(row_tables())
+    def test_matches_brute_force(self, table):
+        rows, horizon = table
+        assert collapse_outcome(_collapse_rows, rows, horizon) == collapse_outcome(
+            brute_force_collapse, rows, horizon
+        )
+
+    def test_csv_round_trip_at_horizon_twelve(self):
+        risky, bank = Asset("S"), Asset("rf")
+        p = QuantityProcess(
+            12,
+            {
+                risky: lambda n, w: n + sum(w) / 7,
+                bank: lambda n, w: -0.1 * n * len([o for o in w if not o]),
+            },
+        )
+        loaded = read_portfolio_csv(write_portfolio_csv(p), 12, [risky, bank])
+        assert quantities_allclose(loaded, p, tol=0.0)

@@ -342,8 +342,8 @@ class TestArbitrage:
         slot = Asset("slot", kind="extra")
         mkt = Market(
             prices={
-                low: LatticeProcess.from_function(horizon, lambda n, w: 1.01**n),
-                high: LatticeProcess.from_function(horizon, lambda n, w: 1.03**n),
+                low: LatticeProcess(horizon, lambda n, w: 1.01**n),
+                high: LatticeProcess(horizon, lambda n, w: 1.03**n),
                 slot: LatticeProcess.constant(horizon, 0.0),
             },
             stocks=[low, high],
@@ -446,7 +446,7 @@ class TestReplicationSuite:
             crr = CrrMarket(params, horizon=maturity)
             expr = random_payoff(rng)
             p = replicating_portfolio(crr, expr, maturity)
-            wealth = LatticeProcess.from_function(
+            wealth = LatticeProcess(
                 maturity,
                 lambda n, w: closing_value_process(crr.market, p, n, w),
             )
