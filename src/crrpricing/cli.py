@@ -117,7 +117,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     crr = _read_market(args.config)
     payoff = _load_payoff(args, args.maturity)
     portfolio = replicating_portfolio(crr, payoff, args.maturity)
-    report = verify_replication(crr, portfolio, payoff, args.maturity)
+    report = verify_replication(crr, portfolio, payoff, args.maturity, args.tolerance)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             write_portfolio_csv(portfolio, f)
@@ -148,7 +148,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("replicating: no")
         return EXIT_NOT_REPLICATING
     try:
-        report = verify_replication(crr, portfolio, payoff, args.maturity)
+        report = verify_replication(crr, portfolio, payoff, args.maturity, args.tolerance)
     except ValueError as exc:
         if "stock portfolio" not in str(exc):
             raise
@@ -233,11 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sub in (price, replicate, verify, check):
         sub.add_argument("--config", required=True, help="market config JSON file")
+    for sub in (replicate, verify):
         sub.add_argument(
             "--tolerance",
             type=_tolerance,
             default=1e-9,
-            help="replication tolerance (default 1e-9)",
+            help="self-financing and terminal-match tolerance (default 1e-9)",
         )
     return parser
 

@@ -63,6 +63,10 @@ class TossPath:
             raise ValueError(f"cannot truncate length-{len(self)} path to {n}")
         return TossPath(self.outcomes[:n])
 
+    def index(self) -> int:
+        """Position in ``iter_paths`` order; node ``k`` has children ``2k`` (up) and ``2k + 1``."""
+        return sum(1 << i for i, o in enumerate(reversed(self.outcomes)) if not o)
+
     def label(self) -> str:
         """Render as a U/D string; the empty path renders as '-'."""
         if not self.outcomes:

@@ -217,7 +217,8 @@ def is_self_financing(mkt: Market, p: QuantityProcess, tol: float = 1e-9) -> boo
     """Whether rebalancing never injects or withdraws cash after inception."""
     for n in range(1, p.horizon):
         for w in iter_paths(n):
-            if abs(value_process(mkt, p, n, w) - closing_value_process(mkt, p, n, w)) > tol:
+            # Written so that a NaN cash gap fails the check.
+            if not abs(value_process(mkt, p, n, w) - closing_value_process(mkt, p, n, w)) <= tol:
                 return False
     return True
 
@@ -417,6 +418,8 @@ def read_portfolio_rows(f: io.TextIOBase | str) -> list[PortfolioRow]:
             quantity = float(rec[3])
         except ValueError as exc:
             raise PortfolioFormatError(f"line {lineno}: {exc}") from None
+        if not math.isfinite(quantity):
+            raise PortfolioFormatError(f"line {lineno}: quantity {rec[3]!r} is not finite")
         rows.append(PortfolioRow(time, prefix, rec[2].strip(), quantity))
     return rows
 

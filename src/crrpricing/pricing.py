@@ -110,31 +110,27 @@ def fair_price(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> float:
 
 @dataclass(frozen=True)
 class PriceLattice:
-    """Option values at every node, terminal payoff backed into the root."""
+    """Option values at every node, terminal payoff backed into the root:
+    ``levels[n][k]`` is the value at ``TossPath.index() == k``."""
 
-    values: LatticeProcess
+    levels: list[list[float]]
     maturity: int
 
     def at(self, n: int, prefix: TossPath) -> float:
-        return self.values.at(n, prefix)
+        """Value at node ``(n, prefix)``; the node is checked by ``LatticeProcess.at``."""
+        return LatticeProcess(self.maturity, lambda n, w: self.levels[n][w.index()]).at(n, prefix)
 
     @property
     def root(self) -> float:
-        return self.values.at(0, TossPath())
-
-    def rows(self) -> list[tuple[int, str, float]]:
-        return [
-            (n, w.label(), self.values.at(n, w))
-            for n in range(self.maturity + 1)
-            for w in iter_paths(n)
-        ]
+        return self.levels[0][0]
 
     def to_csv(self, out: io.TextIOBase | None = None) -> str:
         buf = out if out is not None else io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["time", "prefix", "value"])
-        for time, label, value in self.rows():
-            writer.writerow([time, label, repr(value)])
+        for n, level in enumerate(self.levels):
+            for w, value in zip(iter_paths(n), level):
+                writer.writerow([n, w.label(), repr(value)])
         return buf.getvalue() if out is None else ""
 
 
@@ -142,27 +138,25 @@ def price_lattice(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> PriceLat
     """Backward induction under the risk-neutral weight.
 
     The root value is cross-checked against the direct expectation; a
-    discrepancy beyond 1e-9 means the engine itself is inconsistent and is
-    raised rather than returned.
+    discrepancy beyond ``1e-9 * max(1, max|payoff|)`` means the engine itself
+    is inconsistent and is raised rather than returned.
     """
     q = risk_neutral_q(crr.params)
     r = crr.params.r
-    table: dict[tuple[int, TossPath], float] = {
-        (maturity, w): v for w, v in terminal_payoffs(crr, payoff, maturity).items()
-    }
-    for n in reversed(range(maturity)):
-        for w in iter_paths(n):
-            up = table[(n + 1, w.child(True))]
-            down = table[(n + 1, w.child(False))]
-            table[(n, w)] = (q * up + (1.0 - q) * down) / (1.0 + r)
-    root = table[(0, TossPath())]
+    levels = [list(terminal_payoffs(crr, payoff, maturity).values())]
+    for _ in range(maturity):
+        kids = levels[0]
+        levels.insert(0, [
+            (q * up + (1.0 - q) * down) / (1.0 + r) for up, down in zip(kids[0::2], kids[1::2])
+        ])
+    root = levels[0][0]
     direct = fair_price(crr, payoff, maturity)
-    if abs(root - direct) > 1e-9:
+    if abs(root - direct) > 1e-9 * max(1.0, max(map(abs, levels[-1]))):
         raise RuntimeError(
             f"internal consistency failure: backward induction gives {root!r} "
             f"but direct expectation gives {direct!r}"
         )
-    return PriceLattice(LatticeProcess.from_table(maturity, table), maturity)
+    return PriceLattice(levels, maturity)
 
 
 def replicating_portfolio(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> QuantityProcess:
@@ -174,26 +168,23 @@ def replicating_portfolio(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> 
     """
     if maturity < 1:
         raise ValueError("replication needs at least one trading period")
-    lattice = price_lattice(crr, payoff, maturity)
+    values = price_lattice(crr, payoff, maturity).levels
     stock = crr.market.price(crr.risky)
-    r = crr.params.r
-    delta: dict[tuple[int, TossPath], float] = {}
-    bank: dict[tuple[int, TossPath], float] = {}
-    for n in range(maturity):
-        for w in iter_paths(n):
-            v_up = lattice.at(n + 1, w.child(True))
-            v_down = lattice.at(n + 1, w.child(False))
-            s_up = stock.at(n + 1, w.child(True))
-            s_down = stock.at(n + 1, w.child(False))
-            delta[(n, w)] = (v_up - v_down) / (s_up - s_down)
-            bank[(n, w)] = (
-                lattice.at(n, w) - delta[(n, w)] * stock.at(n, w)
-            ) / disc_rfr_proc(r, n)
+    prices = [[stock.at(n, w) for w in iter_paths(n)] for n in range(maturity + 1)]
+    delta = [
+        [(v_up - v_down) / (s_up - s_down)
+         for v_up, v_down, s_up, s_down in zip(v[0::2], v[1::2], s[0::2], s[1::2])]
+        for v, s in zip(values[1:], prices[1:])
+    ]
+    bank = [
+        [(v - h * s) / disc_rfr_proc(crr.params.r, n) for v, h, s in zip(v_n, h_n, s_n)]
+        for n, (v_n, h_n, s_n) in enumerate(zip(values, delta, prices))
+    ]
     return QuantityProcess(
         maturity,
         {
-            crr.risky: lambda n, w: delta[(n - 1, w)],
-            crr.riskfree: lambda n, w: bank[(n - 1, w)],
+            crr.risky: lambda n, w: delta[n - 1][w.index()],
+            crr.riskfree: lambda n, w: bank[n - 1][w.index()],
         },
     )
 
@@ -216,7 +207,7 @@ class ReplicationReport:
 
 
 def verify_replication(
-    crr: CrrMarket, p: QuantityProcess, payoff: PayoffLike, maturity: int
+    crr: CrrMarket, p: QuantityProcess, payoff: PayoffLike, maturity: int, tol: float = 1e-9
 ) -> ReplicationReport:
     """Check a stock-only portfolio against a payoff at every maturity path."""
     offenders = support_set(p) - crr.market.stocks
@@ -233,7 +224,7 @@ def verify_replication(
         for w in iter_paths(maturity)
     )
     return ReplicationReport(
-        self_financing=is_self_financing(crr.market, p),
+        self_financing=is_self_financing(crr.market, p, tol),
         trading_strategy=is_trading_strategy(p),
         max_terminal_error=worst,
         init_value=init_value(crr.market, p),

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from crrpricing.cli import (
 from crrpricing.crr import CrrMarket
 
 REFERENCE = {"u": 1.2, "d": 0.8, "v": 10.0, "r": 0.03, "p": 0.5, "horizon": 4}
+LARGE_SPOT = {"u": 1.15, "d": 0.9, "v": 1e9, "r": 0.02, "p": 0.5, "horizon": 6}
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -375,6 +378,67 @@ class TestArgumentHandling:
             assert code == EXIT_BAD_INPUT
             assert out == ""
             assert "--tolerance" in err
+
+    @pytest.mark.parametrize(
+        "cmd", [["price", "--payoff", "call(10)", "--maturity", "3"], ["check"]]
+    )
+    def test_tolerance_only_on_replication_commands(self, capsys, config, cmd):
+        code, out, err = run(capsys, *cmd, "--config", config, "--tolerance", "1e-6")
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert "--tolerance" in err
+
+    def test_tolerance_governs_both_clauses(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, **LARGE_SPOT)
+        hedge = tmp_path / "hedge.csv"
+        argv = ["--config", cfg, "--payoff", "call(1e9)", "--maturity", "6", "--tolerance", "1e-6"]
+        code, out, _ = run(capsys, "replicate", *argv, "--out", str(hedge))
+        assert code == EXIT_OK
+        assert out.startswith("replicating: yes;")
+        code, out, _ = run(capsys, "verify", *argv, "--portfolio", str(hedge))
+        assert code == EXIT_OK
+        assert "self-financing: pass" in out and "terminal-match: pass" in out
+
+    def test_large_spot_tree_passes_consistency_check(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, **LARGE_SPOT)
+        tree = tmp_path / "tree.csv"
+        code, out, err = run(
+            capsys, "price", "--config", cfg, "--payoff", "lookback", "--maturity", "6",
+            "--tree", str(tree),
+        )
+        assert (code, out, err) == (EXIT_OK, "fair price: 1.42762e+08\n", "")
+        assert len(tree.read_text().splitlines()) == 2**7
+
+    @pytest.mark.parametrize(
+        "row, bad", [("0,-,S,", "nan"), ("0,-,rf,", "nan"), ("2,DD,S,", "nan"), ("0,-,S,", "inf")]
+    )
+    def test_non_finite_quantity_is_bad_input(self, capsys, tmp_path, row, bad):
+        cfg = write_config(tmp_path, horizon=3)
+        hedge = tmp_path / "hedge.csv"
+        argv = ["--config", cfg, "--payoff", "call(10)", "--maturity", "3"]
+        assert run(capsys, "replicate", *argv, "--out", str(hedge))[0] == EXIT_OK
+        lines = hedge.read_text().splitlines(keepends=True)
+        [i] = [i for i, line in enumerate(lines) if line.startswith(row)]
+        lines[i] = row + bad + "\n"
+        hedge.write_text("".join(lines))
+        code, out, err = run(capsys, "verify", *argv, "--portfolio", str(hedge))
+        assert code == EXIT_BAD_INPUT
+        assert "nan" not in out.lower()
+        assert "not finite" in err
+
+
+class TestGoldenBytes:
+    """CSV bytes pinned from the path-keyed engine: market REFERENCE at horizon 5."""
+
+    @pytest.mark.parametrize("payoff, tag", [("lookback", "lookback"), ("avg(S) - 10", "avg")])
+    def test_tree_and_hedge_csv(self, capsys, tmp_path, payoff, tag):
+        cfg = write_config(tmp_path, horizon=5)
+        argv = ["--config", cfg, "--payoff", payoff, "--maturity", "5"]
+        tree, hedge = tmp_path / "tree.csv", tmp_path / "hedge.csv"
+        assert run(capsys, "price", *argv, "--tree", str(tree))[0] == EXIT_OK
+        assert run(capsys, "replicate", *argv, "--out", str(hedge))[0] == EXIT_OK
+        assert tree.read_bytes() == (DATA / f"tree_{tag}_T5.csv").read_bytes()
+        assert hedge.read_bytes() == (DATA / f"hedge_{tag}_T5.csv").read_bytes()
 
 
 class TestConfigJson:

@@ -52,6 +52,17 @@ class TestTossPath:
         assert path("U").child(False) == path("UD")
 
 
+class TestIndex:
+    @pytest.mark.parametrize("n", range(9))
+    def test_inverts_enumeration_order(self, n):
+        assert [w.index() for w in enumerate_paths(n)] == list(range(2**n))
+
+    def test_children_at_double_and_double_plus_one(self):
+        for w in enumerate_paths(5):
+            assert w.child(True).index() == 2 * w.index()
+            assert w.child(False).index() == 2 * w.index() + 1
+
+
 class TestEnumeratePaths:
     def test_horizon_zero_single_empty_path(self):
         assert enumerate_paths(0) == [TossPath()]

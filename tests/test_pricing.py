@@ -3,11 +3,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crrpricing.crr import (
     CrrMarket,
     CrrParams,
     MarketNotViableError,
+    disc_rfr_proc,
     discounted_value,
     risk_neutral_q,
 )
@@ -159,6 +162,24 @@ class TestPriceLattice:
         assert tree.to_csv() == tree.to_csv()
         assert tree.to_csv().splitlines()[0] == "time,prefix,value"
 
+    def test_levels_follow_enumeration_order(self, crr):
+        tree = price_lattice(crr, parse_payoff("lookback"), 3)
+        assert [len(level) for level in tree.levels] == [1, 2, 4, 8]
+        for n, level in enumerate(tree.levels):
+            assert level == [tree.at(n, w) for w in iter_paths(n)]
+
+    def test_at_rejects_bad_time(self, crr):
+        tree = price_lattice(crr, parse_payoff("lookback"), 2)
+        for n in (-1, 3):
+            with pytest.raises(ValueError, match=f"^time {n} outside process horizon 2$"):
+                tree.at(n, TossPath((True,) * max(n, 0)))
+
+    def test_at_rejects_bad_prefix_length(self, crr):
+        tree = price_lattice(crr, parse_payoff("lookback"), 2)
+        message = "^time-1 values are keyed by length-1 prefixes, got length 2$"
+        with pytest.raises(ValueError, match=message):
+            tree.at(1, path("UD"))
+
 
 class TestReplicatingPortfolio:
     def test_lookback_hedge_quantities(self, crr):
@@ -213,6 +234,24 @@ class TestVerifyReplication:
         assert not report.is_replicating(), (
             "a 0.01 hedge error must break self-financing or the terminal match"
         )
+
+    def test_nan_holding_not_certified(self, crr):
+        expr = parse_payoff("call(10)")
+        p = replicating_portfolio(crr, expr, 3)
+        bumped = qty_sum(
+            p, qty_single(crr.risky, lambda n, w: math.nan if n == 1 else 0.0, horizon=3)
+        )
+        report = verify_replication(crr, bumped, expr, 3)
+        assert not report.self_financing
+        assert not report.is_replicating()
+
+    def test_tolerance_reaches_self_financing_clause(self):
+        big = CrrMarket(CrrParams(u=1.15, d=0.9, v=1e9, r=0.02, p=0.5), horizon=6)
+        expr = parse_payoff("call(1e9)")
+        p = replicating_portfolio(big, expr, 6)
+        assert not verify_replication(big, p, expr, 6).self_financing
+        report = verify_replication(big, p, expr, 6, tol=1e-6)
+        assert report.self_financing and report.is_replicating(1e-6)
 
     def test_non_stock_support_rejected(self, crr):
         alien = qty_single(crr.extra, lambda n, w: 1.0, horizon=2)
@@ -462,3 +501,78 @@ class TestReplicationSuite:
             assert all(
                 tree.at(n, w) >= 0.0 for n in range(6) for w in iter_paths(n)
             )
+
+
+def dict_price_lattice(crr, payoff, maturity):
+    """Reference backward induction over an ``(n, TossPath)`` node table."""
+    q = risk_neutral_q(crr.params)
+    r = crr.params.r
+    table = {(maturity, w): v for w, v in terminal_payoffs(crr, payoff, maturity).items()}
+    for n in reversed(range(maturity)):
+        for w in iter_paths(n):
+            up = table[(n + 1, w.child(True))]
+            down = table[(n + 1, w.child(False))]
+            table[(n, w)] = (q * up + (1.0 - q) * down) / (1.0 + r)
+    return LatticeProcess.from_table(maturity, table)
+
+
+def dict_replicating_portfolio(crr, payoff, maturity):
+    """Reference hedge: one-step spreads read node by node from the tables."""
+    lattice = dict_price_lattice(crr, payoff, maturity)
+    stock = crr.market.price(crr.risky)
+    r = crr.params.r
+    delta, bank = {}, {}
+    for n in range(maturity):
+        for w in iter_paths(n):
+            v_up = lattice.at(n + 1, w.child(True))
+            v_down = lattice.at(n + 1, w.child(False))
+            s_up = stock.at(n + 1, w.child(True))
+            s_down = stock.at(n + 1, w.child(False))
+            delta[(n, w)] = (v_up - v_down) / (s_up - s_down)
+            bank[(n, w)] = (lattice.at(n, w) - delta[(n, w)] * stock.at(n, w)) / disc_rfr_proc(r, n)
+    return QuantityProcess(
+        maturity,
+        {
+            crr.risky: lambda n, w: delta[(n - 1, w)],
+            crr.riskfree: lambda n, w: bank[(n - 1, w)],
+        },
+    )
+
+
+@st.composite
+def priced_claims(draw):
+    """A viable market, a horizon up to 6, a maturity up to it, and a payoff."""
+    u = draw(st.floats(1.01, 1.6))
+    d = draw(st.floats(0.5, 0.99))
+    r = d - 1.0 + (u - d) * draw(st.floats(0.05, 0.95))
+    params = CrrParams(u=u, d=d, v=draw(st.floats(1.0, 200.0)), r=r, p=draw(st.floats(0.05, 0.95)))
+    horizon = draw(st.integers(1, 6))
+    maturity = draw(st.integers(1, horizon))
+    strike = draw(st.floats(0.5, 300.0))
+    text = draw(st.sampled_from(
+        [f"call({strike!r})", f"put({strike!r})", "lookback", f"avg(S) - {strike!r}",
+         f"S[1] - {strike!r}"]
+    ))
+    return CrrMarket(params, horizon=horizon), parse_payoff(text), maturity
+
+
+class TestLevelListsMatchNodeTables:
+    @settings(max_examples=150, deadline=None)
+    @given(priced_claims())
+    def test_price_tree_identical(self, claim):
+        crr, expr, maturity = claim
+        tree = price_lattice(crr, expr, maturity)
+        reference = dict_price_lattice(crr, expr, maturity)
+        for n in range(maturity + 1):
+            assert tree.levels[n] == [reference.at(n, w) for w in iter_paths(n)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(priced_claims())
+    def test_hedge_identical(self, claim):
+        crr, expr, maturity = claim
+        hedge = replicating_portfolio(crr, expr, maturity)
+        reference = dict_replicating_portfolio(crr, expr, maturity)
+        for asset in (crr.risky, crr.riskfree):
+            for n in range(1, maturity + 1):
+                for w in iter_paths(n - 1):
+                    assert hedge.quantity(asset, n, w) == reference.quantity(asset, n, w)
