@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .lattice import LatticeProcess, PathMeasure, TossPath, check_horizon
@@ -135,6 +136,14 @@ class CrrMarket:
         check_horizon(horizon)
         if horizon < 1:
             raise ValueError("market horizon must be at least 1")
+        # The extreme prices, multiplied in geom_rand_walk's order.
+        top = params.v * math.prod([max(params.u, 1.0)] * horizon)
+        bottom = params.v * math.prod([min(params.d, 1.0)] * horizon)
+        if not (math.isfinite(top) and bottom >= sys.float_info.min):
+            raise ValueError(
+                f"risky prices leave the float range within horizon {horizon}: "
+                f"extremes {bottom!r} and {top!r}"
+            )
         self.params = params
         self.horizon = horizon
         self.risky = Asset(RISKY_ID)

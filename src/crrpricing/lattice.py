@@ -19,6 +19,8 @@ MAX_HORIZON = 24
 UP = True
 DOWN = False
 
+_ONLY_BOOL = frozenset({bool})
+
 
 def check_horizon(horizon: int) -> int:
     """Validate a lattice horizon against the configured cap."""
@@ -41,7 +43,7 @@ class TossPath:
     def __post_init__(self) -> None:
         if not isinstance(self.outcomes, tuple):
             object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        if not all(isinstance(o, bool) for o in self.outcomes):
+        if not _ONLY_BOOL.issuperset(map(type, self.outcomes)):  # bool cannot be subclassed
             raise ValueError("toss outcomes must be booleans")
 
     def __len__(self) -> int:
@@ -90,10 +92,16 @@ class TossPath:
 EMPTY_PATH = TossPath()
 
 
+def toss_tuples(length: int) -> Iterator[tuple[bool, ...]]:
+    """The outcomes of every toss path of the given length, in ``iter_paths``
+    order, as bare tuples for loops that need no ``TossPath``."""
+    check_horizon(length)
+    return itertools.product((UP, DOWN), repeat=length)
+
+
 def iter_paths(length: int) -> Iterator[TossPath]:
     """All toss paths of the given length, lexicographic with up before down."""
-    check_horizon(length)
-    for combo in itertools.product((True, False), repeat=length):
+    for combo in toss_tuples(length):
         yield TossPath(combo)
 
 

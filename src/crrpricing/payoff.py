@@ -19,9 +19,12 @@ the initial price ``S_0``.
 """
 from __future__ import annotations
 
+import functools
+import operator
 import re
+import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 
 class PayoffSyntaxError(ValueError):
@@ -346,51 +349,88 @@ def print_payoff(e: PayoffExpr) -> str:
     raise TypeError(f"not a payoff expression: {e!r}")
 
 
-def eval_payoff(e: PayoffExpr, prices: Sequence[float]) -> float:
-    """Evaluate on the observed prices ``S_0 .. S_T``; aggregates range over
-    the whole sequence including the initial price."""
-    if not prices:
-        raise PayoffEvalError("price path must contain at least the initial price")
-    last = len(prices) - 1
+# avg(S) adds left to right on every Python: sum() does so before 3.12, and
+# compensates from 3.12 on, which would change prices in the last ulp.
+_plain_sum = sum if sys.version_info < (3, 12) else lambda xs: functools.reduce(operator.add, xs, 0)
+
+
+def _compile(e: PayoffExpr) -> Callable[[Sequence[float]], float]:
+    """Closure evaluating ``e`` on a nonempty price sequence; a node that is
+    not an expression compiles to a closure raising ``TypeError`` when reached."""
     match e:
         case Const(value):
-            return value
+            return lambda prices: value
         case PriceAt(index):
-            if not 0 <= index <= last:
-                raise PayoffEvalError(
-                    f"price index S[{index}] outside observed path S[0..{last}]"
-                )
-            return prices[index]
+            def price_at(prices):
+                last = len(prices) - 1
+                if not 0 <= index <= last:
+                    raise PayoffEvalError(
+                        f"price index S[{index}] outside observed path S[0..{last}]"
+                    )
+                return prices[index]
+            return price_at
         case TerminalPrice():
-            return prices[-1]
+            return lambda prices: prices[-1]
         case PathMax():
-            return max(prices)
+            return max
         case PathMin():
-            return min(prices)
+            return min
         case PathAvg():
-            return sum(prices) / len(prices)
-        case Add(left, right):
-            return eval_payoff(left, prices) + eval_payoff(right, prices)
-        case Sub(left, right):
-            return eval_payoff(left, prices) - eval_payoff(right, prices)
-        case Mul(left, right):
-            return eval_payoff(left, prices) * eval_payoff(right, prices)
-        case Div(left, right):
-            divisor = eval_payoff(right, prices)
-            if divisor == 0.0:
-                raise PayoffEvalError(
-                    f"division by zero in {print_payoff(e)!r}"
-                )
-            return eval_payoff(left, prices) / divisor
+            return lambda prices: _plain_sum(prices) / len(prices)
         case Neg(operand):
-            return -eval_payoff(operand, prices)
-        case Max2(left, right):
-            return max(eval_payoff(left, prices), eval_payoff(right, prices))
-        case Min2(left, right):
-            return min(eval_payoff(left, prices), eval_payoff(right, prices))
+            f = _compile(operand)
+            return lambda prices: -f(prices)
         case PosPart(operand):
-            return max(0.0, eval_payoff(operand, prices))
-    raise TypeError(f"not a payoff expression: {e!r}")
+            f = _compile(operand)
+            return lambda prices: max(0.0, f(prices))
+        case Div(left, right):
+            f, g = _compile(left), _compile(right)
+            def divide(prices):
+                divisor = g(prices)
+                if divisor == 0.0:
+                    raise PayoffEvalError(f"division by zero in {print_payoff(e)!r}")
+                return f(prices) / divisor
+            return divide
+        case Add(left, right):
+            f, g = _compile(left), _compile(right)
+            return lambda prices: f(prices) + g(prices)
+        case Sub(left, right):
+            f, g = _compile(left), _compile(right)
+            return lambda prices: f(prices) - g(prices)
+        case Mul(left, right):
+            f, g = _compile(left), _compile(right)
+            return lambda prices: f(prices) * g(prices)
+        case Max2(left, right):
+            f, g = _compile(left), _compile(right)
+            return lambda prices: max(f(prices), g(prices))
+        case Min2(left, right):
+            f, g = _compile(left), _compile(right)
+            return lambda prices: min(f(prices), g(prices))
+
+    def not_an_expression(prices):
+        raise TypeError(f"not a payoff expression: {e!r}")
+    return not_an_expression
+
+
+# Compiled payoffs by identity: ``(expression, closure)`` under ``id(expression)``.
+# Not keyed by equality, since equal expressions can evaluate differently
+# (``Const(0.0) == Const(-0.0)``, ``Const(1) == Const(1.0)``).
+_COMPILED: dict[int, tuple[PayoffExpr, Callable[[Sequence[float]], float]]] = {}
+_COMPILED_MAX = 256
+
+
+def eval_payoff(e: PayoffExpr, prices: Sequence[float]) -> float:
+    """Evaluate on the observed prices ``S_0 .. S_T``; aggregates range over
+    the whole sequence including the initial price. Each expression object
+    is compiled once and its closure reused."""
+    if not prices:
+        raise PayoffEvalError("price path must contain at least the initial price")
+    hit = _COMPILED.get(id(e))
+    if hit is None or hit[0] is not e:
+        if len(_COMPILED) >= _COMPILED_MAX:
+            _COMPILED.clear()
+        hit = _COMPILED[id(e)] = (e, _compile(e))
+    return hit[1](prices)
 
 
 def payoff_horizon(e: PayoffExpr) -> int | None:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Union, get_args
 
@@ -21,17 +23,20 @@ from .crr import (
     CrrMarket,
     disc_rfr_proc,
     discounted_value,
+    geom_rand_walk,
     is_viable,
     price_path,
     risk_neutral_q,
 )
 from .lattice import (
+    EMPTY_PATH,
     LatticeProcess,
     PathMeasure,
     TossPath,
     conditional_expectation_step,
     iter_paths,
     path_probability,
+    toss_tuples,
 )
 from .market import (
     Market,
@@ -58,11 +63,13 @@ ARBITRAGE_CLAUSES = (
 )
 
 
-def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> dict[TossPath, float]:
+def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[float]:
     """Evaluate the payoff at every maturity path and check it is finite.
 
-    Accepts a parsed expression, a per-path table, or any callable on toss
-    paths (the escape hatch for payoffs outside the expression grammar).
+    Entry ``k`` belongs to the path with ``TossPath.index() == k`` (``iter_paths``
+    order). Accepts a parsed expression, which is evaluated on bare toss
+    tuples, a per-path table, or any callable on toss paths (the escape hatch
+    for payoffs outside the expression grammar).
     """
     if not 0 <= maturity <= crr.horizon:
         raise ValueError(f"maturity {maturity} outside market horizon {crr.horizon}")
@@ -72,7 +79,8 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> dict[
             raise PayoffEvalError(
                 f"payoff observes S[{fixed}] but matures at {maturity}"
             )
-        evaluate = lambda w: eval_payoff(payoff, price_path(crr.params, w))
+        paths = toss_tuples(maturity)
+        evaluate = lambda s: eval_payoff(payoff, price_path(crr.params, s))
     elif isinstance(payoff, Mapping):
         missing = [w for w in iter_paths(maturity) if w not in payoff]
         if missing:
@@ -80,20 +88,20 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> dict[
                 f"path table misses {len(missing)} of {2 ** maturity} maturity "
                 f"paths, e.g. {missing[0].label()}"
             )
-        evaluate = payoff.__getitem__
+        paths, evaluate = iter_paths(maturity), payoff.__getitem__
     elif callable(payoff):
-        evaluate = payoff
+        paths, evaluate = iter_paths(maturity), payoff
     else:
         raise TypeError(f"cannot interpret {type(payoff).__name__} as a payoff")
-    values = {}
-    for w in iter_paths(maturity):
+    values = []
+    for s in paths:
         try:
-            value = float(evaluate(w))
+            value = float(evaluate(s))
         except PayoffEvalError as exc:
-            raise PayoffEvalError(f"{exc} (at path {w.label()})") from None
+            raise PayoffEvalError(f"{exc} (at path {TossPath(s).label()})") from None
         if not math.isfinite(value):
-            raise PayoffEvalError(f"payoff is not finite at path {w.label()}")
-        values[w] = value
+            raise PayoffEvalError(f"payoff is not finite at path {TossPath(s).label()}")
+        values.append(value)
     return values
 
 
@@ -101,10 +109,10 @@ def fair_price(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> float:
     """Discounted risk-neutral expectation of the payoff over maturity paths."""
     q = risk_neutral_q(crr.params)
     kappa = terminal_payoffs(crr, payoff, maturity)
-    measure = PathMeasure(q)
-    expectation = math.fsum(
-        path_probability(measure, w) * kappa[w] for w in iter_paths(maturity)
-    )
+    weights = [1.0]  # path_probability, one toss factor at a time
+    for _ in range(maturity):
+        weights = [x for w in weights for x in (w * q, w * (1.0 - q))]
+    expectation = math.fsum(map(operator.mul, weights, kappa))
     return expectation / disc_rfr_proc(crr.params.r, maturity)
 
 
@@ -128,9 +136,11 @@ class PriceLattice:
         buf = out if out is not None else io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["time", "prefix", "value"])
-        for n, level in enumerate(self.levels):
-            for w, value in zip(iter_paths(n), level):
-                writer.writerow([n, w.label(), repr(value)])
+        writer.writerow([0, EMPTY_PATH.label(), repr(self.root)])
+        labels = [""]
+        for n, level in enumerate(self.levels[1:], 1):
+            labels = [w + c for w in labels for c in "UD"]
+            writer.writerows(zip(itertools.repeat(n), labels, map(repr, level)))
         return buf.getvalue() if out is None else ""
 
 
@@ -143,7 +153,7 @@ def price_lattice(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> PriceLat
     """
     q = risk_neutral_q(crr.params)
     r = crr.params.r
-    levels = [list(terminal_payoffs(crr, payoff, maturity).values())]
+    levels = [terminal_payoffs(crr, payoff, maturity)]
     for _ in range(maturity):
         kids = levels[0]
         levels.insert(0, [
@@ -169,8 +179,7 @@ def replicating_portfolio(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> 
     if maturity < 1:
         raise ValueError("replication needs at least one trading period")
     values = price_lattice(crr, payoff, maturity).levels
-    stock = crr.market.price(crr.risky)
-    prices = [[stock.at(n, w) for w in iter_paths(n)] for n in range(maturity + 1)]
+    prices = [[geom_rand_walk(crr.params, n, s) for s in toss_tuples(n)] for n in range(maturity + 1)]
     delta = [
         [(v_up - v_down) / (s_up - s_down)
          for v_up, v_down, s_up, s_down in zip(v[0::2], v[1::2], s[0::2], s[1::2])]
@@ -219,10 +228,12 @@ def verify_replication(
             f"portfolio trades until {p.horizon} but the payoff matures at {maturity}"
         )
     kappa = terminal_payoffs(crr, payoff, maturity)
-    worst = max(
-        abs(closing_value_process(crr.market, p, maturity, w) - kappa[w])
-        for w in iter_paths(maturity)
-    )
+    errors = [
+        abs(closing_value_process(crr.market, p, maturity, w) - k)
+        for w, k in zip(iter_paths(maturity), kappa)
+    ]
+    # max() keeps the first of incomparable values, so a NaN error after a number would be lost.
+    worst = math.nan if any(map(math.isnan, errors)) else max(errors)
     return ReplicationReport(
         self_financing=is_self_financing(crr.market, p, tol),
         trading_strategy=is_trading_strategy(p),

@@ -368,6 +368,22 @@ class TestArgumentHandling:
             assert code == EXIT_BAD_INPUT
             assert "nan" not in out.lower() and "inf" not in out.lower()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(u=1e200, v=1e200, horizon=3), dict(u=1.5, d=1e-200, v=1e-200, horizon=3)],
+        ids=["overflow", "underflow"],
+    )
+    def test_prices_outside_float_range_are_bad_input(self, capsys, config, tmp_path, overrides):
+        hedge = tmp_path / "hedge.csv"
+        payoff = ["--payoff", "1", "--maturity", "2"]
+        assert run(capsys, "replicate", "--config", config, *payoff, "--out", str(hedge))[0] == EXIT_OK
+        cfg = write_config(tmp_path, **overrides)
+        for argv in (["check"], ["price", *payoff], ["replicate", *payoff],
+                     ["verify", *payoff, "--portfolio", str(hedge)]):
+            code, out, err = run(capsys, *argv, "--config", cfg)
+            assert code == EXIT_BAD_INPUT
+            assert out == "" and "float range" in err
+
     @pytest.mark.parametrize("tolerance", ["nan", "-1"])
     def test_invalid_tolerance_is_bad_input(self, capsys, config, tmp_path, tolerance):
         hedge = tmp_path / "hedge.csv"
@@ -432,6 +448,19 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("payoff, tag", [("lookback", "lookback"), ("avg(S) - 10", "avg")])
     def test_tree_and_hedge_csv(self, capsys, tmp_path, payoff, tag):
+        cfg = write_config(tmp_path, horizon=5)
+        argv = ["--config", cfg, "--payoff", payoff, "--maturity", "5"]
+        tree, hedge = tmp_path / "tree.csv", tmp_path / "hedge.csv"
+        assert run(capsys, "price", *argv, "--tree", str(tree))[0] == EXIT_OK
+        assert run(capsys, "replicate", *argv, "--out", str(hedge))[0] == EXIT_OK
+        assert tree.read_bytes() == (DATA / f"tree_{tag}_T5.csv").read_bytes()
+        assert hedge.read_bytes() == (DATA / f"hedge_{tag}_T5.csv").read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "payoff, tag", [("call(10)", "call"), ("max(S[2], S_T) / 3 - min(S)", "mixed")]
+    )
+    def test_terminal_and_mixed_payoffs(self, capsys, tmp_path, payoff, tag):
         cfg = write_config(tmp_path, horizon=5)
         argv = ["--config", cfg, "--payoff", payoff, "--maturity", "5"]
         tree, hedge = tmp_path / "tree.csv", tmp_path / "hedge.csv"

@@ -1,5 +1,6 @@
 """Binomial market parameters, discounting, viability, risk-neutral weight."""
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -280,6 +281,22 @@ class TestCrrMarket:
     def test_config_errors(self, text, fragment):
         with pytest.raises(ValueError, match=fragment):
             CrrMarket.from_json(text)
+
+    @pytest.mark.parametrize(
+        "u,d,v",
+        [(1e200, 0.5, 1e200), (1.5, 1e-200, 1e-200), (1e110, 0.5, 1e-200), (1.5, 1e-110, 1e200)],
+    )
+    def test_prices_outside_float_range_rejected(self, u, d, v):
+        with pytest.raises(ValueError, match="float range"):
+            CrrMarket(CrrParams(u=u, d=d, v=v, r=0.01, p=0.5), horizon=3)
+
+    def test_float_range_boundary(self):
+        top = CrrParams(u=2.0, d=0.5, v=sys.float_info.max / 8, r=0.01, p=0.5)
+        bottom = CrrParams(u=2.0, d=0.5, v=sys.float_info.min * 8, r=0.01, p=0.5)
+        for params in (top, bottom):
+            CrrMarket(params, horizon=3)
+            with pytest.raises(ValueError, match="float range"):
+                CrrMarket(params, horizon=4)
 
     def test_measures(self):
         mkt = CrrMarket(PARAMS, horizon=2)

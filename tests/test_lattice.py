@@ -2,6 +2,7 @@
 import math
 import random
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,15 @@ class TestTossPath:
 
     def test_child_appends(self):
         assert path("U").child(False) == path("UD")
+
+    @pytest.mark.parametrize("outcomes", [(1, 0), (True, 1), (numpy.bool_(True),), (True, None)])
+    def test_non_bool_outcomes_rejected(self, outcomes):
+        with pytest.raises(ValueError, match="booleans"):
+            TossPath(outcomes)
+
+    def test_bool_outcomes_accepted(self):
+        assert TossPath([True, False]).outcomes == (True, False)
+        assert TossPath(()).outcomes == ()
 
 
 class TestIndex:

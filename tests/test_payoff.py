@@ -1,7 +1,11 @@
 """Payoff language: parsing, printing, evaluation, maturity inference."""
+import functools
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crrpricing.crr import CrrParams, price_path
 from crrpricing.lattice import BinaryLattice, TossPath, is_measurable_at
@@ -214,3 +218,101 @@ class TestMeasurability:
             return eval_payoff(expr, price_path(PARAMS, w.truncate(maturity)))
 
         assert is_measurable_at(payoff_of_full_path, lattice, maturity)
+
+
+def reference_eval_payoff(e, prices):
+    """The tree-walking interpreter that ``eval_payoff`` replaced, kept as the
+    reference for the compiled closures; ``avg(S)`` adds as ``sum()`` did up
+    to Python 3.11."""
+    if not prices:
+        raise PayoffEvalError("price path must contain at least the initial price")
+    last = len(prices) - 1
+    match e:
+        case Const(value):
+            return value
+        case PriceAt(index):
+            if not 0 <= index <= last:
+                raise PayoffEvalError(
+                    f"price index S[{index}] outside observed path S[0..{last}]"
+                )
+            return prices[index]
+        case TerminalPrice():
+            return prices[-1]
+        case PathMax():
+            return max(prices)
+        case PathMin():
+            return min(prices)
+        case PathAvg():  # sum() as of Python 3.11: left to right, without compensation
+            return functools.reduce(operator.add, prices, 0) / len(prices)
+        case Add(left, right):
+            return reference_eval_payoff(left, prices) + reference_eval_payoff(right, prices)
+        case Sub(left, right):
+            return reference_eval_payoff(left, prices) - reference_eval_payoff(right, prices)
+        case Mul(left, right):
+            return reference_eval_payoff(left, prices) * reference_eval_payoff(right, prices)
+        case Div(left, right):
+            divisor = reference_eval_payoff(right, prices)
+            if divisor == 0.0:
+                raise PayoffEvalError(
+                    f"division by zero in {print_payoff(e)!r}"
+                )
+            return reference_eval_payoff(left, prices) / divisor
+        case Neg(operand):
+            return -reference_eval_payoff(operand, prices)
+        case Max2(left, right):
+            return max(reference_eval_payoff(left, prices), reference_eval_payoff(right, prices))
+        case Min2(left, right):
+            return min(reference_eval_payoff(left, prices), reference_eval_payoff(right, prices))
+        case PosPart(operand):
+            return max(0.0, reference_eval_payoff(operand, prices))
+    raise TypeError(f"not a payoff expression: {e!r}")
+
+
+def outcome(fn, *args):
+    """A call's value (exact, by type and repr) or its exception (type, message)."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return "value", type(value), repr(value)
+
+
+NOT_AN_EXPRESSION = "S_T"
+
+expressions = st.recursive(
+    st.one_of(
+        st.builds(Const, st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2]), st.floats(allow_nan=False))),
+        st.builds(PriceAt, st.integers(0, 7)),
+        st.sampled_from([TerminalPrice(), PathMax(), PathMin(), PathAvg()]),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Neg, inner),
+        st.builds(PosPart, inner),
+        *(st.builds(node, inner, inner) for node in (Add, Sub, Mul, Div, Max2, Min2)),
+        st.builds(Add, inner, st.just(NOT_AN_EXPRESSION)),
+    ),
+    max_leaves=12,
+)
+price_lists = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0, 100.0]), st.floats(-1e6, 1e6)), max_size=6
+)
+
+
+class TestCompiledMatchesInterpreter:
+    @settings(max_examples=600, deadline=None)
+    @given(expressions, price_lists)
+    def test_same_value_or_same_error(self, e, prices):
+        assert outcome(eval_payoff, e, prices) == outcome(reference_eval_payoff, e, prices)
+
+    def test_equal_expressions_keep_their_own_values(self):
+        """Equal expressions can evaluate differently, so no compiled form is
+        shared between them."""
+        for pair in ((Const(0.0), Const(-0.0)), (Neg(Const(-0.0)), Neg(Const(0.0))), (Const(1), Const(1.0))):
+            assert pair[0] == pair[1]
+            for e in pair:
+                assert outcome(eval_payoff, e, [1.0]) == outcome(reference_eval_payoff, e, [1.0])
+
+    def test_non_expression_rejected(self):
+        for bad in (NOT_AN_EXPRESSION, [1.0], Neg(NOT_AN_EXPRESSION)):
+            with pytest.raises(TypeError, match="not a payoff expression"):
+                eval_payoff(bad, [1.0])

@@ -12,6 +12,7 @@ from crrpricing.crr import (
     MarketNotViableError,
     disc_rfr_proc,
     discounted_value,
+    price_path,
     risk_neutral_q,
 )
 from crrpricing.lattice import (
@@ -32,9 +33,10 @@ from crrpricing.market import (
     qty_sum,
     QuantityProcess,
 )
-from crrpricing.payoff import PayoffEvalError, parse_payoff
+from crrpricing.payoff import PayoffEvalError, eval_payoff, parse_payoff
 from crrpricing.pricing import (
     ArbitrageVerdict,
+    PriceLattice,
     construct_arbitrage,
     fair_price,
     is_arbitrage_process,
@@ -134,7 +136,7 @@ class TestPriceLattice:
     def test_terminal_layer_is_payoff(self, crr):
         expr = parse_payoff("lookback")
         tree = price_lattice(crr, expr, 2)
-        for w, value in terminal_payoffs(crr, expr, 2).items():
+        for w, value in zip(iter_paths(2), terminal_payoffs(crr, expr, 2)):
             assert tree.at(2, w) == value
 
     def test_interior_recursion_holds(self, crr):
@@ -243,6 +245,18 @@ class TestVerifyReplication:
         )
         report = verify_replication(crr, bumped, expr, 3)
         assert not report.self_financing
+        assert not report.is_replicating()
+
+    def test_nan_terminal_error_after_numbers_propagates(self):
+        crr = CrrMarket(PARAMS, horizon=3)
+        expr = parse_payoff("call(10)")
+        p = replicating_portfolio(crr, expr, 3)
+        dd = path("DD")
+        bumped = qty_sum(
+            p, qty_single(crr.risky, lambda n, w: math.nan if n == 3 and w == dd else 0.0, horizon=3)
+        )
+        report = verify_replication(crr, bumped, expr, 3)
+        assert math.isnan(report.max_terminal_error)
         assert not report.is_replicating()
 
     def test_tolerance_reaches_self_financing_clause(self):
@@ -507,7 +521,7 @@ def dict_price_lattice(crr, payoff, maturity):
     """Reference backward induction over an ``(n, TossPath)`` node table."""
     q = risk_neutral_q(crr.params)
     r = crr.params.r
-    table = {(maturity, w): v for w, v in terminal_payoffs(crr, payoff, maturity).items()}
+    table = {(maturity, w): v for w, v in zip(iter_paths(maturity), terminal_payoffs(crr, payoff, maturity))}
     for n in reversed(range(maturity)):
         for w in iter_paths(n):
             up = table[(n + 1, w.child(True))]
@@ -576,3 +590,75 @@ class TestLevelListsMatchNodeTables:
             for n in range(1, maturity + 1):
                 for w in iter_paths(n - 1):
                     assert hedge.quantity(asset, n, w) == reference.quantity(asset, n, w)
+
+
+def path_terminal_payoffs(crr, payoff, maturity):
+    """Reference terminal payoffs, one ``TossPath`` at a time."""
+    if isinstance(payoff, dict):
+        evaluate = payoff.__getitem__
+    elif callable(payoff):
+        evaluate = payoff
+    else:
+        evaluate = lambda w: eval_payoff(payoff, price_path(crr.params, w))
+    return [float(evaluate(w)) for w in iter_paths(maturity)]
+
+
+def path_fair_price(crr, payoff, maturity):
+    """Reference price: ``path_probability`` of every maturity path."""
+    measure = PathMeasure(risk_neutral_q(crr.params))
+    kappa = path_terminal_payoffs(crr, payoff, maturity)
+    expectation = math.fsum(
+        path_probability(measure, w) * k for w, k in zip(iter_paths(maturity), kappa)
+    )
+    return expectation / disc_rfr_proc(crr.params.r, maturity)
+
+
+def path_tree_csv(tree):
+    """Reference tree CSV: one ``label()`` per node."""
+    lines = ["time,prefix,value"]
+    for n, level in enumerate(tree.levels):
+        lines += [f"{n},{w.label()},{value!r}" for w, value in zip(iter_paths(n), level)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def any_claims(draw):
+    """A priced claim whose payoff is an expression, a path table or a callable."""
+    crr, expr, maturity = draw(priced_claims())
+    kind = draw(st.sampled_from(["expression", "mapping", "callable"]))
+    if kind == "mapping":
+        values = draw(st.lists(st.floats(-1e3, 1e3), min_size=2**maturity, max_size=2**maturity))
+        return crr, dict(zip(iter_paths(maturity), values)), maturity
+    if kind == "callable":
+        weight = draw(st.floats(-10.0, 10.0))
+        return crr, lambda w: weight * sum(w) - len(w), maturity
+    return crr, expr, maturity
+
+
+class TestKernelsMatchPathReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(any_claims())
+    def test_terminal_payoffs(self, claim):
+        crr, payoff, maturity = claim
+        assert terminal_payoffs(crr, payoff, maturity) == path_terminal_payoffs(crr, payoff, maturity)
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_claims())
+    def test_fair_price(self, claim):
+        crr, payoff, maturity = claim
+        assert fair_price(crr, payoff, maturity) == path_fair_price(crr, payoff, maturity)
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_claims())
+    def test_tree_csv(self, claim):
+        tree = price_lattice(*claim)
+        assert tree.to_csv() == path_tree_csv(tree)
+
+    def test_tree_csv_of_maturity_zero(self, crr):
+        assert PriceLattice([[2.5]], 0).to_csv() == "time,prefix,value\n0,-,2.5\n"
+
+    def test_error_names_the_path(self, crr):
+        with pytest.raises(PayoffEvalError, match=r"^division by zero in '1 / \(S\[1\] - S\[1\]\)' \(at path UU\)$"):
+            terminal_payoffs(crr, parse_payoff("1 / (S[1] - S[1])"), 2)
+        with pytest.raises(PayoffEvalError, match="not finite at path UD$"):
+            terminal_payoffs(crr, lambda w: math.nan if w == path("UD") else 0.0, 2)
