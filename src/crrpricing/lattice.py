@@ -99,6 +99,17 @@ def toss_tuples(length: int) -> Iterator[tuple[bool, ...]]:
     return itertools.product((UP, DOWN), repeat=length)
 
 
+def prefix_labels(length: int) -> Iterator[list[str]]:
+    """``label()`` of every toss prefix, one list per time ``0 .. length``,
+    each in ``iter_paths`` order; built by appending one toss per level."""
+    check_horizon(length)
+    yield [EMPTY_PATH.label()]
+    labels = [""]
+    for _ in range(length):
+        labels = [w + c for w in labels for c in "UD"]
+        yield labels
+
+
 def iter_paths(length: int) -> Iterator[TossPath]:
     """All toss paths of the given length, lexicographic with up before down."""
     for combo in toss_tuples(length):

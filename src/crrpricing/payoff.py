@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import operator
 import re
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -349,11 +348,6 @@ def print_payoff(e: PayoffExpr) -> str:
     raise TypeError(f"not a payoff expression: {e!r}")
 
 
-# avg(S) adds left to right on every Python: sum() does so before 3.12, and
-# compensates from 3.12 on, which would change prices in the last ulp.
-_plain_sum = sum if sys.version_info < (3, 12) else lambda xs: functools.reduce(operator.add, xs, 0)
-
-
 def _compile(e: PayoffExpr) -> Callable[[Sequence[float]], float]:
     """Closure evaluating ``e`` on a nonempty price sequence; a node that is
     not an expression compiles to a closure raising ``TypeError`` when reached."""
@@ -376,7 +370,9 @@ def _compile(e: PayoffExpr) -> Callable[[Sequence[float]], float]:
         case PathMin():
             return min
         case PathAvg():
-            return lambda prices: _plain_sum(prices) / len(prices)
+            # Left to right from 0 on every Python: sum() compensates from 3.12
+            # on, which would move prices in the last digit.
+            return lambda prices: functools.reduce(operator.add, prices, 0) / len(prices)
         case Neg(operand):
             f = _compile(operand)
             return lambda prices: -f(prices)

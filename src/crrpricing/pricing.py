@@ -29,13 +29,13 @@ from .crr import (
     risk_neutral_q,
 )
 from .lattice import (
-    EMPTY_PATH,
     LatticeProcess,
     PathMeasure,
     TossPath,
     conditional_expectation_step,
     iter_paths,
     path_probability,
+    prefix_labels,
     toss_tuples,
 )
 from .market import (
@@ -136,10 +136,7 @@ class PriceLattice:
         buf = out if out is not None else io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["time", "prefix", "value"])
-        writer.writerow([0, EMPTY_PATH.label(), repr(self.root)])
-        labels = [""]
-        for n, level in enumerate(self.levels[1:], 1):
-            labels = [w + c for w in labels for c in "UD"]
+        for n, (labels, level) in enumerate(zip(prefix_labels(self.maturity), self.levels)):
             writer.writerows(zip(itertools.repeat(n), labels, map(repr, level)))
         return buf.getvalue() if out is None else ""
 

@@ -446,21 +446,13 @@ class TestArgumentHandling:
 class TestGoldenBytes:
     """CSV bytes pinned from the path-keyed engine: market REFERENCE at horizon 5."""
 
-    @pytest.mark.parametrize("payoff, tag", [("lookback", "lookback"), ("avg(S) - 10", "avg")])
+    @pytest.mark.parametrize("payoff, tag", [
+        ("lookback", "lookback"),
+        ("avg(S) - 10", "avg"),
+        ("call(10)", "call"),
+        ("max(S[2], S_T) / 3 - min(S)", "mixed"),
+    ])
     def test_tree_and_hedge_csv(self, capsys, tmp_path, payoff, tag):
-        cfg = write_config(tmp_path, horizon=5)
-        argv = ["--config", cfg, "--payoff", payoff, "--maturity", "5"]
-        tree, hedge = tmp_path / "tree.csv", tmp_path / "hedge.csv"
-        assert run(capsys, "price", *argv, "--tree", str(tree))[0] == EXIT_OK
-        assert run(capsys, "replicate", *argv, "--out", str(hedge))[0] == EXIT_OK
-        assert tree.read_bytes() == (DATA / f"tree_{tag}_T5.csv").read_bytes()
-        assert hedge.read_bytes() == (DATA / f"hedge_{tag}_T5.csv").read_bytes()
-
-
-    @pytest.mark.parametrize(
-        "payoff, tag", [("call(10)", "call"), ("max(S[2], S_T) / 3 - min(S)", "mixed")]
-    )
-    def test_terminal_and_mixed_payoffs(self, capsys, tmp_path, payoff, tag):
         cfg = write_config(tmp_path, horizon=5)
         argv = ["--config", cfg, "--payoff", payoff, "--maturity", "5"]
         tree, hedge = tmp_path / "tree.csv", tmp_path / "hedge.csv"

@@ -2,7 +2,6 @@
 import math
 import random
 
-import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +17,7 @@ from crrpricing.lattice import (
     expectation,
     is_measurable_at,
     path_probability,
+    prefix_labels,
 )
 
 
@@ -52,10 +52,15 @@ class TestTossPath:
     def test_child_appends(self):
         assert path("U").child(False) == path("UD")
 
-    @pytest.mark.parametrize("outcomes", [(1, 0), (True, 1), (numpy.bool_(True),), (True, None)])
+    @pytest.mark.parametrize("outcomes", [(1, 0), (True, 1), (True, None)])
     def test_non_bool_outcomes_rejected(self, outcomes):
         with pytest.raises(ValueError, match="booleans"):
             TossPath(outcomes)
+
+    def test_numpy_bool_rejected(self):
+        numpy = pytest.importorskip("numpy")
+        with pytest.raises(ValueError, match="booleans"):
+            TossPath((numpy.bool_(True),))
 
     def test_bool_outcomes_accepted(self):
         assert TossPath([True, False]).outcomes == (True, False)
@@ -71,6 +76,16 @@ class TestIndex:
         for w in enumerate_paths(5):
             assert w.child(True).index() == 2 * w.index()
             assert w.child(False).index() == 2 * w.index() + 1
+
+
+class TestPrefixLabels:
+    def test_levels_match_label_of_each_path(self):
+        levels = list(prefix_labels(5))
+        assert levels == [[w.label() for w in enumerate_paths(n)] for n in range(6)]
+
+    def test_horizon_cap_enforced(self):
+        with pytest.raises(ValueError, match="cap"):
+            next(prefix_labels(MAX_HORIZON + 1))
 
 
 class TestEnumeratePaths:
