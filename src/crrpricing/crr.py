@@ -144,6 +144,15 @@ class CrrMarket:
                 f"risky prices leave the float range within horizon {horizon}: "
                 f"extremes {bottom!r} and {top!r}"
             )
+        try:
+            bank = disc_rfr_proc(params.r, horizon)
+        except OverflowError:
+            bank = math.inf
+        if not sys.float_info.min <= bank < math.inf:
+            raise ValueError(
+                f"risk-free prices leave the float range within horizon {horizon}: "
+                f"(1 + r)^{horizon} = {bank!r}"
+            )
         self.params = params
         self.horizon = horizon
         self.risky = Asset(RISKY_ID)

@@ -34,6 +34,17 @@ def check_horizon(horizon: int) -> int:
     return horizon
 
 
+def check_node(horizon: int, n: int, prefix: "TossPath") -> None:
+    """Validate ``(n, prefix)`` as a node of a horizon-``horizon`` lattice."""
+    if not 0 <= n <= horizon:
+        raise ValueError(f"time {n} outside process horizon {horizon}")
+    if len(prefix) != n:
+        raise ValueError(
+            f"time-{n} values are keyed by length-{n} prefixes, "
+            f"got length {len(prefix)}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class TossPath:
     """An ordered, finite sequence of coin-toss outcomes (True = up)."""
@@ -166,19 +177,14 @@ class LatticeProcess:
         self._fn = fn
 
     def at(self, n: int, prefix: TossPath) -> float:
-        if not 0 <= n <= self.horizon:
-            raise ValueError(f"time {n} outside process horizon {self.horizon}")
-        if len(prefix) != n:
-            raise ValueError(
-                f"time-{n} values are keyed by length-{n} prefixes, "
-                f"got length {len(prefix)}"
-            )
+        check_node(self.horizon, n, prefix)
         return self._fn(n, prefix)
 
-    def nodes(self) -> Iterator[tuple[int, TossPath]]:
-        for n in range(self.horizon + 1):
-            for prefix in iter_paths(n):
-                yield n, prefix
+    def level(self, n: int) -> list[float]:
+        """The values at every length-``n`` prefix, in ``iter_paths`` order."""
+        if not 0 <= n <= self.horizon:
+            raise ValueError(f"time {n} outside process horizon {self.horizon}")
+        return [self._fn(n, w) for w in iter_paths(n)]
 
     @classmethod
     def from_table(cls, horizon: int, table: Mapping[tuple[int, TossPath], float]) -> "LatticeProcess":

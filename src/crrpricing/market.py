@@ -1,8 +1,8 @@
 """Discrete market structure and portfolio algebra.
 
 A market is a finite set of assets with adapted price processes, a subset of
-which are stocks. Portfolios are quantity processes: per asset, the amount
-held over each interval ``]n-1, n]`` is keyed by the first ``n-1`` tosses, so
+which are stocks. Portfolios are quantity processes: per asset, one list per
+interval ``]n-1, n]`` holds an amount for each of the first ``n-1`` tosses, so
 predictability is built into the representation. Value and closing-value
 processes, the self-financing predicate, and a funding construction that
 repairs any portfolio into a self-financing one are provided, together with
@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple
 
-from .lattice import LatticeProcess, TossPath, check_horizon, iter_paths
+from .lattice import LatticeProcess, TossPath, check_horizon, iter_paths, prefix_labels
 
 QuantityFn = Callable[[int, TossPath], float]
 
@@ -75,27 +77,29 @@ class Market:
 class QuantityProcess:
     """Per-asset predictable holdings over a finite trading horizon.
 
-    ``quantity(a, n, w)`` is the amount of ``a`` held over ``]n-1, n]`` for
-    any scenario starting with the ``n-1`` tosses ``w``. Time 0 holdings are
-    not represented. Assets absent from the component map have quantity 0.
+    ``levels[a][n - 1][k]`` is the amount of ``a`` held over ``]n-1, n]`` after
+    the ``k``-th length-``n - 1`` prefix in ``iter_paths`` order, whose
+    successors sit at ``2k`` (up) and ``2k + 1`` (down) of the next level, as
+    in ``PriceLattice.levels``. Time 0 holdings are not represented. Assets
+    without levels have quantity 0.
     """
 
-    __slots__ = ("horizon", "_components", "_support_cache")
+    __slots__ = ("horizon", "levels", "_support")
 
-    def __init__(self, horizon: int, components: Mapping[Asset, QuantityFn]):
+    def __init__(self, horizon: int, levels: Mapping[Asset, list[list[float]]]):
         check_horizon(horizon)
         if horizon < 1:
             raise ValueError("quantity process needs horizon >= 1")
         self.horizon = horizon
-        self._components = dict(components)
-        self._support_cache: frozenset[Asset] | None = None
-
-    def assets(self) -> frozenset[Asset]:
-        """Assets with an explicit component (a superset of the support)."""
-        return frozenset(self._components)
-
-    def component(self, asset: Asset) -> QuantityFn:
-        return self._components.get(asset, lambda n, w: 0.0)
+        self.levels = dict(levels)
+        for asset, table in self.levels.items():
+            if [len(level) for level in table] != [1 << t for t in range(horizon)]:
+                raise ValueError(
+                    f"holdings of {asset.id!r} need levels of lengths 1, 2, ..., 2^{horizon - 1}"
+                )
+        self._support = frozenset(
+            a for a, table in self.levels.items() if any(x != 0.0 for level in table for x in level)
+        )
 
     def quantity(self, asset: Asset, n: int, prefix: TossPath) -> float:
         if not 1 <= n <= self.horizon:
@@ -105,8 +109,14 @@ class QuantityProcess:
                 f"time-{n} quantities are keyed by length-{n - 1} prefixes, "
                 f"got length {len(prefix)}"
             )
-        fn = self._components.get(asset)
-        return 0.0 if fn is None else fn(n, prefix)
+        table = self.levels.get(asset)
+        return 0.0 if table is None else table[n - 1][prefix.index()]
+
+
+def _tabulate(fn: QuantityFn, horizon: int) -> list[list[float]]:
+    """``fn(n, w)`` at every trading node, as the levels of a quantity process."""
+    check_horizon(horizon)
+    return [[fn(n, w) for w in iter_paths(n - 1)] for n in range(1, horizon + 1)]
 
 
 def qty_empty(horizon: int) -> QuantityProcess:
@@ -116,62 +126,58 @@ def qty_empty(horizon: int) -> QuantityProcess:
 
 def qty_single(asset: Asset, prc: QuantityFn, horizon: int) -> QuantityProcess:
     """A quantity process that only ever trades one asset."""
-    return QuantityProcess(horizon, {asset: prc})
+    return QuantityProcess(horizon, {asset: _tabulate(prc, horizon)})
 
 
 def qty_sum(q1: QuantityProcess, q2: QuantityProcess) -> QuantityProcess:
     """Pointwise sum of holdings."""
     if q1.horizon != q2.horizon:
         raise ValueError(f"horizon mismatch: {q1.horizon} vs {q2.horizon}")
-
-    def combine(a: Asset) -> QuantityFn:
-        f1, f2 = q1.component(a), q2.component(a)
-        return lambda n, w: f1(n, w) + f2(n, w)
-
-    return QuantityProcess(q1.horizon, {a: combine(a) for a in q1.assets() | q2.assets()})
+    zeros = [[0.0] * (1 << t) for t in range(q1.horizon)]
+    return QuantityProcess(q1.horizon, {
+        a: [list(map(operator.add, l1, l2))
+            for l1, l2 in zip(q1.levels.get(a, zeros), q2.levels.get(a, zeros))]
+        for a in q1.levels.keys() | q2.levels.keys()
+    })
 
 
 def qty_mult_comp(q: QuantityProcess, prd: QuantityFn) -> QuantityProcess:
     """Scale every holding by a predictable process."""
-
-    def scale(fn: QuantityFn) -> QuantityFn:
-        return lambda n, w: fn(n, w) * prd(n, w)
-
-    return QuantityProcess(q.horizon, {a: scale(q.component(a)) for a in q.assets()})
+    scale = _tabulate(prd, q.horizon)
+    return QuantityProcess(q.horizon, {
+        a: [list(map(operator.mul, level, factors)) for level, factors in zip(table, scale)]
+        for a, table in q.levels.items()
+    })
 
 
 def qty_rem_comp(q: QuantityProcess, asset: Asset) -> QuantityProcess:
     """Nullify the holdings of one asset."""
-    return QuantityProcess(
-        q.horizon, {a: q.component(a) for a in q.assets() if a != asset}
-    )
+    return QuantityProcess(q.horizon, {a: t for a, t in q.levels.items() if a != asset})
 
 
 def support_set(q: QuantityProcess) -> frozenset[Asset]:
-    """Assets that are bought or sold at some node, found exhaustively.
-
-    Cached on the process: quantities are fixed at construction, and the
-    value operators would otherwise rescan the whole lattice per node.
-    """
-    if q._support_cache is not None:
-        return q._support_cache
-    found = set()
-    for a in q.assets():
-        fn = q.component(a)
-        if any(
-            fn(n, w) != 0.0
-            for n in range(1, q.horizon + 1)
-            for w in iter_paths(n - 1)
-        ):
-            found.add(a)
-    q._support_cache = frozenset(found)
-    return q._support_cache
+    """Assets that are bought or sold at some node; found once, when the
+    process is built."""
+    return q._support
 
 
-def _node(path: TossPath, n: int) -> TossPath:
-    if len(path) < n:
-        raise ValueError(f"need at least {n} tosses, path has {len(path)}")
-    return path.truncate(n)
+def _check_time(mkt: Market, p: QuantityProcess, n: int) -> None:
+    if p.horizon > mkt.horizon:
+        raise ValueError(
+            f"portfolio horizon {p.horizon} exceeds market horizon {mkt.horizon}"
+        )
+    if not 0 <= n <= p.horizon:
+        raise ValueError(f"time {n} outside portfolio horizon {p.horizon}")
+
+
+def _node_worth(mkt: Market, p: QuantityProcess, n: int, path: TossPath, t: int) -> float:
+    """Time-``n`` worth, at the node ``path`` passes through, of the holdings
+    chosen at time ``t`` (``n`` or ``n - 1``)."""
+    _check_time(mkt, p, n)
+    w = path if len(path) == n else path.truncate(n)
+    k = w.index() >> (n - t)
+    support = sorted(support_set(p), key=lambda a: a.id)
+    return math.fsum(mkt.price(a).at(n, w) * p.levels[a][t][k] for a in support)
 
 
 def value_process(mkt: Market, p: QuantityProcess, n: int, path: TossPath) -> float:
@@ -180,46 +186,43 @@ def value_process(mkt: Market, p: QuantityProcess, n: int, path: TossPath) -> fl
     At the final trading time the portfolio is not rebalanced again, so the
     value there is taken to be the closing value.
     """
-    if p.horizon > mkt.horizon:
-        raise ValueError(
-            f"portfolio horizon {p.horizon} exceeds market horizon {mkt.horizon}"
-        )
-    if not 0 <= n <= p.horizon:
-        raise ValueError(f"time {n} outside portfolio horizon {p.horizon}")
-    if n == p.horizon:
-        return closing_value_process(mkt, p, n, path)
-    w = _node(path, n)
-    support = sorted(support_set(p), key=lambda a: a.id)
-    return math.fsum(
-        mkt.price(a).at(n, w) * p.quantity(a, n + 1, w) for a in support
-    )
+    return _node_worth(mkt, p, n, path, min(n, p.horizon - 1))
 
 
 def closing_value_process(mkt: Market, p: QuantityProcess, n: int, path: TossPath) -> float:
-    """Proceeds of liquidating at time ``n`` the holdings carried over ``]n-1, n]``."""
-    if p.horizon > mkt.horizon:
-        raise ValueError(
-            f"portfolio horizon {p.horizon} exceeds market horizon {mkt.horizon}"
-        )
-    if not 0 <= n <= p.horizon:
-        raise ValueError(f"time {n} outside portfolio horizon {p.horizon}")
-    if n == 0:
-        return value_process(mkt, p, 0, path)
-    w = _node(path, n)
-    held = w.truncate(n - 1)
+    """Proceeds of liquidating at time ``n`` the holdings carried over
+    ``]n-1, n]``; at time 0, the value."""
+    return _node_worth(mkt, p, n, path, max(n - 1, 0))
+
+
+def _worth(mkt: Market, p: QuantityProcess, n: int, *chosen: int) -> list[list[float]]:
+    """Per decision time ``t`` in ``chosen`` (``n``: value, ``n - 1``: closing
+    value), the time-``n`` worth of those holdings at each length-``n`` node."""
+    _check_time(mkt, p, n)
     support = sorted(support_set(p), key=lambda a: a.id)
-    return math.fsum(
-        mkt.price(a).at(n, w) * p.quantity(a, n, held) for a in support
-    )
+    prices = [mkt.price(a).level(n) for a in support]
+    worth = []
+    for t in chosen:
+        held = [p.levels[a][t] for a in support]
+        worth.append([
+            math.fsum(s[k] * h[k >> (n - t)] for s, h in zip(prices, held)) for k in range(1 << n)
+        ])
+    return worth
+
+
+def closing_value_level(mkt: Market, p: QuantityProcess, n: int) -> list[float]:
+    """``closing_value_process`` at every length-``n`` node, in ``iter_paths`` order."""
+    [closing] = _worth(mkt, p, n, max(n - 1, 0))
+    return closing
 
 
 def is_self_financing(mkt: Market, p: QuantityProcess, tol: float = 1e-9) -> bool:
     """Whether rebalancing never injects or withdraws cash after inception."""
     for n in range(1, p.horizon):
-        for w in iter_paths(n):
-            # Written so that a NaN cash gap fails the check.
-            if not abs(value_process(mkt, p, n, w) - closing_value_process(mkt, p, n, w)) <= tol:
-                return False
+        value, closing = _worth(mkt, p, n, n, n - 1)
+        # Written so that a NaN cash gap fails the check.
+        if not all(abs(v - c) <= tol for v, c in zip(value, closing)):
+            return False
     return True
 
 
@@ -227,45 +230,40 @@ def make_self_financing(
     mkt: Market, p: QuantityProcess, funding: Asset, v0: float
 ) -> QuantityProcess:
     """Overwrite the funding-asset holdings so the result is self-financing
-    with initial value ``v0``; all other components are kept as given.
+    with initial value ``v0``; all other holdings are kept as given.
 
     The funding asset must never have a zero price, since each rebalancing
     buys or sells exactly the quantity of it that absorbs the cash imbalance.
     """
+    _check_time(mkt, p, 0)
     horizon = p.horizon
-    if horizon > mkt.horizon:
-        raise ValueError(
-            f"portfolio horizon {horizon} exceeds market horizon {mkt.horizon}"
-        )
-    fprice = mkt.price(funding)
-    for n in range(horizon + 1):
-        for w in iter_paths(n):
-            if fprice.at(n, w) == 0.0:
-                raise ValueError(
-                    f"funding asset {funding.id!r} has zero price at node "
-                    f"(t={n}, {w.label()})"
-                )
+    fprices = [mkt.price(funding).level(n) for n in range(horizon + 1)]
+    for n, level in enumerate(fprices):
+        if 0.0 in level:
+            raise ValueError(
+                f"funding asset {funding.id!r} has zero price at node "
+                f"(t={n}, {list(prefix_labels(n))[n][level.index(0.0)]})"
+            )
 
     others = sorted(
         (a for a in support_set(p) if a != funding), key=lambda a: a.id
     )
-    beta: dict[tuple[int, TossPath], float] = {}
     root = TossPath()
-    spent0 = math.fsum(mkt.price(a).at(0, root) * p.quantity(a, 1, root) for a in others)
-    beta[(1, root)] = (v0 - spent0) / fprice.at(0, root)
+    spent0 = math.fsum(mkt.price(a).at(0, root) * p.levels[a][0][0] for a in others)
+    beta = [[(v0 - spent0) / fprices[0][0]]]
     for n in range(1, horizon):
-        for w in iter_paths(n):
-            held = w.truncate(n - 1)
-            rebalance_cost = math.fsum(
-                mkt.price(a).at(n, w)
-                * (p.quantity(a, n, held) - p.quantity(a, n + 1, w))
-                for a in others
-            )
-            beta[(n + 1, w)] = beta[(n, held)] + rebalance_cost / fprice.at(n, w)
-
-    components = {a: p.component(a) for a in p.assets() if a != funding}
-    components[funding] = lambda n, w: beta[(n, w)]
-    return QuantityProcess(horizon, components)
+        prices = [mkt.price(a).level(n) for a in others]
+        held = [p.levels[a][n - 1] for a in others]
+        chosen = [p.levels[a][n] for a in others]
+        beta.append([
+            beta[-1][k >> 1]
+            + math.fsum(s[k] * (h[k >> 1] - c[k]) for s, h, c in zip(prices, held, chosen))
+            / fprices[n][k]
+            for k in range(1 << n)
+        ])
+    levels = {a: t for a, t in p.levels.items() if a != funding}
+    levels[funding] = beta
+    return QuantityProcess(horizon, levels)
 
 
 class PortfolioRow(NamedTuple):
@@ -359,40 +357,29 @@ def quantity_process_from_rows(
     rows: Iterable[PortfolioRow], horizon: int, assets: Iterable[Asset]
 ) -> QuantityProcess:
     """Build a predictable quantity process from a row table."""
+    check_horizon(horizon)
     by_id = {a.id: a for a in assets}
     rows = list(rows)
     for row in rows:
         if row.asset not in by_id:
             raise PortfolioFormatError(f"unknown asset id {row.asset!r}")
-    collapsed = _collapse_rows(rows, horizon)
-
-    def component(table: dict[tuple[int, TossPath], float]) -> QuantityFn:
-        return lambda n, w: table.get((n - 1, w), 0.0)
-
-    return QuantityProcess(
-        horizon, {by_id[aid]: component(tbl) for aid, tbl in collapsed.items()}
-    )
-
-
-def portfolio_rows(p: QuantityProcess, assets: Iterable[Asset] | None = None) -> list[PortfolioRow]:
-    """Canonical row table: times ascending, prefixes lexicographic, asset
-    ids sorted; includes every declared component, zeros and all."""
-    chosen = sorted(assets if assets is not None else p.assets(), key=lambda a: a.id)
-    rows = []
-    for t in range(p.horizon):
-        for w in iter_paths(t):
-            for a in chosen:
-                rows.append(PortfolioRow(t, w, a.id, p.quantity(a, t + 1, w)))
-    return rows
+    return QuantityProcess(horizon, {
+        by_id[asset_id]: [[table.get((t, w), 0.0) for w in iter_paths(t)] for t in range(horizon)]
+        for asset_id, table in _collapse_rows(rows, horizon).items()
+    })
 
 
 def write_portfolio_csv(p: QuantityProcess, out: io.TextIOBase | None = None) -> str:
-    """Serialize; numbers use the shortest round-trip representation."""
+    """Serialize every asset with levels, zeros and all: times, prefixes and
+    asset ids ascending; numbers use the shortest round-trip representation."""
     buf = out if out is not None else io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["time", "prefix", "asset", "quantity"])
-    for row in portfolio_rows(p):
-        writer.writerow([row.time, row.prefix.label(), row.asset, repr(row.quantity)])
+    chosen = sorted(p.levels, key=lambda a: a.id)
+    ids = [a.id for a in chosen]
+    for t, labels in enumerate(prefix_labels(p.horizon - 1)):
+        for label, *held in zip(labels, *(p.levels[a][t] for a in chosen)):
+            writer.writerows(zip(itertools.repeat(t), itertools.repeat(label), ids, map(repr, held)))
     return buf.getvalue() if out is None else ""
 
 
@@ -442,9 +429,10 @@ def quantities_allclose(
     """Pointwise equality of holdings at every stored key."""
     if q1.horizon != q2.horizon:
         return False
-    for a in q1.assets() | q2.assets():
-        for n in range(1, q1.horizon + 1):
-            for w in iter_paths(n - 1):
-                if abs(q1.quantity(a, n, w) - q2.quantity(a, n, w)) > tol:
-                    return False
-    return True
+    zeros = [[0.0] * (1 << t) for t in range(q1.horizon)]
+    return not any(
+        abs(x - y) > tol
+        for a in q1.levels.keys() | q2.levels.keys()
+        for l1, l2 in zip(q1.levels.get(a, zeros), q2.levels.get(a, zeros))
+        for x, y in zip(l1, l2)
+    )

@@ -32,6 +32,7 @@ from .lattice import (
     LatticeProcess,
     PathMeasure,
     TossPath,
+    check_node,
     conditional_expectation_step,
     iter_paths,
     path_probability,
@@ -42,7 +43,8 @@ from .market import (
     Market,
     PortfolioRow,
     QuantityProcess,
-    closing_value_process,
+    closing_value_level,
+    closing_value_process,  # noqa: F401  (kept importable: perfbench/spans.py rebinds it here)
     init_value,
     is_self_financing,
     is_trading_strategy,
@@ -113,7 +115,20 @@ def fair_price(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> float:
     for _ in range(maturity):
         weights = [x for w in weights for x in (w * q, w * (1.0 - q))]
     expectation = math.fsum(map(operator.mul, weights, kappa))
-    return expectation / disc_rfr_proc(crr.params.r, maturity)
+    price = expectation / disc_rfr_proc(crr.params.r, maturity)
+    _require_finite("price", [[price]])
+    return price
+
+
+def _require_finite(what: str, levels: list[list[float]]) -> None:
+    """Raise ``ValueError`` naming a non-finite node of ``levels`` at the latest time."""
+    for n, level in reversed(list(enumerate(levels))):
+        if not all(map(math.isfinite, level)):
+            k = next(k for k, x in enumerate(level) if not math.isfinite(x))
+            raise ValueError(
+                f"{what} leaves the float range at node "
+                f"(t={n}, {list(prefix_labels(n))[n][k]}): {level[k]!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -125,8 +140,9 @@ class PriceLattice:
     maturity: int
 
     def at(self, n: int, prefix: TossPath) -> float:
-        """Value at node ``(n, prefix)``; the node is checked by ``LatticeProcess.at``."""
-        return LatticeProcess(self.maturity, lambda n, w: self.levels[n][w.index()]).at(n, prefix)
+        """Value at node ``(n, prefix)``."""
+        check_node(self.maturity, n, prefix)
+        return self.levels[n][prefix.index()]
 
     @property
     def root(self) -> float:
@@ -144,9 +160,11 @@ class PriceLattice:
 def price_lattice(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> PriceLattice:
     """Backward induction under the risk-neutral weight.
 
-    The root value is cross-checked against the direct expectation; a
-    discrepancy beyond ``1e-9 * max(1, max|payoff|)`` means the engine itself
-    is inconsistent and is raised rather than returned.
+    A value outside the float range is a ``ValueError``. The root value is
+    cross-checked against the direct expectation; a discrepancy beyond
+    ``1e-9 * max(1, max|payoff|)``, divided by the discount factor when it
+    exceeds 1 (``r < 0``), means the engine itself is inconsistent and is
+    raised rather than returned.
     """
     q = risk_neutral_q(crr.params)
     r = crr.params.r
@@ -156,9 +174,11 @@ def price_lattice(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> PriceLat
         levels.insert(0, [
             (q * up + (1.0 - q) * down) / (1.0 + r) for up, down in zip(kids[0::2], kids[1::2])
         ])
+    _require_finite("option value", levels)
     root = levels[0][0]
     direct = fair_price(crr, payoff, maturity)
-    if abs(root - direct) > 1e-9 * max(1.0, max(map(abs, levels[-1]))):
+    bound = 1e-9 * max(1.0, max(map(abs, levels[-1]))) / min(1.0, disc_rfr_proc(r, maturity))
+    if abs(root - direct) > bound:
         raise RuntimeError(
             f"internal consistency failure: backward induction gives {root!r} "
             f"but direct expectation gives {direct!r}"
@@ -186,36 +206,35 @@ def replicating_portfolio(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> 
         [(v - h * s) / disc_rfr_proc(crr.params.r, n) for v, h, s in zip(v_n, h_n, s_n)]
         for n, (v_n, h_n, s_n) in enumerate(zip(values, delta, prices))
     ]
-    return QuantityProcess(
-        maturity,
-        {
-            crr.risky: lambda n, w: delta[n - 1][w.index()],
-            crr.riskfree: lambda n, w: bank[n - 1][w.index()],
-        },
-    )
+    _require_finite(f"hedge quantity of {crr.risky.id!r}", delta)
+    _require_finite(f"hedge quantity of {crr.riskfree.id!r}", bank)
+    return QuantityProcess(maturity, {crr.risky: delta, crr.riskfree: bank})
 
 
 @dataclass(frozen=True)
 class ReplicationReport:
-    """Clause-by-clause outcome of checking a hedge against a payoff."""
+    """Clause-by-clause outcome of checking a hedge against a payoff; both the
+    cash gaps and the terminal errors were held to ``tolerance``."""
 
     self_financing: bool
     trading_strategy: bool
     max_terminal_error: float
     init_value: float
+    tolerance: float
 
-    def is_replicating(self, tol: float = 1e-9) -> bool:
-        return (
-            self.self_financing
-            and self.trading_strategy
-            and self.max_terminal_error <= tol
-        )
+    @property
+    def terminal_match(self) -> bool:
+        return self.max_terminal_error <= self.tolerance
+
+    def is_replicating(self) -> bool:
+        return self.self_financing and self.trading_strategy and self.terminal_match
 
 
 def verify_replication(
     crr: CrrMarket, p: QuantityProcess, payoff: PayoffLike, maturity: int, tol: float = 1e-9
 ) -> ReplicationReport:
-    """Check a stock-only portfolio against a payoff at every maturity path."""
+    """Check a stock-only portfolio against a payoff at every maturity path;
+    both clauses allow ``tol * max(1, max|payoff|)``, a relative bound."""
     offenders = support_set(p) - crr.market.stocks
     if offenders:
         names = sorted(a.id for a in offenders)
@@ -225,10 +244,8 @@ def verify_replication(
             f"portfolio trades until {p.horizon} but the payoff matures at {maturity}"
         )
     kappa = terminal_payoffs(crr, payoff, maturity)
-    errors = [
-        abs(closing_value_process(crr.market, p, maturity, w) - k)
-        for w, k in zip(iter_paths(maturity), kappa)
-    ]
+    tol *= max(1.0, max(map(abs, kappa)))
+    errors = [abs(c - k) for c, k in zip(closing_value_level(crr.market, p, maturity), kappa)]
     # max() keeps the first of incomparable values, so a NaN error after a number would be lost.
     worst = math.nan if any(map(math.isnan, errors)) else max(errors)
     return ReplicationReport(
@@ -236,6 +253,7 @@ def verify_replication(
         trading_strategy=is_trading_strategy(p),
         max_terminal_error=worst,
         init_value=init_value(crr.market, p),
+        tolerance=tol,
     )
 
 
@@ -285,10 +303,6 @@ class ArbitrageVerdict:
             raise ValueError("verdict flag must match the violated clause")
 
 
-def _as_market(mkt: Market | CrrMarket) -> Market:
-    return mkt.market if isinstance(mkt, CrrMarket) else mkt
-
-
 def is_arbitrage_process(
     mkt: Market | CrrMarket,
     m: PathMeasure,
@@ -305,7 +319,7 @@ def is_arbitrage_process(
     carries 'no-strict-gain' if some time was nonnegative throughout and
     'negative-closing-value' otherwise.
     """
-    market = _as_market(mkt)
+    market = mkt.market if isinstance(mkt, CrrMarket) else mkt
     if not isinstance(p, QuantityProcess):
         rows = list(p)
         if not is_trading_strategy(rows, market.horizon):
@@ -317,20 +331,13 @@ def is_arbitrage_process(
         return ArbitrageVerdict(False, None, "not-self-financing")
     saw_nonnegative_time = False
     for witness in range(1, p.horizon + 1):
-        nonneg = True
-        strict = False
-        for w in iter_paths(witness):
-            if path_probability(m, w) <= 0.0:
-                continue
-            value = closing_value_process(market, p, witness, w)
-            if value < 0.0:
-                nonneg = False
-                break
-            if value > 0.0:
-                strict = True
-        if nonneg and strict:
-            return ArbitrageVerdict(True, witness, "none")
-        if nonneg:
+        values = [
+            v for v, w in zip(closing_value_level(market, p, witness), iter_paths(witness))
+            if path_probability(m, w) > 0.0
+        ]
+        if not any(v < 0.0 for v in values):
+            if any(v > 0.0 for v in values):
+                return ArbitrageVerdict(True, witness, "none")
             saw_nonnegative_time = True
     clause = "no-strict-gain" if saw_nonnegative_time else "negative-closing-value"
     return ArbitrageVerdict(False, None, clause)
@@ -351,13 +358,10 @@ def construct_arbitrage(crr: CrrMarket) -> QuantityProcess:
         shares, units = 1.0, -params.v
     else:  # u <= 1 + r
         shares, units = -1.0, params.v
-    return QuantityProcess(
-        crr.horizon,
-        {
-            crr.risky: lambda n, w: shares,
-            crr.riskfree: lambda n, w: units,
-        },
-    )
+    return QuantityProcess(crr.horizon, {
+        crr.risky: [[shares] * (1 << t) for t in range(crr.horizon)],
+        crr.riskfree: [[units] * (1 << t) for t in range(crr.horizon)],
+    })
 
 
 def one_step_no_arbitrage_check(crr: CrrMarket) -> bool:

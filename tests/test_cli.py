@@ -1,11 +1,16 @@
 """Command-line contract: output formats, exit codes, determinism."""
+import contextlib
 import csv
 import io
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crrpricing.cli import (
     EXIT_BAD_INPUT,
@@ -443,6 +448,41 @@ class TestArgumentHandling:
         assert "not finite" in err
 
 
+class TestFloatRangeAndTolerance:
+    OVERFLOW = {"u": 1.2, "d": 0.4, "v": 10, "r": -0.5, "p": 0.5, "horizon": 4}
+
+    @pytest.mark.parametrize("argv, node", [
+        (["price", "--maturity", "4"], "price leaves the float range at node (t=0, -)"),
+        (["price", "--maturity", "4", "--tree", "TREE"], "price leaves the float range at node (t=0, -)"),
+        (["replicate", "--maturity", "2", "--out", "HEDGE"],
+         "option value leaves the float range at node (t=1, U)"),
+    ], ids=["price", "price-tree", "replicate"])
+    def test_overflowing_price_or_hedge_is_bad_input(self, capsys, tmp_path, argv, node):
+        cfg = write_config(tmp_path, **self.OVERFLOW)
+        files = {"TREE": tmp_path / "tree.csv", "HEDGE": tmp_path / "hedge.csv"}
+        argv = [str(files.get(a, a)) for a in argv]
+        code, out, err = run(capsys, *argv, "--config", cfg, "--payoff", "1e308")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == f"error: {node}: inf\n"
+        assert not any(f.exists() for f in files.values())
+
+    def test_risk_free_prices_outside_float_range_are_bad_input(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, u=2.0, d=1.0, v=1.0, r=1e77, horizon=5)
+        code, out, err = run(capsys, "check", "--config", cfg)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert "risk-free prices leave the float range" in err
+
+    def test_large_spot_hedge_passes_at_the_default_tolerance(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, **LARGE_SPOT)
+        hedge = tmp_path / "hedge.csv"
+        argv = ["--config", cfg, "--payoff", "call(1e9)", "--maturity", "6"]
+        code, out, _ = run(capsys, "replicate", *argv, "--out", str(hedge))
+        assert (code, out) == (EXIT_OK, "replicating: yes; init value = 1.81147e+08; max terminal error = 2.38419e-07\n")
+        code, out, _ = run(capsys, "verify", *argv, "--portfolio", str(hedge))
+        assert code == EXIT_OK
+        assert "self-financing: pass\nterminal-match: pass (max error = 2.38419e-07)\n" in out
+
+
 class TestGoldenBytes:
     """CSV bytes pinned from the path-keyed engine: market REFERENCE at horizon 5."""
 
@@ -460,6 +500,53 @@ class TestGoldenBytes:
         assert run(capsys, "replicate", *argv, "--out", str(hedge))[0] == EXIT_OK
         assert tree.read_bytes() == (DATA / f"tree_{tag}_T5.csv").read_bytes()
         assert hedge.read_bytes() == (DATA / f"hedge_{tag}_T5.csv").read_bytes()
+
+
+GOLDEN_PAYOFFS = {
+    "lookback": "lookback",
+    "avg": "avg(S) - 10",
+    "call": "call(10)",
+    "mixed": "max(S[2], S_T) / 3 - min(S)",
+}
+
+
+def golden_stdout_commands(tmp_path: Path) -> dict[str, list[str]]:
+    """The commands whose stdout and exit code ``tests/data/stdout_T5.json``
+    pins: market REFERENCE at horizon 5, the hedges read from the pinned CSVs."""
+    cfg = write_config(tmp_path, horizon=5)
+    commands = {}
+    for tag, payoff in GOLDEN_PAYOFFS.items():
+        argv = ["--config", cfg, "--payoff", payoff, "--maturity", "5"]
+        commands[f"replicate-{tag}"] = ["replicate", *argv, "--out", str(tmp_path / f"{tag}.csv")]
+        commands[f"verify-{tag}"] = ["verify", *argv, "--portfolio", str(DATA / f"hedge_{tag}_T5.csv")]
+    # one risky holding moved by 0.01: in the last period both clauses fail,
+    # earlier only the self-financing one
+    for tag, key in (("perturbed", "4,DUDU,S,"), ("perturbed-early", "2,DU,S,")):
+        rows = (DATA / "hedge_lookback_T5.csv").read_text().splitlines(keepends=True)
+        [i] = [i for i, row in enumerate(rows) if row.startswith(key)]
+        rows[i] = f"{key}{float(rows[i].split(',')[3]) + 0.01!r}\n"
+        perturbed = tmp_path / f"{tag}.csv"
+        perturbed.write_text("".join(rows))
+        commands[f"verify-{tag}"] = [
+            "verify", "--config", cfg, "--payoff", "lookback", "--maturity", "5",
+            "--portfolio", str(perturbed),
+        ]
+    for tag, rate in (("rich-bank", 0.25), ("rich-stock", -0.3)):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(dict(REFERENCE, r=rate, horizon=5)))
+        commands[f"check-{tag}"] = ["check", "--config", str(path)]
+    return commands
+
+
+class TestGoldenStdout:
+    """Stdout and exit codes pinned from the node-by-node portfolio engine."""
+
+    GOLDEN = json.loads((DATA / "stdout_T5.json").read_text())
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_stdout_and_exit_code(self, capsys, tmp_path, case):
+        code, out, err = run(capsys, *golden_stdout_commands(tmp_path)[case])
+        assert (code, out, err) == (self.GOLDEN[case]["exit"], self.GOLDEN[case]["stdout"], "")
 
 
 class TestConfigJson:
@@ -490,3 +577,89 @@ class TestPathTableParsing:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
             read_path_table("prefix,value\nUU,1\nD,0\n", 1)
+
+
+NON_FINITE = re.compile(r"\b(?:nan|inf)", re.IGNORECASE)  # not the "nan" of "self-financing"
+EXIT_CODES = {EXIT_OK, EXIT_INVIABLE, EXIT_BAD_INPUT, EXIT_NOT_REPLICATING, EXIT_CHECK_INVIABLE}
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+numbers = st.one_of(
+    st.floats(0.0, 1e308), st.sampled_from([0.0, 1.0, 10.0, 1e9, 1e154, 1e308, 5e-324])
+)
+
+
+@st.composite
+def market_configs(draw):
+    """Viable markets over a wide range of scales, next to arbitrary finite ones."""
+    horizon = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        d = draw(st.floats(1e-3, 2.0))
+        gross = d * draw(st.floats(1.0, 3.0))
+        u = gross * draw(st.floats(1.0, 3.0))
+        v = draw(st.sampled_from([1e-300, 1e-9, 1.0, 10.0, 1e9, 1e300])) * draw(st.floats(0.5, 2.0))
+        data = {"u": u, "d": d, "v": v, "r": gross - 1.0, "p": draw(st.floats(0.01, 0.99))}
+    else:
+        data = {key: draw(finite) for key in ("u", "d", "v", "r", "p")}
+    return dict(data, horizon=horizon)
+
+
+def payoff_grammar(horizon):
+    leaves = st.one_of(
+        numbers.map(repr),
+        st.sampled_from(["S_T", "max(S)", "min(S)", "avg(S)", "lookback"]),
+        st.integers(0, horizon).map(lambda k: f"S[{k}]"),
+        st.tuples(st.sampled_from(["call", "put", "forward"]), numbers).map(
+            lambda t: f"{t[0]}({t[1]!r})"
+        ),
+    )
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["max", "min"]), inner, inner).map(
+            lambda t: f"{t[0]}({t[1]}, {t[2]})"
+        ),
+        inner.map(lambda e: f"pos({e})"),
+        inner.map(lambda e: f"-{e}"),
+    ), max_leaves=6)
+
+
+@st.composite
+def cli_cases(draw):
+    config = draw(market_configs())
+    maturity = draw(st.integers(1, config["horizon"]))
+    return config, draw(payoff_grammar(config["horizon"])), maturity
+
+
+def run_quietly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+class TestFuzzMain:
+    @settings(max_examples=200, deadline=None)
+    @given(cli_cases())
+    def test_every_input_gets_a_documented_answer(self, case):
+        config, payoff, maturity = case
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            cfg = work / "market.json"
+            cfg.write_text(json.dumps(config))
+            argv = ["--config", str(cfg), "--payoff", payoff, "--maturity", str(maturity)]
+            tree, hedge = work / "tree.csv", work / "hedge.csv"
+            runs = [
+                run_quietly("price", *argv, "--tree", str(tree)),
+                run_quietly("replicate", *argv, "--out", str(hedge)),
+                run_quietly("check", "--config", str(cfg)),
+            ]
+            if hedge.exists():
+                replicated = runs[1]
+                verified = run_quietly("verify", *argv, "--portfolio", str(hedge))
+                assert verified[0] == replicated[0]
+                assert verified[1].splitlines()[-1] == replicated[1].split(";")[0]
+                runs.append(verified)
+            for code, out in runs:
+                assert code in EXIT_CODES
+                assert not NON_FINITE.search(out)
+            for written in (tree, hedge):
+                assert not written.exists() or not NON_FINITE.search(written.read_text())

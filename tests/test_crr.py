@@ -145,8 +145,8 @@ class TestDiscounting:
     def test_discounted_riskfree_price_is_constant_one(self):
         mkt = CrrMarket(PARAMS, horizon=4)
         deflated = discounted_value(PARAMS.r, mkt.market.price(mkt.riskfree))
-        for n, w in deflated.nodes():
-            assert deflated.at(n, w) == pytest.approx(1.0, abs=1e-15)
+        for n in range(5):
+            assert deflated.level(n) == pytest.approx([1.0] * 2**n, abs=1e-15)
 
     def test_discounted_payoff_value(self):
         proc = LatticeProcess(2, lambda n, w: 2.4 if n == 2 else 0.0)
@@ -155,7 +155,7 @@ class TestDiscounting:
 
     def test_discounting_zero_is_zero(self):
         deflated = discounted_value(0.05, LatticeProcess.constant(3, 0.0))
-        assert all(deflated.at(n, w) == 0.0 for n, w in deflated.nodes())
+        assert all(x == 0.0 for n in range(4) for x in deflated.level(n))
 
 
 class TestViability:
@@ -297,6 +297,17 @@ class TestCrrMarket:
             CrrMarket(params, horizon=3)
             with pytest.raises(ValueError, match="float range"):
                 CrrMarket(params, horizon=4)
+
+    @pytest.mark.parametrize("r, horizon", [(1e77, 5), (-1.0 + 1e-16, 24), (1e300, 2)])
+    def test_risk_free_prices_outside_float_range_rejected(self, r, horizon):
+        with pytest.raises(ValueError, match="risk-free prices leave the float range"):
+            CrrMarket(CrrParams(u=1.5, d=0.5, v=1.0, r=r, p=0.5), horizon=horizon)
+
+    def test_risk_free_float_range_boundary(self):
+        params = CrrParams(u=2.0, d=0.5, v=1.0, r=2.0**256 - 1.0, p=0.5)
+        CrrMarket(params, horizon=3)
+        with pytest.raises(ValueError, match="risk-free prices leave the float range"):
+            CrrMarket(params, horizon=4)
 
     def test_measures(self):
         mkt = CrrMarket(PARAMS, horizon=2)

@@ -16,6 +16,7 @@ from crrpricing.lattice import (
     enumerate_paths,
     expectation,
     is_measurable_at,
+    iter_paths,
     path_probability,
     prefix_labels,
 )
@@ -268,6 +269,17 @@ class TestLatticeProcessDomain:
             f.at(3, path("UUU"))
         with pytest.raises(ValueError):
             f.at(1, path("UD"))
+
+    def test_level_lists_values_in_enumeration_order(self):
+        f = LatticeProcess(3, lambda n, w: n + w.index() / 10)
+        for n in range(4):
+            assert f.level(n) == [f.at(n, w) for w in iter_paths(n)]
+        assert f.level(2) == [2.0, 2.1, 2.2, 2.3]
+
+    @pytest.mark.parametrize("n", [-1, 3])
+    def test_level_rejects_times_outside_horizon(self, n):
+        with pytest.raises(ValueError, match=f"^time {n} outside process horizon 2$"):
+            LatticeProcess.constant(2, 0.0).level(n)
 
 
 class TestLatticeLaws:

@@ -1,5 +1,6 @@
 """Market structure and portfolio algebra against the worked three-stock tables."""
 import io
+import math
 import random
 
 import pytest
@@ -15,12 +16,12 @@ from crrpricing.market import (
     PortfolioRow,
     PredictabilityError,
     QuantityProcess,
+    closing_value_level,
     closing_value_process,
     init_value,
     is_self_financing,
     is_trading_strategy,
     make_self_financing,
-    portfolio_rows,
     qty_empty,
     qty_mult_comp,
     qty_rem_comp,
@@ -29,6 +30,7 @@ from crrpricing.market import (
     quantities_allclose,
     quantity_process_from_rows,
     read_portfolio_csv,
+    read_portfolio_rows,
     support_set,
     value_process,
     write_portfolio_csv,
@@ -322,9 +324,9 @@ class TestPortfolioCsv:
         assert quantities_allclose(loaded, p2)
 
     def test_rows_are_deterministic(self, p1):
-        assert portfolio_rows(p1) == portfolio_rows(p1)
-        first = portfolio_rows(p1)[0]
-        assert first == PortfolioRow(0, TossPath(), "Apl", 1.0)
+        rows = read_portfolio_rows(write_portfolio_csv(p1))
+        assert rows == read_portfolio_rows(write_portfolio_csv(p1))
+        assert rows[0] == PortfolioRow(0, TossPath(), "Apl", 1.0)
 
     def test_bad_header_rejected(self):
         with pytest.raises(PortfolioFormatError, match="header"):
@@ -449,9 +451,195 @@ class TestCollapseRows:
         p = QuantityProcess(
             12,
             {
-                risky: lambda n, w: n + sum(w) / 7,
-                bank: lambda n, w: -0.1 * n * len([o for o in w if not o]),
+                risky: [[n + sum(w) / 7 for w in iter_paths(n - 1)] for n in range(1, 13)],
+                bank: [[-0.1 * n * len([o for o in w if not o]) for w in iter_paths(n - 1)]
+                       for n in range(1, 13)],
             },
         )
         loaded = read_portfolio_csv(write_portfolio_csv(p), 12, [risky, bank])
         assert quantities_allclose(loaded, p, tol=0.0)
+
+
+class TestQuantityLevels:
+    def test_levels_follow_enumeration_order(self, p1):
+        doubled = qty_mult_comp(p1, lambda n, w: w.index() + 0.5)
+        for n in range(1, 5):
+            level = doubled.levels[APL][n - 1]
+            assert level == [doubled.quantity(APL, n, w) for w in iter_paths(n - 1)]
+            assert level == [n * (k + 0.5) for k in range(2 ** (n - 1))]
+
+    @pytest.mark.parametrize("table", [[[1.0]], [[1.0], [1.0], [1.0, 1.0], [0.0] * 4],
+                                       [[1.0], [1.0, 2.0], [0.0] * 3]])
+    def test_rejects_levels_of_the_wrong_shape(self, table):
+        with pytest.raises(ValueError, match="levels of lengths 1, 2, ..., 2\\^2"):
+            QuantityProcess(3, {APL: table})
+
+    def test_support_is_found_at_construction(self):
+        p = QuantityProcess(2, {APL: [[0.0], [0.0, -0.0]], GOOG: [[0.0], [0.0, math.nan]]})
+        assert support_set(p) == {GOOG}
+
+
+# The node-by-node portfolio engine the level lists replaced, kept as the
+# reference: every holding is read through ``quantity`` and every price
+# through ``LatticeProcess.at``.
+
+
+def reference_support(p):
+    return frozenset(
+        a for a in p.levels
+        if any(p.quantity(a, n, w) != 0.0 for n in range(1, p.horizon + 1) for w in iter_paths(n - 1))
+    )
+
+
+def reference_worth(mkt, p, n, w, t):
+    held = w.truncate(t)
+    support = sorted(reference_support(p), key=lambda a: a.id)
+    return math.fsum(mkt.price(a).at(n, w) * p.quantity(a, t + 1, held) for a in support)
+
+
+def reference_is_self_financing(mkt, p, tol):
+    for n in range(1, p.horizon):
+        for w in iter_paths(n):
+            value, closing = reference_worth(mkt, p, n, w, n), reference_worth(mkt, p, n, w, n - 1)
+            if not abs(value - closing) <= tol:
+                return False
+    return True
+
+
+def reference_make_self_financing(mkt, p, funding, v0):
+    """The funding holdings, as a ``(n, prefix)`` table, or the error."""
+    fprice = mkt.price(funding)
+    for n in range(p.horizon + 1):
+        for w in iter_paths(n):
+            if fprice.at(n, w) == 0.0:
+                raise ValueError(
+                    f"funding asset {funding.id!r} has zero price at node (t={n}, {w.label()})"
+                )
+    others = sorted((a for a in reference_support(p) if a != funding), key=lambda a: a.id)
+    root = TossPath()
+    spent0 = math.fsum(mkt.price(a).at(0, root) * p.quantity(a, 1, root) for a in others)
+    beta = {(1, root): (v0 - spent0) / fprice.at(0, root)}
+    for n in range(1, p.horizon):
+        for w in iter_paths(n):
+            held = w.truncate(n - 1)
+            cost = math.fsum(
+                mkt.price(a).at(n, w) * (p.quantity(a, n, held) - p.quantity(a, n + 1, w))
+                for a in others
+            )
+            beta[(n + 1, w)] = beta[(n, held)] + cost / fprice.at(n, w)
+    return beta
+
+
+def reference_write_portfolio_csv(p):
+    buf = io.StringIO()
+    buf.write("time,prefix,asset,quantity\n")
+    for t in range(p.horizon):
+        for w in iter_paths(t):
+            for a in sorted(p.levels, key=lambda a: a.id):
+                buf.write(f"{t},{w.label()},{a.id},{p.quantity(a, t + 1, w)!r}\n")
+    return buf.getvalue()
+
+
+def reference_quantities_allclose(q1, q2, tol):
+    if q1.horizon != q2.horizon:
+        return False
+    for a in q1.levels.keys() | q2.levels.keys():
+        for n in range(1, q1.horizon + 1):
+            for w in iter_paths(n - 1):
+                if abs(q1.quantity(a, n, w) - q2.quantity(a, n, w)) > tol:
+                    return False
+    return True
+
+
+MARKET_ASSETS = [APL, GOOG, FBK, SLOT]
+
+
+def draw_number(rng, low, high, specials):
+    """Uniform in ``[low, high]``, or one of ``specials`` one time in four."""
+    return rng.choice(specials) if rng.random() < 0.25 else rng.uniform(low, high)
+
+
+@st.composite
+def random_markets(draw):
+    """A market of random node tables, zero prices included."""
+    horizon = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    tables = {
+        a: LatticeProcess.from_table(horizon, {
+            (n, w): draw_number(rng, -50.0, 200.0, [0.0, 1.0])
+            for n in range(horizon + 1) for w in iter_paths(n)
+        })
+        for a in MARKET_ASSETS
+    }
+    return Market(tables, stocks=[APL, GOOG, FBK])
+
+
+@st.composite
+def random_portfolios(draw, horizon):
+    """Random holdings of some assets; NaN, signed zeros and constants included."""
+    assets = draw(st.lists(st.sampled_from(MARKET_ASSETS), unique=True, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    specials = [0.0, -0.0, 1.0] + [math.nan] * draw(st.booleans())
+    return QuantityProcess(horizon, {
+        a: [[draw_number(rng, -10.0, 10.0, specials) for _ in range(2**t)] for t in range(horizon)]
+        for a in assets
+    })
+
+
+@st.composite
+def markets_and_portfolios(draw):
+    mkt = draw(random_markets())
+    p = draw(random_portfolios(draw(st.integers(1, mkt.horizon))))
+    return mkt, p
+
+
+def same_floats(xs, ys):
+    return list(map(repr, xs)) == list(map(repr, ys))
+
+
+class TestLevelsMatchNodeByNode:
+    @settings(max_examples=200, deadline=None)
+    @given(markets_and_portfolios(), st.sampled_from([0.0, 1e-9, 1e-3, 1.0, math.inf]))
+    def test_values_and_self_financing(self, case, tol):
+        mkt, p = case
+        assert support_set(p) == reference_support(p)
+        assert is_self_financing(mkt, p, tol) == reference_is_self_financing(mkt, p, tol)
+        nan_held = any(math.isnan(x) for table in p.levels.values() for level in table for x in level)
+        if nan_held and p.horizon >= 2:  # fails closed, whatever the tolerance
+            assert not is_self_financing(mkt, p, tol)
+        for n in range(p.horizon + 1):
+            nodes = list(iter_paths(n))
+            closing = [reference_worth(mkt, p, n, w, max(n - 1, 0)) for w in nodes]
+            value = [reference_worth(mkt, p, n, w, min(n, p.horizon - 1)) for w in nodes]
+            assert same_floats(closing_value_level(mkt, p, n), closing)
+            assert same_floats([closing_value_process(mkt, p, n, w) for w in nodes], closing)
+            assert same_floats([value_process(mkt, p, n, w) for w in nodes], value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(markets_and_portfolios(), st.sampled_from(MARKET_ASSETS), st.sampled_from([0.0, 5.0, -2.5]))
+    def test_make_self_financing(self, case, funding, v0):
+        mkt, p = case
+        try:
+            beta = reference_make_self_financing(mkt, p, funding, v0)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                make_self_financing(mkt, p, funding, v0)
+            assert str(raised.value) == str(exc)
+            return
+        fixed = make_self_financing(mkt, p, funding, v0)
+        assert fixed.levels.keys() == p.levels.keys() | {funding}
+        for n in range(1, p.horizon + 1):
+            nodes = list(iter_paths(n - 1))
+            assert same_floats(fixed.levels[funding][n - 1], [beta[(n, w)] for w in nodes])
+            for a in p.levels.keys() - {funding}:
+                assert same_floats(fixed.levels[a][n - 1], [p.quantity(a, n, w) for w in nodes])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda h: st.tuples(random_portfolios(h), random_portfolios(h))),
+           st.sampled_from([0.0, 1e-12, 0.5]))
+    def test_csv_and_allclose(self, pair, tol):
+        q1, q2 = pair
+        assert write_portfolio_csv(q1) == reference_write_portfolio_csv(q1)
+        assert quantities_allclose(q1, q2, tol) == reference_quantities_allclose(q1, q2, tol)
+        assert quantities_allclose(q1, q1, tol) == reference_quantities_allclose(q1, q1, tol)
+        assert quantities_allclose(q1, qty_empty(q1.horizon + 1), tol) is False

@@ -263,9 +263,9 @@ class TestVerifyReplication:
         big = CrrMarket(CrrParams(u=1.15, d=0.9, v=1e9, r=0.02, p=0.5), horizon=6)
         expr = parse_payoff("call(1e9)")
         p = replicating_portfolio(big, expr, 6)
-        assert not verify_replication(big, p, expr, 6).self_financing
+        assert not verify_replication(big, p, expr, 6, tol=1e-18).self_financing
         report = verify_replication(big, p, expr, 6, tol=1e-6)
-        assert report.self_financing and report.is_replicating(1e-6)
+        assert report.self_financing and report.is_replicating()
 
     def test_non_stock_support_rejected(self, crr):
         alien = qty_single(crr.extra, lambda n, w: 1.0, horizon=2)
@@ -547,8 +547,8 @@ def dict_replicating_portfolio(crr, payoff, maturity):
     return QuantityProcess(
         maturity,
         {
-            crr.risky: lambda n, w: delta[(n - 1, w)],
-            crr.riskfree: lambda n, w: bank[(n - 1, w)],
+            crr.risky: [[delta[(n, w)] for w in iter_paths(n)] for n in range(maturity)],
+            crr.riskfree: [[bank[(n, w)] for w in iter_paths(n)] for n in range(maturity)],
         },
     )
 
@@ -662,3 +662,61 @@ class TestKernelsMatchPathReferences:
             terminal_payoffs(crr, parse_payoff("1 / (S[1] - S[1])"), 2)
         with pytest.raises(PayoffEvalError, match="not finite at path UD$"):
             terminal_payoffs(crr, lambda w: math.nan if w == path("UD") else 0.0, 2)
+
+
+OVERFLOWING = CrrParams(u=1.2, d=0.4, v=10.0, r=-0.5, p=0.5)
+
+
+class TestFloatRange:
+    def test_fair_price_names_the_root(self):
+        crr = CrrMarket(OVERFLOWING, horizon=4)
+        message = r"^price leaves the float range at node \(t=0, -\): inf$"
+        with pytest.raises(ValueError, match=message):
+            fair_price(crr, parse_payoff("1e308"), 4)
+
+    def test_price_lattice_names_the_first_node(self):
+        crr = CrrMarket(OVERFLOWING, horizon=4)
+        # only the D branch is large enough to overflow at time 3
+        payoff = {w: 1e308 if w[:3] == (False,) * 3 else 1.0 for w in iter_paths(4)}
+        with pytest.raises(ValueError, match=r"^option value leaves the float range at node \(t=3, DDD\)"):
+            price_lattice(crr, payoff, 4)
+
+    def test_replicating_portfolio_names_the_holding(self):
+        crr = CrrMarket(CrrParams(u=1.2, d=1.0 - 1e-15, v=1.0, r=0.0, p=0.5), horizon=1)
+        # the value spread overflows the one-step price spread of 0.2
+        payoff = {path("U"): 1.7e308, path("D"): -1.7e308}
+        with pytest.raises(ValueError, match=r"^hedge quantity of 'S' leaves the float range at node \(t=0, -\)"):
+            replicating_portfolio(crr, payoff, 1)
+
+    def test_large_discount_keeps_the_consistency_check_relative(self):
+        # (1 + r)^3 = 1e-9: prices near 1e9 for a unit payoff
+        crr = CrrMarket(CrrParams(u=0.002, d=0.001, v=1e-9, r=-0.999, p=0.5), horizon=3)
+        tree = price_lattice(crr, parse_payoff("1.0"), 3)
+        assert tree.root == pytest.approx(1e9, rel=1e-12)
+
+    def test_in_range_prices_are_unchanged(self, crr):
+        assert fair_price(crr, parse_payoff("lookback"), 2) == pytest.approx(1.2578942, abs=1e-7)
+
+
+class TestRelativeTolerance:
+    def test_report_carries_the_scaled_tolerance(self):
+        big = CrrMarket(CrrParams(u=1.15, d=0.9, v=1e9, r=0.02, p=0.5), horizon=6)
+        expr = parse_payoff("call(1e9)")
+        report = verify_replication(big, replicating_portfolio(big, expr, 6), expr, 6)
+        top = 1e9 * 1.15**6 - 1e9
+        assert report.tolerance == pytest.approx(1e-9 * top, rel=1e-12)
+        assert report.self_financing and report.terminal_match and report.is_replicating()
+
+    def test_unit_payoffs_keep_the_absolute_tolerance(self, crr):
+        expr = parse_payoff("pos(1 - S_T / 10)")
+        report = verify_replication(crr, replicating_portfolio(crr, expr, 2), expr, 2, tol=1e-12)
+        assert report.tolerance == 1e-12
+
+    def test_terminal_clause_uses_the_scaled_tolerance(self, crr):
+        expr = parse_payoff("100")
+        hedge = qty_single(crr.riskfree, lambda n, w: 100 / 1.03**2 + 5e-8, horizon=2)
+        report = verify_replication(crr, hedge, expr, 2)
+        assert report.max_terminal_error == pytest.approx(5.3045e-8, rel=1e-3)
+        assert report.tolerance == pytest.approx(1e-7)
+        assert report.terminal_match and report.is_replicating()
+        assert not verify_replication(crr, hedge, expr, 2, tol=1e-10).is_replicating()
