@@ -2,10 +2,10 @@
 portfolios, and check market viability.
 
 Exit codes: 0 success; 2 market not viable (price/replicate); 3 malformed
-input (config, payoff, CSV, tolerance); 4 portfolio does not replicate; 5
-market not viable (check). Identical inputs produce byte-identical output:
-node order is fixed, reports round to 6 significant digits, CSV numbers use
-the shortest round-trip form.
+input (config, payoff, CSV, tolerance) or an internal consistency failure; 4
+portfolio does not replicate; 5 market not viable (check). Identical inputs
+produce byte-identical output: node order is fixed, reports round to 6
+significant digits, CSV numbers use the shortest round-trip form.
 """
 from __future__ import annotations
 
@@ -16,10 +16,11 @@ import math
 import sys
 
 from .crr import CrrMarket, MarketNotViableError, is_viable, risk_neutral_q
-from .lattice import TossPath, iter_paths
+from .lattice import TossPath, prefix_labels
 from .market import (
     PredictabilityError,
-    closing_value_process,
+    closing_value_level,
+    closing_value_process,  # noqa: F401  (kept importable: perfbench/spans.py rebinds it here)
     read_portfolio_csv,
     write_portfolio_csv,
 )
@@ -170,9 +171,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"arbitrage portfolio (witness time {witness}):")
     for asset in sorted({crr.risky, crr.riskfree}, key=lambda a: a.id):
         print(f"  {asset.id}: {_fmt(portfolio.levels[asset][0][0])}")
-    for w in iter_paths(witness):
-        value = closing_value_process(crr.market, portfolio, witness, w)
-        print(f"  closing value[{w.label()}] = {_fmt(value)}")
+    labels = list(prefix_labels(witness))[witness]
+    for label, value in zip(labels, closing_value_level(crr.market, portfolio, witness)):
+        print(f"  closing value[{label}] = {_fmt(value)}")
     return EXIT_CHECK_INVIABLE
 
 
@@ -243,7 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     except MarketNotViableError:
         print("market not viable: requires d < 1+r < u", file=sys.stderr)
         return EXIT_INVIABLE
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
+        # RuntimeError: the engine's own consistency check failed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

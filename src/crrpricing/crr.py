@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .lattice import LatticeProcess, PathMeasure, TossPath, check_horizon
+from .lattice import LatticeProcess, PathMeasure, TossPath, check_horizon, toss_products
 from .market import Asset, Market
 
 RISKY_ID = "S"
@@ -80,7 +80,7 @@ def discounted_value(r: float, process: LatticeProcess) -> LatticeProcess:
     if not r > -1:
         raise ValueError(f"per-period rate must exceed -1, got r={r}")
     return LatticeProcess(
-        process.horizon, lambda n, w: process.at(n, w) / disc_rfr_proc(r, n)
+        process.horizon, lambda n: [x / disc_rfr_proc(r, n) for x in process.level(n)]
     )
 
 
@@ -160,11 +160,12 @@ class CrrMarket:
         self.extra = Asset(EXTRA_ID, kind="extra")
         self.market = Market(
             prices={
+                # geom_rand_walk at every node, bit for bit
                 self.risky: LatticeProcess(
-                    horizon, lambda n, w: geom_rand_walk(params, n, w)
+                    horizon, lambda n: [params.v * f for f in toss_products(params.u, params.d, n)]
                 ),
                 self.riskfree: LatticeProcess(
-                    horizon, lambda n, w: disc_rfr_proc(params.r, n)
+                    horizon, lambda n: [disc_rfr_proc(params.r, n)] * (1 << n)
                 ),
                 self.extra: LatticeProcess.constant(horizon, 0.0),
             },

@@ -3,13 +3,18 @@
 Scenarios are finite sequences of coin tosses (up/down). A process assigns a
 real value to every node ``(time n, prefix of n tosses)``; adaptedness is
 structural because the value at time ``n`` can only be keyed by the first
-``n`` outcomes. An i.i.d. Bernoulli weight on tosses turns the lattice into a
-finite probability space with exact expectation operators.
+``n`` outcomes. A process is stored as its levels: time ``n`` is one list of
+``2**n`` values in ``iter_paths`` order, where the children of entry ``k``
+sit at ``2k`` (up) and ``2k + 1`` (down) of the next level, so operators walk
+whole levels and a single node is looked up by ``TossPath.index()``. An
+i.i.d. Bernoulli weight on tosses turns the lattice into a finite
+probability space with exact expectation operators.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -155,6 +160,20 @@ class PathMeasure:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"up-probability must lie in [0, 1], got {self.p!r}")
 
+    def weights(self, n: int) -> list[float]:
+        """``path_probability`` of every length-``n`` path, bit for bit."""
+        return toss_products(self.p, 1.0 - self.p, n)
+
+
+def toss_products(up: float, down: float, n: int) -> list[float]:
+    """One factor per toss, ``up`` or ``down``, multiplied in toss order, at
+    every length-``n`` path in ``iter_paths`` order: node ``k`` holding ``f``
+    has children ``f * up`` and ``f * down``."""
+    level = [1.0]
+    for _ in range(n):
+        level = [x for f in level for x in (f * up, f * down)]
+    return level
+
 
 def path_probability(m: PathMeasure, path: TossPath) -> float:
     """Product of per-toss weights; the empty path has probability 1."""
@@ -164,27 +183,32 @@ def path_probability(m: PathMeasure, path: TossPath) -> float:
 class LatticeProcess:
     """A real value at every node (n, prefix) for n up to the horizon.
 
-    Backed by a pure function of the node, so formula-defined processes
-    (price walks, discount curves) never materialize the full tree; table
-    construction is available when values are only known pointwise.
+    Backed by a function ``level(n)`` that returns the ``2**n`` time-``n``
+    values in ``iter_paths`` order, so formula-defined processes (price walks,
+    discount curves) compute a level on demand and store nothing up front;
+    ``at(n, prefix)`` is ``level(n)[prefix.index()]``, which computes the
+    whole level, so loops over nodes should walk ``level`` instead.
     """
 
-    __slots__ = ("horizon", "_fn")
+    __slots__ = ("horizon", "_level")
 
-    def __init__(self, horizon: int, fn: Callable[[int, TossPath], float]):
+    def __init__(self, horizon: int, level: Callable[[int], list[float]]):
         check_horizon(horizon)
         self.horizon = horizon
-        self._fn = fn
+        self._level = level
 
     def at(self, n: int, prefix: TossPath) -> float:
         check_node(self.horizon, n, prefix)
-        return self._fn(n, prefix)
+        return self.level(n)[prefix.index()]
 
     def level(self, n: int) -> list[float]:
         """The values at every length-``n`` prefix, in ``iter_paths`` order."""
         if not 0 <= n <= self.horizon:
             raise ValueError(f"time {n} outside process horizon {self.horizon}")
-        return [self._fn(n, w) for w in iter_paths(n)]
+        values = self._level(n)
+        if len(values) != 1 << n:
+            raise ValueError(f"time-{n} level has {len(values)} values, expected {1 << n}")
+        return values
 
     @classmethod
     def from_table(cls, horizon: int, table: Mapping[tuple[int, TossPath], float]) -> "LatticeProcess":
@@ -194,7 +218,8 @@ class LatticeProcess:
         data = dict(table)
         for key in data:
             n, prefix = key
-            if not (isinstance(n, int) and 0 <= n <= horizon and len(prefix) == n):
+            if not (isinstance(n, int) and 0 <= n <= horizon and isinstance(prefix, TossPath)
+                    and len(prefix) == n):
                 raise ValueError(f"table key {key!r} is not a node of a horizon-{horizon} lattice")
         expected = 2 ** (horizon + 1) - 1
         if len(data) != expected:
@@ -202,11 +227,12 @@ class LatticeProcess:
                 f"table covers {len(data)} nodes but a horizon-{horizon} "
                 f"lattice has {expected}"
             )
-        return cls(horizon, lambda n, w: data[(n, w)])
+        levels = [[data[(n, w)] for w in iter_paths(n)] for n in range(horizon + 1)]
+        return cls(horizon, lambda n: list(levels[n]))
 
     @classmethod
     def constant(cls, horizon: int, value: float) -> "LatticeProcess":
-        return cls(horizon, lambda n, w: value)
+        return cls(horizon, lambda n: [value] * (1 << n))
 
     @classmethod
     def deterministic(cls, values_by_time: list[float]) -> "LatticeProcess":
@@ -214,14 +240,14 @@ class LatticeProcess:
         if not values_by_time:
             raise ValueError("need at least the time-0 value")
         vals = list(values_by_time)
-        return cls(len(vals) - 1, lambda n, w: vals[n])
+        return cls(len(vals) - 1, lambda n: [vals[n]] * (1 << n))
 
 
 def expectation(m: PathMeasure, f: LatticeProcess, n: int) -> float:
     """Expected value of the process at time ``n`` under the path measure."""
     if n > f.horizon:
         raise ValueError(f"time {n} outside process horizon {f.horizon}")
-    return math.fsum(path_probability(m, w) * f.at(n, w) for w in iter_paths(n))
+    return math.fsum(map(operator.mul, m.weights(n), f.level(n)))
 
 
 def conditional_expectation_step(

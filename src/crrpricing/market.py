@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple
 
-from .lattice import LatticeProcess, TossPath, check_horizon, iter_paths, prefix_labels
+from .lattice import EMPTY_PATH, LatticeProcess, TossPath, check_horizon, iter_paths, prefix_labels
 
 QuantityFn = Callable[[int, TossPath], float]
 
@@ -173,11 +173,8 @@ def _check_time(mkt: Market, p: QuantityProcess, n: int) -> None:
 def _node_worth(mkt: Market, p: QuantityProcess, n: int, path: TossPath, t: int) -> float:
     """Time-``n`` worth, at the node ``path`` passes through, of the holdings
     chosen at time ``t`` (``n`` or ``n - 1``)."""
-    _check_time(mkt, p, n)
-    w = path if len(path) == n else path.truncate(n)
-    k = w.index() >> (n - t)
-    support = sorted(support_set(p), key=lambda a: a.id)
-    return math.fsum(mkt.price(a).at(n, w) * p.levels[a][t][k] for a in support)
+    [worth] = _worth(mkt, p, n, t)
+    return worth[(path if len(path) == n else path.truncate(n)).index()]
 
 
 def value_process(mkt: Market, p: QuantityProcess, n: int, path: TossPath) -> float:
@@ -248,8 +245,7 @@ def make_self_financing(
     others = sorted(
         (a for a in support_set(p) if a != funding), key=lambda a: a.id
     )
-    root = TossPath()
-    spent0 = math.fsum(mkt.price(a).at(0, root) * p.levels[a][0][0] for a in others)
+    spent0 = math.fsum(mkt.price(a).at(0, EMPTY_PATH) * p.levels[a][0][0] for a in others)
     beta = [[(v0 - spent0) / fprices[0][0]]]
     for n in range(1, horizon):
         prices = [mkt.price(a).level(n) for a in others]
@@ -378,8 +374,13 @@ def write_portfolio_csv(p: QuantityProcess, out: io.TextIOBase | None = None) ->
     chosen = sorted(p.levels, key=lambda a: a.id)
     ids = [a.id for a in chosen]
     for t, labels in enumerate(prefix_labels(p.horizon - 1)):
-        for label, *held in zip(labels, *(p.levels[a][t] for a in chosen)):
-            writer.writerows(zip(itertools.repeat(t), itertools.repeat(label), ids, map(repr, held)))
+        # one row per (prefix, asset), prefixes outer: each label once per asset
+        writer.writerows(zip(
+            itertools.repeat(t),
+            itertools.chain.from_iterable(zip(*[labels] * len(ids))),
+            itertools.cycle(ids),
+            itertools.chain.from_iterable(zip(*(map(repr, p.levels[a][t]) for a in chosen))),
+        ))
     return buf.getvalue() if out is None else ""
 
 
@@ -420,18 +421,19 @@ def read_portfolio_csv(
 
 def init_value(mkt: Market, p: QuantityProcess) -> float:
     """Value at inception; a single number since time 0 has one node."""
-    return value_process(mkt, p, 0, TossPath())
+    return value_process(mkt, p, 0, EMPTY_PATH)
 
 
 def quantities_allclose(
     q1: QuantityProcess, q2: QuantityProcess, tol: float = 1e-12
 ) -> bool:
-    """Pointwise equality of holdings at every stored key."""
+    """Pointwise equality of holdings at every stored key, within ``tol``;
+    a NaN holding is close to nothing, not even another NaN."""
     if q1.horizon != q2.horizon:
         return False
     zeros = [[0.0] * (1 << t) for t in range(q1.horizon)]
-    return not any(
-        abs(x - y) > tol
+    return all(
+        abs(x - y) <= tol
         for a in q1.levels.keys() | q2.levels.keys()
         for l1, l2 in zip(q1.levels.get(a, zeros), q2.levels.get(a, zeros))
         for x, y in zip(l1, l2)

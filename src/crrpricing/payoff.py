@@ -15,7 +15,8 @@ Grammar (whitespace-insensitive, decimal numbers)::
 The strike forms are sugar and parse to their definitions: ``call(K)`` is
 ``pos(S_T - K)``, ``put(K)`` is ``pos(K - S_T)``, ``forward(K)`` is
 ``S_T - K``, and ``lookback`` is ``max(S) - S_T``. Path aggregates include
-the initial price ``S_0``.
+the initial price ``S_0``. Expressions nest at most ``MAX_PAYOFF_DEPTH``
+levels deep (see ``_Parser``).
 """
 from __future__ import annotations
 
@@ -150,11 +151,28 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Deepest accepted expression. Parsing recurses up to four times per level,
+# and compiling, evaluating and printing up to twice, so every accepted
+# expression stays far inside Python's default recursion limit of 1000.
+MAX_PAYOFF_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns its node and the node's depth.
+
+    A number, ``S[i]``, ``S_T``, a path aggregate and the strike sugar have
+    depth 1. Parentheses, unary minus, ``pos(...)`` and two-argument
+    ``max``/``min`` add one to what they enclose, and a binary operator is
+    one deeper than its deeper operand. ``open`` counts the groupings being
+    parsed, so a grouping that cannot fit is rejected before the parser
+    recurses into it.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -174,28 +192,55 @@ class _Parser:
     def fail(self, message: str) -> PayoffSyntaxError:
         return PayoffSyntaxError(message, self.peek().pos)
 
+    def bound(self, depth: int, tok: _Token) -> int:
+        """``depth``, once a node that deep fits inside the open groupings;
+        otherwise the expression is too deep, reported at ``tok``."""
+        if self.open + depth > MAX_PAYOFF_DEPTH:
+            raise PayoffSyntaxError(
+                f"payoff nests deeper than {MAX_PAYOFF_DEPTH} levels", tok.pos
+            )
+        return depth
+
+    def nested(
+        self, tok: _Token, rule: Callable[[], tuple[PayoffExpr, int]]
+    ) -> tuple[PayoffExpr, int]:
+        """``rule`` parsed one grouping deeper, opened at ``tok``."""
+        self.open += 1
+        self.bound(1, tok)
+        node, depth = rule()
+        self.open -= 1
+        return node, depth + 1
+
     def parse(self) -> PayoffExpr:
-        expr = self.expr()
+        expr, _ = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise PayoffSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return expr
 
-    def expr(self) -> PayoffExpr:
-        node = self.term()
+    def expr(self) -> tuple[PayoffExpr, int]:
+        node, depth = self.term()
         while self.peek().kind == "sym" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            op = self.advance()
+            rhs, rhs_depth = self.term()
+            node = Add(node, rhs) if op.text == "+" else Sub(node, rhs)
+            depth = self.bound(1 + max(depth, rhs_depth), op)
+        return node, depth
 
-    def term(self) -> PayoffExpr:
-        node = self.factor()
+    def term(self) -> tuple[PayoffExpr, int]:
+        node, depth = self.factor()
         while self.peek().kind == "sym" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+            op = self.advance()
+            rhs, rhs_depth = self.factor()
+            node = Mul(node, rhs) if op.text == "*" else Div(node, rhs)
+            depth = self.bound(1 + max(depth, rhs_depth), op)
+        return node, depth
+
+    def closed(self) -> tuple[PayoffExpr, int]:
+        """An expression and the ``)`` after it."""
+        inner = self.expr()
+        self.expect_sym(")")
+        return inner
 
     def number(self) -> float:
         tok = self.peek()
@@ -211,34 +256,41 @@ class _Parser:
         self.advance()
         return int(tok.text)
 
-    def factor(self) -> PayoffExpr:
+    def factor(self) -> tuple[PayoffExpr, int]:
         tok = self.peek()
         if tok.kind == "number":
-            return Const(self.number())
+            return Const(self.number()), 1
         if tok.kind == "sym" and tok.text == "-":
             self.advance()
-            return Neg(self.factor())
+            operand, depth = self.nested(tok, self.factor)
+            return Neg(operand), depth
         if tok.kind == "sym" and tok.text == "(":
             self.advance()
-            inner = self.expr()
-            self.expect_sym(")")
-            return inner
+            return self.nested(tok, self.closed)
         if tok.kind == "ident":
             return self.ident_factor()
         raise self.fail(f"expected a payoff term, found {tok.text or 'end of input'!r}")
 
-    def ident_factor(self) -> PayoffExpr:
+    def extremum(self, name: str) -> tuple[PayoffExpr, int]:
+        """The two arguments and ``)`` of ``max(`` or ``min(``."""
+        left, left_depth = self.expr()
+        self.expect_sym(",")
+        right, right_depth = self.closed()
+        node = Max2(left, right) if name == "max" else Min2(left, right)
+        return node, max(left_depth, right_depth)
+
+    def ident_factor(self) -> tuple[PayoffExpr, int]:
         tok = self.advance()
         name = tok.text
         if name == "S_T":
-            return TerminalPrice()
+            return TerminalPrice(), 1
         if name == "S":
             self.expect_sym("[")
             index = self.natural()
             self.expect_sym("]")
-            return PriceAt(index)
+            return PriceAt(index), 1
         if name == "lookback":
-            return Sub(PathMax(), TerminalPrice())
+            return Sub(PathMax(), TerminalPrice()), 1
         if name in ("max", "min"):
             self.expect_sym("(")
             if (
@@ -249,12 +301,8 @@ class _Parser:
             ):
                 self.advance()
                 self.advance()
-                return PathMax() if name == "max" else PathMin()
-            left = self.expr()
-            self.expect_sym(",")
-            right = self.expr()
-            self.expect_sym(")")
-            return Max2(left, right) if name == "max" else Min2(left, right)
+                return (PathMax() if name == "max" else PathMin()), 1
+            return self.nested(tok, lambda: self.extremum(name))
         if name == "avg":
             self.expect_sym("(")
             tok = self.peek()
@@ -262,26 +310,26 @@ class _Parser:
                 raise self.fail("avg applies to the price path: expected 'S'")
             self.advance()
             self.expect_sym(")")
-            return PathAvg()
+            return PathAvg(), 1
         if name == "pos":
             self.expect_sym("(")
-            inner = self.expr()
-            self.expect_sym(")")
-            return PosPart(inner)
+            inner, depth = self.nested(tok, self.closed)
+            return PosPart(inner), depth
         if name in ("call", "put", "forward"):
             self.expect_sym("(")
             strike = Const(self.number())
             self.expect_sym(")")
             if name == "call":
-                return PosPart(Sub(TerminalPrice(), strike))
+                return PosPart(Sub(TerminalPrice(), strike)), 1
             if name == "put":
-                return PosPart(Sub(strike, TerminalPrice()))
-            return Sub(TerminalPrice(), strike)
+                return PosPart(Sub(strike, TerminalPrice())), 1
+            return Sub(TerminalPrice(), strike), 1
         raise PayoffSyntaxError(f"unknown identifier {name!r}", tok.pos)
 
 
 def parse_payoff(text: str) -> PayoffExpr:
-    """Parse payoff text; strike sugar is expanded to its definition."""
+    """Parse payoff text; strike sugar is expanded to its definition. An
+    expression deeper than ``MAX_PAYOFF_DEPTH`` is a ``PayoffSyntaxError``."""
     return _Parser(text).parse()
 
 

@@ -23,7 +23,6 @@ from .crr import (
     CrrMarket,
     disc_rfr_proc,
     discounted_value,
-    geom_rand_walk,
     is_viable,
     price_path,
     risk_neutral_q,
@@ -33,9 +32,7 @@ from .lattice import (
     PathMeasure,
     TossPath,
     check_node,
-    conditional_expectation_step,
     iter_paths,
-    path_probability,
     prefix_labels,
     toss_tuples,
 )
@@ -109,11 +106,8 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
 
 def fair_price(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> float:
     """Discounted risk-neutral expectation of the payoff over maturity paths."""
-    q = risk_neutral_q(crr.params)
+    weights = crr.risk_neutral_measure().weights(maturity)
     kappa = terminal_payoffs(crr, payoff, maturity)
-    weights = [1.0]  # path_probability, one toss factor at a time
-    for _ in range(maturity):
-        weights = [x for w in weights for x in (w * q, w * (1.0 - q))]
     expectation = math.fsum(map(operator.mul, weights, kappa))
     price = expectation / disc_rfr_proc(crr.params.r, maturity)
     _require_finite("price", [[price]])
@@ -196,7 +190,8 @@ def replicating_portfolio(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> 
     if maturity < 1:
         raise ValueError("replication needs at least one trading period")
     values = price_lattice(crr, payoff, maturity).levels
-    prices = [[geom_rand_walk(crr.params, n, s) for s in toss_tuples(n)] for n in range(maturity + 1)]
+    stock = crr.market.price(crr.risky)
+    prices = [stock.level(n) for n in range(maturity + 1)]
     delta = [
         [(v_up - v_down) / (s_up - s_down)
          for v_up, v_down, s_up, s_down in zip(v[0::2], v[1::2], s[0::2], s[1::2])]
@@ -261,14 +256,13 @@ def martingale_residual(m: PathMeasure, process: LatticeProcess, horizon: int) -
     """Largest one-step defect |X_n - E[X_{n+1} | first n tosses]|."""
     if horizon > process.horizon:
         raise ValueError(f"horizon {horizon} outside process horizon {process.horizon}")
-    worst = 0.0
-    for n in range(horizon):
-        for w in iter_paths(n):
-            defect = abs(
-                process.at(n, w) - conditional_expectation_step(m, process, n, w)
-            )
-            worst = max(worst, defect)
-    return worst
+    # max() in node order keeps the first of incomparable values, as a
+    # running max(worst, defect) would.
+    return max(itertools.chain([0.0], (
+        abs(x - (m.p * up + (1.0 - m.p) * down))
+        for here, kids in itertools.pairwise(map(process.level, range(horizon + 1)))
+        for x, up, down in zip(here, kids[0::2], kids[1::2])
+    )))
 
 
 def is_martingale(
@@ -332,8 +326,8 @@ def is_arbitrage_process(
     saw_nonnegative_time = False
     for witness in range(1, p.horizon + 1):
         values = [
-            v for v, w in zip(closing_value_level(market, p, witness), iter_paths(witness))
-            if path_probability(m, w) > 0.0
+            v for v, weight in zip(closing_value_level(market, p, witness), m.weights(witness))
+            if weight > 0.0
         ]
         if not any(v < 0.0 for v in values):
             if any(v > 0.0 for v in values):
@@ -373,11 +367,9 @@ def one_step_no_arbitrage_check(crr: CrrMarket) -> bool:
     """
     stock = crr.market.price(crr.risky)
     gross_rf = 1.0 + crr.params.r
-    for n in range(crr.horizon):
-        for w in iter_paths(n):
-            here = stock.at(n, w)
-            up = stock.at(n + 1, w.child(True)) / here
-            down = stock.at(n + 1, w.child(False)) / here
+    for here, kids in itertools.pairwise(map(stock.level, range(crr.horizon + 1))):
+        for s, s_up, s_down in zip(here, kids[0::2], kids[1::2]):
+            up, down = s_up / s, s_down / s
             if not min(up, down) < gross_rf < max(up, down):
                 return False
     return True

@@ -28,6 +28,7 @@ from crrpricing.lattice import (
 from crrpricing.market import (
     Asset,
     Market,
+    closing_value_level,
     closing_value_process,
     init_value,
     is_self_financing,
@@ -193,8 +194,7 @@ def test_criterion_06_martingale_suite():
         hedged_crr = CrrMarket(params, hedged_horizon)
         hedge = replicating_portfolio(hedged_crr, parse_payoff("lookback"), hedged_horizon)
         wealth = LatticeProcess(
-            hedged_horizon,
-            lambda n, w: closing_value_process(hedged_crr.market, hedge, n, w),
+            hedged_horizon, lambda n: closing_value_level(hedged_crr.market, hedge, n)
         )
         deflated_wealth = discounted_value(params.r, wealth)
         assert martingale_residual(PathMeasure(q), deflated_wealth, hedged_horizon) < 1e-9
@@ -250,8 +250,8 @@ def test_criterion_07_viability_suite():
         slot = Asset("slot", kind="extra")
         two_rate = Market(
             prices={
-                low: LatticeProcess(horizon, lambda n, w: 1.01**n),
-                high: LatticeProcess(horizon, lambda n, w: 1.03**n),
+                low: LatticeProcess(horizon, lambda n: [1.01**n] * (1 << n)),
+                high: LatticeProcess(horizon, lambda n: [1.03**n] * (1 << n)),
                 slot: LatticeProcess.constant(horizon, 0.0),
             },
             stocks=[low, high],

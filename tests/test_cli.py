@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -21,7 +22,9 @@ from crrpricing.cli import (
     main,
     read_path_table,
 )
+from crrpricing import cli, pricing
 from crrpricing.crr import CrrMarket
+from crrpricing.payoff import MAX_PAYOFF_DEPTH
 
 REFERENCE = {"u": 1.2, "d": 0.8, "v": 10.0, "r": 0.03, "p": 0.5, "horizon": 4}
 LARGE_SPOT = {"u": 1.15, "d": 0.9, "v": 1e9, "r": 0.02, "p": 0.5, "horizon": 6}
@@ -663,3 +666,155 @@ class TestFuzzMain:
                 assert not NON_FINITE.search(out)
             for written in (tree, hedge):
                 assert not written.exists() or not NON_FINITE.search(written.read_text())
+
+
+class TestInternalConsistencyFailure:
+    """A failed self-check inside ``price_lattice`` is reported, not raised."""
+
+    @pytest.fixture
+    def inconsistent(self, monkeypatch):
+        def price_lattice(crr, payoff, maturity):
+            raise RuntimeError("internal consistency failure: backward induction gives 1.0 "
+                               "but direct expectation gives 2.0")
+
+        # cli calls it for --tree, replicating_portfolio through pricing
+        monkeypatch.setattr(cli, "price_lattice", price_lattice)
+        monkeypatch.setattr(pricing, "price_lattice", price_lattice)
+
+    @pytest.mark.parametrize("command, extra", [("price", "--tree"), ("replicate", "--out")])
+    def test_exit_three_with_an_error_line(self, capsys, config, tmp_path, inconsistent, command, extra):
+        written = tmp_path / "out.csv"
+        code, out, err = run(
+            capsys, command, "--config", config, "--payoff", "lookback", "--maturity", "2",
+            extra, str(written),
+        )
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == (
+            "error: internal consistency failure: backward induction gives 1.0 "
+            "but direct expectation gives 2.0\n"
+        )
+        assert not written.exists()
+
+
+LIMIT = MAX_PAYOFF_DEPTH
+DEEPEST = {
+    "parentheses": "(" * (LIMIT - 1) + "S_T" + ")" * (LIMIT - 1),
+    "pos": "pos(" * (LIMIT - 2) + "S_T - 9" + ")" * (LIMIT - 2),
+    "minus": "-" * (LIMIT - 1) + "S_T",
+    "max": "max(" * (LIMIT - 1) + "S_T" + ", 9)" * (LIMIT - 1),
+    "sum": " + ".join(["S_T"] * LIMIT),
+    "quotient": "1000" + " / S_T" * (LIMIT - 1),
+}
+
+
+class TestPayoffDepth:
+    @pytest.mark.parametrize("text", [
+        "(" * 331 + "1" + ")" * 331,
+        "pos(" * 248 + "1" + ")" * 248,
+        "1" + "+S_T" * 999,
+        "(" * LIMIT + "S_T" + ")" * LIMIT,
+        " + ".join(["S_T"] * (LIMIT + 1)),
+    ])
+    @pytest.mark.parametrize("command", ["price", "replicate"])
+    def test_too_deep_is_bad_input(self, capsys, config, text, command):
+        code, out, err = run(capsys, command, "--config", config, f"--payoff={text}", "--maturity", "2")
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert re.fullmatch(rf"error: payoff nests deeper than {LIMIT} levels at offset \d+\n", err)
+
+    @pytest.mark.parametrize("form", sorted(DEEPEST))
+    def test_deepest_accepted_payoff_runs_every_command(self, capsys, config, tmp_path, form):
+        argv = ["--config", config, f"--payoff={DEEPEST[form]}", "--maturity", "3"]
+        hedge, tree = tmp_path / "hedge.csv", tmp_path / "tree.csv"
+        assert run(capsys, "price", *argv, "--tree", str(tree))[0] == EXIT_OK
+        assert run(capsys, "replicate", *argv, "--out", str(hedge))[0] == EXIT_OK
+        code, out, _ = run(capsys, "verify", *argv, "--portfolio", str(hedge))
+        assert (code, out.splitlines()[-1]) == (EXIT_OK, "replicating: yes")
+
+    def test_error_message_prints_a_deep_payoff(self, capsys, config):
+        text = "pos(" * (LIMIT - 4) + "1 / (S[1] - S[1])" + ")" * (LIMIT - 4)
+        code, out, err = run(capsys, "price", "--config", config, f"--payoff={text}", "--maturity", "2")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith("error: division by zero in '1 / (S[1] - S[1])' (at path UU)")
+
+
+VERIFY_MATURITY = 3
+
+
+def engine_rows() -> list[str]:
+    """The data lines of the engine's own lookback hedge at maturity 3."""
+    crr = CrrMarket.from_dict(REFERENCE)
+    hedge = pricing.replicating_portfolio(crr, cli.parse_payoff("lookback"), VERIFY_MATURITY)
+    return cli.write_portfolio_csv(hedge).splitlines()[1:]
+
+
+ENGINE_ROWS = engine_rows()
+
+
+def deeper(prefix: str) -> list[str]:
+    return [prefix.strip("-") + toss for toss in "UD"]
+
+
+# What a hand-made table can do to one engine row.
+DEFECTS = {
+    "drop": lambda t, w, a, q: [],
+    "repeat": lambda t, w, a, q: [(t, w, a, q)] * 2,
+    "refine": lambda t, w, a, q: [(t, v, a, q) for v in deeper(w)],
+    "split": lambda t, w, a, q: [(t, v, a, x) for v, x in zip(deeper(w), (q, "0.5"))],
+    "conflict": lambda t, w, a, q: [(t, w, a, q), (t, w, a, "2.5")],
+    "unknown asset": lambda t, w, a, q: [(t, w, "X", q)],
+    "non-stock asset": lambda t, w, a, q: [(t, w, a, q), (t, w, "derivative", "1")],
+    "late": lambda t, w, a, q: [(str(VERIFY_MATURITY), w, a, q)],
+    "negative time": lambda t, w, a, q: [("-1", w, a, q)],
+    "too long": lambda t, w, a, q: [(t, "U" * (VERIFY_MATURITY + 1), a, q)],
+    "too short": lambda t, w, a, q: [(t, "-", a, q)],
+    "not a number": lambda t, w, a, q: [(t, w, a, "x")],
+    "not finite": lambda t, w, a, q: [(t, w, a, "nan")],
+    "bad label": lambda t, w, a, q: [(t, "UX", a, q)],
+    "short line": lambda t, w, a, q: [(t, w, a)],
+}
+
+
+@st.composite
+def hand_made_tables(draw):
+    """Portfolio CSV lines: the engine's rows, shuffled, with up to three
+    rows missing, repeated, keyed by deeper or too-long prefixes, given
+    conflicting quantities or unknown assets, or otherwise malformed."""
+    rows = [tuple(row.split(",")) for row in ENGINE_ROWS]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        defect = DEFECTS[draw(st.sampled_from(sorted(DEFECTS)))]
+        rows[i:i + 1] = defect(*rows[i]) if len(rows[i]) == 4 else []
+    return draw(st.permutations([",".join(row) for row in rows]))
+
+
+def verify_table(tmp: str, lines: list[str]) -> tuple[int, str]:
+    work = Path(tmp)
+    cfg, table = work / "market.json", work / "hedge.csv"
+    cfg.write_text(json.dumps(REFERENCE))
+    table.write_text("time,prefix,asset,quantity\n" + "".join(line + "\n" for line in lines))
+    return run_quietly(
+        "verify", "--config", str(cfg), "--payoff", "lookback",
+        "--maturity", str(VERIFY_MATURITY), "--portfolio", str(table),
+    )
+
+
+class TestFuzzVerifyTables:
+    @settings(max_examples=200, deadline=None)
+    @given(hand_made_tables())
+    def test_every_table_gets_a_documented_answer(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out = verify_table(tmp, lines)
+        assert code in {EXIT_OK, EXIT_BAD_INPUT, EXIT_NOT_REPLICATING}
+        assert not NON_FINITE.search(out)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.randoms(use_true_random=False), st.lists(st.sampled_from(ENGINE_ROWS), max_size=8))
+    def test_shuffled_or_duplicated_engine_rows_keep_the_verdict(self, rng: random.Random, repeats):
+        with tempfile.TemporaryDirectory() as tmp:
+            original = verify_table(tmp, ENGINE_ROWS)
+            lines = ENGINE_ROWS + repeats
+            rng.shuffle(lines)
+            assert verify_table(tmp, lines) == original
+        assert original[0] == EXIT_OK

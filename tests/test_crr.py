@@ -3,7 +3,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from crrpricing.crr import (
@@ -26,6 +26,7 @@ from crrpricing.lattice import (
     TossPath,
     enumerate_paths,
     is_measurable_at,
+    iter_paths,
     path_probability,
 )
 from crrpricing.market import (
@@ -149,7 +150,7 @@ class TestDiscounting:
             assert deflated.level(n) == pytest.approx([1.0] * 2**n, abs=1e-15)
 
     def test_discounted_payoff_value(self):
-        proc = LatticeProcess(2, lambda n, w: 2.4 if n == 2 else 0.0)
+        proc = LatticeProcess(2, lambda n: [2.4 if n == 2 else 0.0] * (1 << n))
         deflated = discounted_value(0.03, proc)
         assert deflated.at(2, path("UD")) == pytest.approx(2.262, abs=5e-4)
 
@@ -326,8 +327,8 @@ class TestTwoRateArbitrage:
         slot = Asset("slot", kind="extra")
         mkt = Market(
             prices={
-                low: LatticeProcess(horizon, lambda n, w: 1.01**n),
-                high: LatticeProcess(horizon, lambda n, w: 1.03**n),
+                low: LatticeProcess(horizon, lambda n: [1.01**n] * (1 << n)),
+                high: LatticeProcess(horizon, lambda n: [1.03**n] * (1 << n)),
                 slot: LatticeProcess.constant(horizon, 0.0),
             },
             stocks=[low, high],
@@ -343,3 +344,46 @@ class TestTwoRateArbitrage:
             gain = closing_value_process(mkt, p, n, w)
             assert gain == pytest.approx(1.03**n - 1.01**n, abs=1e-12)
             assert gain > 0.0
+
+
+@st.composite
+def wide_markets(draw):
+    """Markets up to horizon 12 with spot prices from 1e-300 to 1e300 and
+    rates down to just above -1; configs whose prices leave the float range
+    are rejected by ``CrrMarket`` and skipped."""
+    d = draw(st.floats(1e-3, 2.0))
+    u = d * draw(st.floats(1.0, 4.0, exclude_min=True))
+    v = draw(st.sampled_from([1e-300, 1e-9, 1.0, 1e9, 1e300])) * draw(st.floats(0.5, 2.0))
+    r = draw(st.one_of(
+        st.floats(-1.0, -0.99, exclude_min=True),
+        st.sampled_from([-1.0 + 1e-15, -0.9985]),
+        st.floats(-0.5, 1.0),
+    ))
+    try:
+        return CrrMarket(CrrParams(u=u, d=d, v=v, r=r, p=0.5), horizon=draw(st.integers(1, 12)))
+    except ValueError:
+        reject()
+
+
+class TestPriceLevels:
+    """The market's price levels against the per-node formulas, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_markets())
+    def test_levels_equal_the_node_formulas(self, crr):
+        stock = crr.market.price(crr.risky)
+        bank = crr.market.price(crr.riskfree)
+        for n in range(crr.horizon + 1):
+            nodes = list(iter_paths(n))
+            assert list(map(repr, stock.level(n))) == [
+                repr(geom_rand_walk(crr.params, n, w)) for w in nodes
+            ]
+            assert list(map(repr, bank.level(n))) == [repr(disc_rfr_proc(crr.params.r, n))] * 2**n
+
+    def test_levels_are_computed_on_demand(self):
+        crr = CrrMarket(PARAMS, horizon=3)
+        stock = crr.market.price(crr.risky)
+        first = stock.level(2)
+        first[0] = -1.0
+        assert stock.level(2)[0] == pytest.approx(14.4)
+        assert stock.at(2, path("UU")) == stock.level(2)[0]

@@ -161,7 +161,7 @@ class TestExpectation:
         # weighted with up-probability 0.575
         payoff = {"UU": 0.0, "UD": 2.4, "DU": 0.4, "DD": 3.6}
         f = LatticeProcess(
-            2, lambda n, w: payoff[w.label()] / 1.03**2 if n == 2 else 0.0
+            2, lambda n: [payoff[w.label()] / 1.03**2 if n == 2 else 0.0 for w in iter_paths(n)]
         )
         got = expectation(PathMeasure(0.575), f, 2)
         assert got == pytest.approx(1.2579, abs=5e-4)
@@ -197,7 +197,7 @@ class TestConditionalExpectationStep:
         # option values one step after an initial up move: 0 (up) and 2.4 (down)
         values = {"UU": 0.0, "UD": 2.4, "DU": 0.4, "DD": 3.6}
         f = LatticeProcess(
-            2, lambda n, w: values[w.label()] if n == 2 else 0.0
+            2, lambda n: [values[w.label()] if n == 2 else 0.0 for w in iter_paths(n)]
         )
         step = conditional_expectation_step(PathMeasure(0.575), f, 1, path("U"))
         assert step == pytest.approx(1.02, abs=1e-12)
@@ -206,7 +206,7 @@ class TestConditionalExpectationStep:
     def test_symmetric_measure(self):
         table = {"UU": 1.0, "UD": 0.0, "DU": 0.0, "DD": 0.0}
         f = LatticeProcess(
-            2, lambda n, w: table[w.label()] if n == 2 else 0.0
+            2, lambda n: [table[w.label()] if n == 2 else 0.0 for w in iter_paths(n)]
         )
         got = conditional_expectation_step(PathMeasure(0.5), f, 1, path("U"))
         assert got == 0.5
@@ -263,6 +263,17 @@ class TestLatticeProcessDomain:
         with pytest.raises(ValueError, match="node"):
             LatticeProcess.from_table(1, table)
 
+    def test_from_table_rejects_bare_tuple_prefixes(self):
+        table = {(0, ()): 1.0, (1, (True,)): 2.0, (1, (False,)): 3.0}
+        with pytest.raises(ValueError, match="node"):
+            LatticeProcess.from_table(1, table)
+
+    def test_level_of_the_wrong_length_is_rejected(self):
+        f = LatticeProcess(2, lambda n: [0.0] * (n + 1))
+        assert f.level(1) == [0.0, 0.0]
+        with pytest.raises(ValueError, match="^time-2 level has 3 values, expected 4$"):
+            f.level(2)
+
     def test_at_validates_key_shape(self):
         f = LatticeProcess.constant(2, 0.0)
         with pytest.raises(ValueError):
@@ -271,7 +282,7 @@ class TestLatticeProcessDomain:
             f.at(1, path("UD"))
 
     def test_level_lists_values_in_enumeration_order(self):
-        f = LatticeProcess(3, lambda n, w: n + w.index() / 10)
+        f = LatticeProcess(3, lambda n: [n + k / 10 for k in range(1 << n)])
         for n in range(4):
             assert f.level(n) == [f.at(n, w) for w in iter_paths(n)]
         assert f.level(2) == [2.0, 2.1, 2.2, 2.3]
@@ -298,7 +309,7 @@ class TestLatticeLaws:
             assert abs(extended - expectation(m, f, n)) <= 1e-12
 
     def test_conditional_step_of_constant_pair_is_exact(self):
-        f = LatticeProcess(2, lambda n, w: 3.7)
+        f = LatticeProcess(2, lambda n: [3.7] * (1 << n))
         got = conditional_expectation_step(PathMeasure(0.123456), f, 1, path("D"))
         assert got == 3.7
 
@@ -310,7 +321,7 @@ class TestLatticeLaws:
             m = PathMeasure(p)
             for n in range(T):
                 g = LatticeProcess(
-                    n, lambda k, w: conditional_expectation_step(m, f, n, w)
+                    n, lambda k: [conditional_expectation_step(m, f, k, w) for w in iter_paths(k)]
                 )
                 lhs = expectation(m, g, n)
                 rhs = expectation(m, f, n + 1)

@@ -474,6 +474,14 @@ class TestQuantityLevels:
         with pytest.raises(ValueError, match="levels of lengths 1, 2, ..., 2\\^2"):
             QuantityProcess(3, {APL: table})
 
+    def test_allclose_fails_closed_on_nan(self):
+        nan = QuantityProcess(2, {APL: [[1.0], [math.nan, 2.0]]})
+        one = QuantityProcess(2, {APL: [[1.0], [1.0, 2.0]]})
+        assert not quantities_allclose(nan, one)
+        assert not quantities_allclose(one, nan, tol=math.inf)
+        assert not quantities_allclose(nan, nan)
+        assert quantities_allclose(one, one, tol=0.0)
+
     def test_support_is_found_at_construction(self):
         p = QuantityProcess(2, {APL: [[0.0], [0.0, -0.0]], GOOG: [[0.0], [0.0, math.nan]]})
         assert support_set(p) == {GOOG}
@@ -546,7 +554,7 @@ def reference_quantities_allclose(q1, q2, tol):
     for a in q1.levels.keys() | q2.levels.keys():
         for n in range(1, q1.horizon + 1):
             for w in iter_paths(n - 1):
-                if abs(q1.quantity(a, n, w) - q2.quantity(a, n, w)) > tol:
+                if not abs(q1.quantity(a, n, w) - q2.quantity(a, n, w)) <= tol:
                     return False
     return True
 

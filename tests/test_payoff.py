@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from crrpricing.crr import CrrParams, price_path
 from crrpricing.lattice import BinaryLattice, TossPath, is_measurable_at
 from crrpricing.payoff import (
+    MAX_PAYOFF_DEPTH,
     Add,
     Const,
     Div,
@@ -102,6 +103,56 @@ class TestSyntaxErrors:
 
 
 PARAMS = CrrParams(u=1.2, d=0.8, v=10.0, r=0.03, p=0.5)
+
+
+def nestings(depth: int) -> dict[str, tuple[str, int]]:
+    """An expression of the given depth in each nesting form, and the offset
+    of the token that takes it one level past ``depth - 1``."""
+    k = depth - 1
+    return {
+        "parentheses": ("(" * k + "S_T" + ")" * k, k - 1),
+        "pos": ("pos(" * k + "S_T" + ")" * k, 4 * (k - 1)),
+        "minus": ("-" * k + "S_T", k - 1),
+        "max": ("max(" * k + "S_T" + ", 1)" * k, 4 * (k - 1)),
+        "sum": (" + ".join(["S_T"] * depth), 6 * k - 2),
+        "quotient": (" / ".join(["S[1]"] * depth), 7 * k - 2),
+        "pos of sums": ("pos(" * (k // 2) + "S_T + 1" + " + 1)" * (k // 2), None),
+    }
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("form", sorted(nestings(1)))
+    def test_deepest_accepted_expression_works_end_to_end(self, form):
+        text, _ = nestings(MAX_PAYOFF_DEPTH)[form]
+        expr = parse_payoff(text)
+        assert parse_payoff(print_payoff(expr)) == expr
+        assert payoff_horizon(expr) in (None, 1)
+        prices = price_path(PARAMS, TossPath((True, False)))
+        assert isinstance(eval_payoff(expr, prices), float)
+
+    @pytest.mark.parametrize("form", sorted(set(nestings(1)) - {"pos of sums"}))
+    def test_one_level_deeper_is_rejected_at_its_offset(self, form):
+        text, position = nestings(MAX_PAYOFF_DEPTH + 1)[form]
+        with pytest.raises(PayoffSyntaxError, match=f"deeper than {MAX_PAYOFF_DEPTH} levels") as info:
+            parse_payoff(text)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize("text", [
+        "(" * 331 + "1" + ")" * 331,
+        "pos(" * 248 + "1" + ")" * 248,
+        "1" + " + S_T" * 999,
+        "-" * 5000 + "1",
+    ])
+    def test_far_too_deep_is_a_syntax_error(self, text):
+        with pytest.raises(PayoffSyntaxError, match="deeper than"):
+            parse_payoff(text)
+
+    def test_depth_counts_the_deeper_operand(self):
+        # pos(...) + 1 with 98 nested pos: each + 1 adds a level on top
+        parse_payoff("pos(" * 97 + "S_T" + ")" * 97 + " + 1 + 1")
+        with pytest.raises(PayoffSyntaxError):
+            parse_payoff("pos(" * 97 + "S_T" + ")" * 97 + " + 1 + 1 + 1")
+        parse_payoff("1 + " + "(" * 98 + "S_T" + ")" * 98)
 
 
 class TestEvaluation:

@@ -19,19 +19,23 @@ from crrpricing.lattice import (
     LatticeProcess,
     PathMeasure,
     TossPath,
+    conditional_expectation_step,
     enumerate_paths,
+    expectation,
     iter_paths,
     path_probability,
 )
 from crrpricing.market import (
     Asset,
     Market,
+    closing_value_level,
     closing_value_process,
     init_value,
     qty_empty,
     qty_single,
     qty_sum,
     QuantityProcess,
+    write_portfolio_csv,
 )
 from crrpricing.payoff import PayoffEvalError, eval_payoff, parse_payoff
 from crrpricing.pricing import (
@@ -395,8 +399,8 @@ class TestArbitrage:
         slot = Asset("slot", kind="extra")
         mkt = Market(
             prices={
-                low: LatticeProcess(horizon, lambda n, w: 1.01**n),
-                high: LatticeProcess(horizon, lambda n, w: 1.03**n),
+                low: LatticeProcess(horizon, lambda n: [1.01**n] * (1 << n)),
+                high: LatticeProcess(horizon, lambda n: [1.03**n] * (1 << n)),
                 slot: LatticeProcess.constant(horizon, 0.0),
             },
             stocks=[low, high],
@@ -500,8 +504,7 @@ class TestReplicationSuite:
             expr = random_payoff(rng)
             p = replicating_portfolio(crr, expr, maturity)
             wealth = LatticeProcess(
-                maturity,
-                lambda n, w: closing_value_process(crr.market, p, n, w),
+                maturity, lambda n: closing_value_level(crr.market, p, n)
             )
             deflated = discounted_value(params.r, wealth)
             assert is_martingale(crr.risk_neutral_measure(), deflated, maturity)
@@ -720,3 +723,104 @@ class TestRelativeTolerance:
         assert report.tolerance == pytest.approx(1e-7)
         assert report.terminal_match and report.is_replicating()
         assert not verify_replication(crr, hedge, expr, 2, tol=1e-10).is_replicating()
+
+
+# The node-by-node operators the level-wise ones replaced, kept as references:
+# every value is read through ``LatticeProcess.at``.
+
+
+def node_expectation(m, f, n):
+    return math.fsum(path_probability(m, w) * f.at(n, w) for w in iter_paths(n))
+
+
+def node_martingale_residual(m, process, horizon):
+    worst = 0.0
+    for n in range(horizon):
+        for w in iter_paths(n):
+            worst = max(worst, abs(process.at(n, w) - conditional_expectation_step(m, process, n, w)))
+    return worst
+
+
+def node_one_step_no_arbitrage_check(crr):
+    stock = crr.market.price(crr.risky)
+    gross_rf = 1.0 + crr.params.r
+    for n in range(crr.horizon):
+        for w in iter_paths(n):
+            here = stock.at(n, w)
+            up = stock.at(n + 1, w.child(True)) / here
+            down = stock.at(n + 1, w.child(False)) / here
+            if not min(up, down) < gross_rf < max(up, down):
+                return False
+    return True
+
+
+@st.composite
+def node_tables(draw):
+    """A process of random node values, NaN, infinities and signed zeros included."""
+    horizon = draw(st.integers(0, 6))
+    specials = st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf])
+    values = st.one_of(st.floats(-1e6, 1e6), specials)
+    return LatticeProcess.from_table(horizon, {
+        (n, w): draw(values) for n in range(horizon + 1) for w in iter_paths(n)
+    })
+
+
+@st.composite
+def any_markets(draw):
+    """Viable and inviable markets, with rates near the viability boundary."""
+    d = draw(st.floats(0.5, 1.2))
+    u = d * draw(st.floats(1.0, 1.6, exclude_min=True))
+    gross = draw(st.one_of(st.floats(0.4, 2.0), st.sampled_from([d, u]), st.floats(d, u)))
+    params = CrrParams(u=u, d=d, v=draw(st.floats(1e-3, 1e3)), r=gross - 1.0, p=0.5)
+    return CrrMarket(params, horizon=draw(st.integers(1, 6)))
+
+
+def outcome(fn, *args):
+    """``repr`` of the result, or the error (``fsum`` raises on ``inf - inf``)."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestLevelOperatorsMatchNodeByNode:
+    @settings(max_examples=150, deadline=None)
+    @given(node_tables(), st.floats(0.0, 1.0))
+    def test_expectation_and_martingale_residual(self, f, p):
+        m = PathMeasure(p)
+        for n in range(f.horizon + 1):
+            assert outcome(expectation, m, f, n) == outcome(node_expectation, m, f, n)
+            assert repr(martingale_residual(m, f, n)) == repr(node_martingale_residual(m, f, n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_markets(), st.floats(0.0, 1.0))
+    def test_market_operators(self, crr, p):
+        assert one_step_no_arbitrage_check(crr) == node_one_step_no_arbitrage_check(crr)
+        deflated = discounted_value(crr.params.r, crr.market.price(crr.risky))
+        m = PathMeasure(p)
+        assert repr(martingale_residual(m, deflated, crr.horizon)) == repr(
+            node_martingale_residual(m, deflated, crr.horizon)
+        )
+        assert repr(expectation(m, deflated, crr.horizon)) == repr(
+            node_expectation(m, deflated, crr.horizon)
+        )
+
+
+class TestHedgeBuildsNoTossPaths:
+    def test_hedge_verify_and_csv_of_an_average_payoff(self, monkeypatch):
+        crr = CrrMarket(CrrParams(u=1.15, d=0.9, v=100.0, r=0.02, p=0.45), horizon=8)
+        expr = parse_payoff("avg(S) - 100")
+        built = []
+        original = TossPath.__init__
+
+        def counting_init(path, *args, **kwargs):
+            built.append(path)
+            original(path, *args, **kwargs)
+
+        monkeypatch.setattr(TossPath, "__init__", counting_init)
+        hedge = replicating_portfolio(crr, expr, 8)
+        report = verify_replication(crr, hedge, expr, 8)
+        text = write_portfolio_csv(hedge)
+        assert report.is_replicating()
+        assert text.count("\n") == 1 + 2 * (2**8 - 1)
+        assert len(built) <= 1

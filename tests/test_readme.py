@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from crrpricing.cli import main
+from crrpricing.payoff import MAX_PAYOFF_DEPTH
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
@@ -41,3 +42,7 @@ def test_cli_example_prints_its_line(capsys, tmp_path, monkeypatch, command, exp
     (tmp_path / "market.json").write_text(config)
     assert main(shlex.split(command)[1:]) == 0
     assert expected in capsys.readouterr().out.splitlines()
+
+
+def test_documented_payoff_depth_limit():
+    assert f"Expressions nest at most {MAX_PAYOFF_DEPTH} levels deep." in README
