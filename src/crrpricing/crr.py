@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from .lattice import LatticeProcess, PathMeasure, TossPath, check_horizon, toss_products
 from .market import Asset, Market
@@ -61,11 +62,37 @@ def geom_rand_walk(params: CrrParams, n: int, path: TossPath) -> float:
 
 
 def price_path(params: CrrParams, path: TossPath) -> list[float]:
-    """All prices along a scenario, time 0 through ``len(path)``."""
+    """All prices along a scenario, time 0 through ``len(path)``;
+    ``price_paths`` yields the same lists, bit for bit, for every path."""
     prices = [params.v]
     for outcome in path:
         prices.append(prices[-1] * (params.u if outcome else params.d))
     return prices
+
+
+def price_paths(params: CrrParams, n: int) -> Iterator[list[float]]:
+    """``price_path(params, s)`` for every length-``n`` toss path ``s``, in
+    ``iter_paths`` order.
+
+    Each list is its parent prefix's list plus ``parent[-1] * u`` (or ``* d``),
+    the same running product, so prefixes are shared instead of remultiplied.
+    A depth-first stack keeps at most about ``n`` lists alive at a time.
+    """
+    check_horizon(n)
+    u, d = params.u, params.d
+    if n == 0:
+        yield [params.v]
+        return
+    stack = [[params.v]]
+    while stack:
+        prices = stack.pop()
+        last = prices[-1]
+        if len(prices) == n:
+            yield prices + [last * u]
+            yield prices + [last * d]
+        else:
+            stack.append(prices + [last * d])
+            stack.append(prices + [last * u])
 
 
 def disc_rfr_proc(r: float, n: int) -> float:

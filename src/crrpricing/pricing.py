@@ -11,7 +11,7 @@ of arbitrage.
 """
 from __future__ import annotations
 
-import csv
+import functools
 import io
 import itertools
 import math
@@ -24,7 +24,8 @@ from .crr import (
     disc_rfr_proc,
     discounted_value,
     is_viable,
-    price_path,
+    price_path,  # noqa: F401  (kept importable: perfbench/spans.py rebinds it here)
+    price_paths,
     risk_neutral_q,
 )
 from .lattice import (
@@ -34,9 +35,9 @@ from .lattice import (
     check_node,
     iter_paths,
     prefix_labels,
-    toss_tuples,
 )
 from .market import (
+    CSV_BATCH,
     Market,
     PortfolioRow,
     QuantityProcess,
@@ -66,9 +67,10 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
     """Evaluate the payoff at every maturity path and check it is finite.
 
     Entry ``k`` belongs to the path with ``TossPath.index() == k`` (``iter_paths``
-    order). Accepts a parsed expression, which is evaluated on bare toss
-    tuples, a per-path table, or any callable on toss paths (the escape hatch
-    for payoffs outside the expression grammar).
+    order). Accepts a parsed expression, which is evaluated on the price lists
+    of ``price_paths`` (prefixes shared, no ``TossPath``), a per-path table,
+    or any callable on toss paths (the escape hatch for payoffs outside the
+    expression grammar).
     """
     if not 0 <= maturity <= crr.horizon:
         raise ValueError(f"maturity {maturity} outside market horizon {crr.horizon}")
@@ -78,8 +80,8 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
             raise PayoffEvalError(
                 f"payoff observes S[{fixed}] but matures at {maturity}"
             )
-        paths = toss_tuples(maturity)
-        evaluate = lambda s: eval_payoff(payoff, price_path(crr.params, s))
+        paths = price_paths(crr.params, maturity)
+        evaluate = functools.partial(eval_payoff, payoff)
     elif isinstance(payoff, Mapping):
         missing = [w for w in iter_paths(maturity) if w not in payoff]
         if missing:
@@ -97,11 +99,16 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
         try:
             value = float(evaluate(s))
         except PayoffEvalError as exc:
-            raise PayoffEvalError(f"{exc} (at path {TossPath(s).label()})") from None
+            raise PayoffEvalError(f"{exc} (at path {_node_label(maturity, len(values))})") from None
         if not math.isfinite(value):
-            raise PayoffEvalError(f"payoff is not finite at path {TossPath(s).label()}")
+            raise PayoffEvalError(f"payoff is not finite at path {_node_label(maturity, len(values))}")
         values.append(value)
     return values
+
+
+def _node_label(n: int, k: int) -> str:
+    """``label()`` of the ``k``-th length-``n`` prefix in ``iter_paths`` order."""
+    return list(prefix_labels(n))[n][k]
 
 
 def fair_price(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> float:
@@ -121,7 +128,7 @@ def _require_finite(what: str, levels: list[list[float]]) -> None:
             k = next(k for k, x in enumerate(level) if not math.isfinite(x))
             raise ValueError(
                 f"{what} leaves the float range at node "
-                f"(t={n}, {list(prefix_labels(n))[n][k]}): {level[k]!r}"
+                f"(t={n}, {_node_label(n, k)}): {level[k]!r}"
             )
 
 
@@ -143,11 +150,16 @@ class PriceLattice:
         return self.levels[0][0]
 
     def to_csv(self, out: io.TextIOBase | None = None) -> str:
+        """Write ``time,prefix,value`` lines, joined ``CSV_BATCH`` nodes at a
+        time; labels and finite float reprs never need CSV quoting."""
         buf = out if out is not None else io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["time", "prefix", "value"])
+        buf.write("time,prefix,value\n")
         for n, (labels, level) in enumerate(zip(prefix_labels(self.maturity), self.levels)):
-            writer.writerows(zip(itertools.repeat(n), labels, map(repr, level)))
+            for i in range(0, len(level), CSV_BATCH):
+                buf.write("".join([
+                    f"{n},{label},{v!r}\n"
+                    for label, v in zip(labels[i:i + CSV_BATCH], level[i:i + CSV_BATCH])
+                ]))
         return buf.getvalue() if out is None else ""
 
 

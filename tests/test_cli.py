@@ -280,6 +280,21 @@ class TestVerify:
         assert code == EXIT_BAD_INPUT
         assert "header" in err
 
+    @pytest.mark.parametrize("extra", ["1,-,S,0.5", "1,U,S,0.5"])
+    def test_disagreeing_row_is_a_conflict_at_any_depth(self, capsys, config, tmp_path, extra):
+        # A coarser key for the same decision is not a peek at later tosses:
+        # whether the extra row sits above or beside the engine's (t=1, U)
+        # row, the two cover that cell with different quantities.
+        hedge = self.replicate_to_file(capsys, config, tmp_path)
+        hedge.write_text(hedge.read_text() + extra + "\n")
+        code, out, err = run(
+            capsys, "verify", "--config", config, "--payoff", "lookback",
+            "--maturity", "2", "--portfolio", str(hedge),
+        )
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == "error: conflicting quantities for asset 'S' at (t=1, U)\n"
+
     def test_non_stock_support_fails_clause(self, capsys, config, tmp_path):
         alien = tmp_path / "alien.csv"
         alien.write_text("time,prefix,asset,quantity\n0,-,derivative,1.0\n")

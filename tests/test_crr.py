@@ -16,6 +16,7 @@ from crrpricing.crr import (
     geom_rand_walk,
     is_viable,
     price_path,
+    price_paths,
     risk_neutral_q,
     step_rate_from_annual,
 )
@@ -28,6 +29,7 @@ from crrpricing.lattice import (
     is_measurable_at,
     iter_paths,
     path_probability,
+    toss_tuples,
 )
 from crrpricing.market import (
     Asset,
@@ -387,3 +389,49 @@ class TestPriceLevels:
         first[0] = -1.0
         assert stock.level(2)[0] == pytest.approx(14.4)
         assert stock.at(2, path("UU")) == stock.level(2)[0]
+
+
+def near(edge: float) -> st.SearchStrategy[float]:
+    """``edge`` or a float close to it, kept within the positive finite floats."""
+    return st.sampled_from([
+        edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf),
+        edge * (1 - 1e-12), edge * (1 + 1e-12),
+    ]).map(lambda x: min(max(x, 5e-324), sys.float_info.max))
+
+
+@st.composite
+def edge_walks(draw):
+    """A toss count ``n`` up to 10 and walk parameters with ``v`` from 1e-300
+    to 1e300, whose ``u`` and ``d`` are ordinary or sit at the edges of
+    ``CrrMarket``'s float-range check: ``v * u**n`` at the largest finite
+    float, ``v * d**n`` at the smallest normal one."""
+    n = draw(st.integers(0, 10))
+    v = 10.0 ** draw(st.floats(-300.0, 300.0))
+    top = (sys.float_info.max / v) ** (1 / max(n, 1))
+    bottom = (sys.float_info.min / v) ** (1 / max(n, 1))
+    u = draw(st.one_of(st.floats(1.0, 4.0, exclude_min=True), near(top)))
+    d = draw(st.one_of(st.floats(0.05, 1.0, exclude_max=True), near(bottom)))
+    return CrrParams(u=u, d=d, v=v, r=0.0, p=0.5), n
+
+
+class TestPricePaths:
+    """``price_paths`` against ``price_path`` per toss tuple, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_walks())
+    def test_equals_price_path_at_every_entry(self, walk):
+        params, n = walk
+        expected = [list(map(float.hex, price_path(params, s))) for s in toss_tuples(n)]
+        assert [list(map(float.hex, prices)) for prices in price_paths(params, n)] == expected
+
+    def test_yields_fresh_lists_lazily(self):
+        # the first path of the largest horizon comes without building the
+        # other 2^24 - 1
+        first = next(price_paths(PARAMS, 24))
+        assert first == price_path(PARAMS, (True,) * 24)
+        lists = list(price_paths(PARAMS, 3))
+        assert len({id(prices) for prices in lists}) == 8
+
+    def test_rejects_bad_lengths(self):
+        with pytest.raises(ValueError):
+            next(price_paths(PARAMS, -1))

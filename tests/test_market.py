@@ -1,13 +1,17 @@
 """Market structure and portfolio algebra against the worked three-stock tables."""
+import csv
 import io
+import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crrpricing.lattice import LatticeProcess, TossPath, enumerate_paths, iter_paths
+from crrpricing.lattice import LatticeProcess, TossPath, enumerate_paths, iter_paths, prefix_labels
+from crrpricing import market
 from crrpricing.market import (
     _collapse_rows,
     Asset,
@@ -354,6 +358,19 @@ class TestPortfolioCsv:
         with pytest.raises(PredictabilityError):
             read_portfolio_csv(text, horizon=2, assets=[APL, SLOT])
 
+    @pytest.mark.parametrize("coarse", ["-", "U"])
+    def test_overlapping_rows_that_disagree_conflict(self, coarse):
+        # the same verdict whether the second row sits at the same depth
+        # as the first or above it
+        text = f"time,prefix,asset,quantity\n1,U,Apl,1.0\n1,{coarse},Apl,0.5\n"
+        with pytest.raises(PortfolioFormatError, match=r"conflicting quantities for asset 'Apl' at \(t=1, U\)"):
+            read_portfolio_csv(text, horizon=2, assets=[APL, SLOT])
+
+    def test_deeper_rows_that_disagree_conflict(self):
+        text = "time,prefix,asset,quantity\n0,U,Apl,1.0\n0,UD,Apl,2.0\n"
+        with pytest.raises(PortfolioFormatError, match=r"at \(t=0, UD\)"):
+            read_portfolio_csv(text, horizon=2, assets=[APL, SLOT])
+
     def test_coarse_row_expands_to_classes(self):
         rows = [PortfolioRow(1, TossPath(), "Apl", 4.0)]
         p = quantity_process_from_rows(rows, horizon=2, assets=[APL, SLOT])
@@ -395,8 +412,8 @@ def brute_force_collapse(rows, horizon):
         for w in iter_paths(depth):
             covering = [v for g, v in given.items() if w.truncate(len(g)) == g]
             if len(set(covering)) > 1:
-                raise PredictabilityError(
-                    f"asset {asset_id!r}: overlapping rows disagree at "
+                raise PortfolioFormatError(
+                    f"conflicting quantities for asset {asset_id!r} at "
                     f"(t={t}, {w.label()})"
                 )
             cells[w] = covering[0] if covering else 0.0
@@ -651,3 +668,68 @@ class TestLevelsMatchNodeByNode:
         assert quantities_allclose(q1, q2, tol) == reference_quantities_allclose(q1, q2, tol)
         assert quantities_allclose(q1, q1, tol) == reference_quantities_allclose(q1, q1, tol)
         assert quantities_allclose(q1, qty_empty(q1.horizon + 1), tol) is False
+
+
+def csv_writer_portfolio_csv(p, out=None):
+    """``write_portfolio_csv`` as it was, through one ``csv.writer.writerows``
+    call per level."""
+    buf = out if out is not None else io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["time", "prefix", "asset", "quantity"])
+    chosen = sorted(p.levels, key=lambda a: a.id)
+    ids = [a.id for a in chosen]
+    for t, labels in enumerate(prefix_labels(p.horizon - 1)):
+        writer.writerows(zip(
+            itertools.repeat(t),
+            itertools.chain.from_iterable(zip(*[labels] * len(ids))),
+            itertools.cycle(ids),
+            itertools.chain.from_iterable(zip(*(map(repr, p.levels[a][t]) for a in chosen))),
+        ))
+    return buf.getvalue() if out is None else ""
+
+
+# Signed zeros, subnormals, the extremes of the float range, and the rest.
+ODD_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308,
+                     -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(),
+)
+
+# Ids that csv.writer has to quote, and some that it does not.
+ASSET_IDS = st.text(st.sampled_from(list('ab,"\n\r é€Ω') + ["\U0001f600"]), min_size=1, max_size=5)
+
+
+@st.composite
+def odd_portfolios(draw):
+    horizon = draw(st.integers(1, 5))
+    ids = draw(st.lists(ASSET_IDS, unique=True, max_size=4))
+    return QuantityProcess(horizon, {
+        Asset(i): [draw(st.lists(ODD_FLOATS, min_size=1 << t, max_size=1 << t)) for t in range(horizon)]
+        for i in ids
+    })
+
+
+class TestPortfolioCsvBytes:
+    @settings(max_examples=100, deadline=None)
+    @given(odd_portfolios(), st.integers(1, 9))
+    def test_joined_lines_equal_the_csv_writer(self, p, batch):
+        # small batches put batch boundaries inside and at the ends of levels
+        with mock.patch.object(market, "CSV_BATCH", batch):
+            assert write_portfolio_csv(p) == csv_writer_portfolio_csv(p)
+            stream, reference = io.StringIO(), io.StringIO()
+            assert write_portfolio_csv(p, stream) == csv_writer_portfolio_csv(p, reference) == ""
+            assert stream.getvalue() == reference.getvalue()
+
+    def test_horizon_twelve_in_default_batches(self):
+        p = QuantityProcess(12, {
+            Asset("S"): [[k / 7 - t for k in range(1 << t)] for t in range(12)],
+            Asset("rf"): [[-0.0] * (1 << t) for t in range(12)],
+        })
+        assert write_portfolio_csv(p) == csv_writer_portfolio_csv(p)
+
+    def test_awkward_ids_read_back(self):
+        p = QuantityProcess(2, {Asset('a,"b"\nc'): [[1.5], [-0.0, 2.0]], Asset("é S"): [[0.0], [1.0, 5e-324]]})
+        rows = read_portfolio_rows(write_portfolio_csv(p))
+        assert {row.asset for row in rows} == {'a,"b"\nc', "é S"}
+        assert len(rows) == 6

@@ -1,11 +1,20 @@
 """Pricing, replication, and the martingale/arbitrage verification layer."""
+import collections
+import csv
+import io
+import itertools
+import json
 import math
 import random
+from typing import get_args
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crrpricing import cli, pricing
+from crrpricing import crr as crr_module
 from crrpricing.crr import (
     CrrMarket,
     CrrParams,
@@ -24,6 +33,8 @@ from crrpricing.lattice import (
     expectation,
     iter_paths,
     path_probability,
+    prefix_labels,
+    toss_tuples,
 )
 from crrpricing.market import (
     Asset,
@@ -37,7 +48,7 @@ from crrpricing.market import (
     QuantityProcess,
     write_portfolio_csv,
 )
-from crrpricing.payoff import PayoffEvalError, eval_payoff, parse_payoff
+from crrpricing.payoff import PayoffEvalError, PayoffExpr, eval_payoff, parse_payoff
 from crrpricing.pricing import (
     ArbitrageVerdict,
     PriceLattice,
@@ -824,3 +835,144 @@ class TestHedgeBuildsNoTossPaths:
         assert report.is_replicating()
         assert text.count("\n") == 1 + 2 * (2**8 - 1)
         assert len(built) <= 1
+
+
+class TestWorkPerCommand:
+    """Counted by wrapping the names the engine calls through."""
+
+    @pytest.mark.parametrize("command", ["price", "replicate"])
+    def test_average_payoff_at_horizon_eight(self, command, tmp_path, capsys, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(crr_module, "price_path", counted("price_path", crr_module.price_path))
+        monkeypatch.setattr(pricing, "price_path", counted("price_path", pricing.price_path))
+        monkeypatch.setattr(pricing, "eval_payoff", counted("eval_payoff", pricing.eval_payoff))
+        config = tmp_path / "market.json"
+        config.write_text(json.dumps({"u": 1.15, "d": 0.9, "v": 100.0, "r": 0.02, "p": 0.45, "horizon": 8}))
+        out = ["--tree", str(tmp_path / "tree.csv")] if command == "price" else ["--out", str(tmp_path / "hedge.csv")]
+        argv = [command, "--config", str(config), "--payoff", "avg(S) - 100", "--maturity", "8", *out]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        # three terminal_payoffs calls per command, one evaluation per path each
+        assert calls == {"eval_payoff": 3 * 2**8}
+
+
+def loop_terminal_payoffs(crr, payoff, maturity):
+    """``terminal_payoffs`` as the per-path loop it was before the price lists
+    were shared: one ``price_path`` per toss tuple, and the first path that
+    raises or is not finite names the error."""
+    if isinstance(payoff, get_args(PayoffExpr)):
+        paths = toss_tuples(maturity)
+        evaluate = lambda s: pricing.eval_payoff(payoff, price_path(crr.params, s))
+    else:
+        paths, evaluate = iter_paths(maturity), payoff
+    values = []
+    for s in paths:
+        try:
+            value = float(evaluate(s))
+        except PayoffEvalError as exc:
+            raise PayoffEvalError(f"{exc} (at path {TossPath(s).label()})") from None
+        if not math.isfinite(value):
+            raise PayoffEvalError(f"payoff is not finite at path {TossPath(s).label()}")
+        values.append(value)
+    return values
+
+
+def faulty_evaluation(bad_at, bad, fail_at, failure):
+    """An evaluation that gives ``bad`` on its ``bad_at``-th call, fails on
+    its ``fail_at``-th call (by raising, or by returning what ``float``
+    rejects) and gives 1.0 otherwise."""
+    calls = itertools.count()
+
+    def evaluate(*args):
+        i = next(calls)
+        if i == bad_at:
+            return bad
+        if i == fail_at:
+            if failure == "not a number":
+                return "x"
+            raise failure
+        return 1.0
+
+    return evaluate
+
+
+class TestErrorPrecedence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(lambda t: st.tuples(
+            st.just(t),
+            st.none() | st.integers(0, 2**t - 1),
+            st.none() | st.integers(0, 2**t - 1),
+        )),
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+        st.sampled_from([PayoffEvalError("boom"), ZeroDivisionError("float division by zero"), "not a number"]),
+        st.sampled_from(["expression", "callable"]),
+    )
+    def test_first_bad_path_wins_as_in_the_per_path_loop(self, where, bad, failure, kind):
+        maturity, bad_at, fail_at = where
+        crr = CrrMarket(PARAMS, horizon=4)
+
+        def outcome(terminal):
+            evaluate = faulty_evaluation(bad_at, bad, fail_at, failure)
+            if kind == "callable":
+                return outcome_of(terminal, crr, evaluate, maturity)
+            with mock.patch.object(pricing, "eval_payoff", evaluate):
+                return outcome_of(terminal, crr, parse_payoff("S_T"), maturity)
+
+        assert outcome(terminal_payoffs) == outcome(loop_terminal_payoffs)
+
+
+def outcome_of(fn, *args):
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def csv_writer_tree_csv(tree, out=None):
+    """``PriceLattice.to_csv`` as it was, through ``csv.writer`` row by row."""
+    buf = out if out is not None else io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["time", "prefix", "value"])
+    for n, (labels, level) in enumerate(zip(prefix_labels(tree.maturity), tree.levels)):
+        writer.writerows(zip(itertools.repeat(n), labels, map(repr, level)))
+    return buf.getvalue() if out is None else ""
+
+
+# Signed zeros, subnormals, the extremes of the float range, and the rest.
+ODD_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308,
+                     -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(),
+)
+
+
+@st.composite
+def odd_lattices(draw):
+    maturity = draw(st.integers(0, 6))
+    levels = [draw(st.lists(ODD_FLOATS, min_size=1 << n, max_size=1 << n)) for n in range(maturity + 1)]
+    return PriceLattice(levels, maturity)
+
+
+class TestTreeCsvBytes:
+    @settings(max_examples=100, deadline=None)
+    @given(odd_lattices(), st.integers(1, 9))
+    def test_joined_lines_equal_the_csv_writer(self, tree, batch):
+        # small batches put batch boundaries inside and at the ends of levels
+        with mock.patch.object(pricing, "CSV_BATCH", batch):
+            assert tree.to_csv() == csv_writer_tree_csv(tree)
+            stream, reference = io.StringIO(), io.StringIO()
+            assert tree.to_csv(stream) == csv_writer_tree_csv(tree, reference) == ""
+            assert stream.getvalue() == reference.getvalue()
+
+    def test_horizon_twelve_in_default_batches(self):
+        tree = price_lattice(CrrMarket(PARAMS, horizon=12), parse_payoff("avg(S) - 10"), 12)
+        assert tree.to_csv() == csv_writer_tree_csv(tree)
