@@ -1,10 +1,10 @@
 """Command-line interface: price payoffs, emit and verify hedging
 portfolios, and check market viability.
 
-Exit codes: 0 success; 2 market not viable (price/replicate); 3 malformed
-input (config, payoff, CSV, tolerance) or an internal consistency failure; 4
-portfolio does not replicate; 5 market not viable (check). Identical inputs
-produce byte-identical output: node order is fixed, reports round to 6
+Exit codes: 0 success; 2 market not viable (price/replicate); 3 malformed input
+(config, payoff, CSV, tolerance, output path) or an internal consistency
+failure; 4 portfolio does not replicate; 5 market not viable (check). Identical
+inputs produce byte-identical output: node order is fixed, reports round to 6
 significant digits, CSV numbers use the shortest round-trip form.
 """
 from __future__ import annotations
@@ -14,9 +14,10 @@ import csv
 import io
 import math
 import sys
+from typing import Callable
 
 from .crr import CrrMarket, MarketNotViableError, is_viable, risk_neutral_q
-from .lattice import TossPath, prefix_labels
+from .lattice import TossPath, label_at
 from .market import (
     PredictabilityError,
     closing_value_level,
@@ -49,6 +50,15 @@ def _read_text(path: str, what: str) -> str:
             return f.read()
     except OSError as exc:
         raise ValueError(f"cannot read {what} {path!r}: {exc}") from None
+
+
+def _write_text(path: str, what: str, write: Callable[[io.TextIOBase], object]) -> None:
+    """Let ``write`` fill the file at ``path``; an unwritable file is a ``ValueError``."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            write(f)
+    except OSError as exc:
+        raise ValueError(f"cannot write {what} {path!r}: {exc}") from None
 
 
 def _read_market(path: str) -> CrrMarket:
@@ -101,9 +111,7 @@ def cmd_price(args: argparse.Namespace) -> int:
     payoff = _load_payoff(args, args.maturity)
     price = fair_price(crr, payoff, args.maturity)
     if args.tree:
-        tree = price_lattice(crr, payoff, args.maturity)
-        with open(args.tree, "w", encoding="utf-8") as f:
-            tree.to_csv(f)
+        _write_text(args.tree, "tree", price_lattice(crr, payoff, args.maturity).to_csv)
     print(f"fair price: {_fmt(price)}")
     return EXIT_OK
 
@@ -114,8 +122,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     portfolio = replicating_portfolio(crr, payoff, args.maturity)
     report = verify_replication(crr, portfolio, payoff, args.maturity, args.tolerance)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            write_portfolio_csv(portfolio, f)
+        _write_text(args.out, "portfolio", lambda f: write_portfolio_csv(portfolio, f))
     else:
         sys.stdout.write(write_portfolio_csv(portfolio))
     ok = report.is_replicating()
@@ -171,9 +178,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"arbitrage portfolio (witness time {witness}):")
     for asset in sorted({crr.risky, crr.riskfree}, key=lambda a: a.id):
         print(f"  {asset.id}: {_fmt(portfolio.levels[asset][0][0])}")
-    labels = list(prefix_labels(witness))[witness]
-    for label, value in zip(labels, closing_value_level(crr.market, portfolio, witness)):
-        print(f"  closing value[{label}] = {_fmt(value)}")
+    for k, value in enumerate(closing_value_level(crr.market, portfolio, witness)):
+        print(f"  closing value[{label_at(witness, k)}] = {_fmt(value)}")
     return EXIT_CHECK_INVIABLE
 
 

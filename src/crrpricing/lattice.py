@@ -87,9 +87,7 @@ class TossPath:
 
     def label(self) -> str:
         """Render as a U/D string; the empty path renders as '-'."""
-        if not self.outcomes:
-            return "-"
-        return "".join("U" if o else "D" for o in self.outcomes)
+        return label_at(len(self.outcomes), self.index())
 
     @classmethod
     def from_label(cls, text: str) -> "TossPath":
@@ -108,13 +106,6 @@ class TossPath:
 EMPTY_PATH = TossPath()
 
 
-def toss_tuples(length: int) -> Iterator[tuple[bool, ...]]:
-    """The outcomes of every toss path of the given length, in ``iter_paths``
-    order, as bare tuples for loops that need no ``TossPath``."""
-    check_horizon(length)
-    return itertools.product((UP, DOWN), repeat=length)
-
-
 def prefix_labels(length: int) -> Iterator[list[str]]:
     """``label()`` of every toss prefix, one list per time ``0 .. length``,
     each in ``iter_paths`` order; built by appending one toss per level."""
@@ -126,9 +117,14 @@ def prefix_labels(length: int) -> Iterator[list[str]]:
         yield labels
 
 
+def label_at(n: int, k: int) -> str:
+    """``label()`` of the length-``n`` prefix whose ``TossPath.index()`` is ``k``."""
+    return "".join("UD"[k >> i & 1] for i in reversed(range(n))) or "-"
+
+
 def iter_paths(length: int) -> Iterator[TossPath]:
     """All toss paths of the given length, lexicographic with up before down."""
-    for combo in toss_tuples(length):
+    for combo in itertools.product((UP, DOWN), repeat=check_horizon(length)):
         yield TossPath(combo)
 
 

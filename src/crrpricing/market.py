@@ -5,8 +5,8 @@ which are stocks. Portfolios are quantity processes: per asset, one list per
 interval ``]n-1, n]`` holds an amount for each of the first ``n-1`` tosses, so
 predictability is built into the representation. Value and closing-value
 processes, the self-financing predicate, and a funding construction that
-repairs any portfolio into a self-financing one are provided, together with
-a CSV interchange format for portfolios.
+repairs any portfolio into a self-financing one are provided, together with a
+CSV format for portfolios whose reader places rows by ``TossPath.index()``.
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple
 
-from .lattice import EMPTY_PATH, LatticeProcess, TossPath, check_horizon, iter_paths, prefix_labels
+from .lattice import EMPTY_PATH, LatticeProcess, TossPath, check_horizon, iter_paths
+from .lattice import label_at, prefix_labels
 
 QuantityFn = Callable[[int, TossPath], float]
 
@@ -239,7 +240,7 @@ def make_self_financing(
         if 0.0 in level:
             raise ValueError(
                 f"funding asset {funding.id!r} has zero price at node "
-                f"(t={n}, {list(prefix_labels(n))[n][level.index(0.0)]})"
+                f"(t={n}, {label_at(n, level.index(0.0))})"
             )
 
     others = sorted(
@@ -294,19 +295,19 @@ def is_trading_strategy(
     return True
 
 
-def _collapse_rows(
-    rows: Iterable[PortfolioRow], horizon: int
-) -> dict[str, dict[tuple[int, TossPath], float]]:
-    """Reduce a row table to canonical decision-time keys, or fail.
+def _collapse_rows(rows: Iterable[PortfolioRow], horizon: int) -> dict[str, dict[int, list[float]]]:
+    """Reduce a row table to canonical decision-time levels, or fail.
 
-    Returns, per asset id, a map from (decision time t, length-t prefix) to
-    quantity. Rows that cover one cell with different quantities, at the same
-    prefix or at prefixes of different lengths, are a ``PortfolioFormatError``.
-    Rows keyed deeper than their decision time must agree on the whole prefix
-    class they refine, with absent siblings defaulting to 0; otherwise the
-    table peeks at later tosses, a ``PredictabilityError``.
+    Returns, per asset id, the level of each decision time the rows name, 0
+    where no row covers a node. Rows are keyed by prefix length ``n`` and
+    ``index()``: depth cell ``k`` lies under key ``k >> (depth - n)``, and
+    class ``j`` of time ``t`` is the ``j``-th run of ``2^(depth - t)`` cells.
+    Rows that give a cell two quantities, whatever their prefix lengths, are a
+    ``PortfolioFormatError``. Rows keyed deeper than their decision time must
+    agree on the whole class they refine, absent siblings counting as 0, or the
+    table peeks at later tosses: a ``PredictabilityError``.
     """
-    by_key: dict[tuple[str, int], dict[TossPath, float]] = {}
+    by_key: dict[tuple[str, int], dict[tuple[int, int], float]] = {}
     for row in rows:
         if not 0 <= row.time < horizon:
             raise PortfolioFormatError(
@@ -317,39 +318,39 @@ def _collapse_rows(
                 f"prefix {row.prefix.label()!r} longer than the horizon {horizon}"
             )
         slot = by_key.setdefault((row.asset, row.time), {})
-        if row.prefix in slot and slot[row.prefix] != row.quantity:
+        key = (len(row.prefix), row.prefix.index())
+        if key in slot and slot[key] != row.quantity:
             raise PortfolioFormatError(
                 f"conflicting quantities for asset {row.asset!r} at "
                 f"(t={row.time}, {row.prefix.label()})"
             )
-        slot[row.prefix] = row.quantity
+        slot[key] = row.quantity
 
-    collapsed: dict[str, dict[tuple[int, TossPath], float]] = {}
+    collapsed: dict[str, dict[int, list[float]]] = {}
     for (asset_id, t), given in sorted(by_key.items()):
-        depth = max(t, max(len(w) for w in given))
-        # one pass over the depth cells: each looks up its own prefixes among
-        # the given rows (first given row first) and joins its length-t class
-        ranked = {g.outcomes: (i, v) for i, (g, v) in enumerate(given.items())}
-        lengths = sorted({len(g) for g in given})
-        classes: dict[tuple[bool, ...], list[float]] = {}
-        for w in iter_paths(depth):
-            keys = (w.outcomes[:k] for k in lengths)
-            covering = [v for _, v in sorted(ranked[g] for g in keys if g in ranked)]
-            if len(set(covering)) > 1:
+        depth = max(t, max(n for n, _ in given))
+        # each depth cell takes the value of the first given row covering it
+        ranked = {key: (i, v) for i, (key, v) in enumerate(given.items())}
+        lengths = sorted({n for n, _ in given})
+        cells = []
+        for k in range(1 << depth):
+            covering = sorted(filter(None, (ranked.get((n, k >> (depth - n))) for n in lengths)))
+            if len({v for _, v in covering}) > 1:
                 raise PortfolioFormatError(
                     f"conflicting quantities for asset {asset_id!r} at "
-                    f"(t={t}, {w.label()})"
+                    f"(t={t}, {label_at(depth, k)})"
                 )
-            classes.setdefault(w.outcomes[:t], []).append(covering[0] if covering else 0.0)
-        target = collapsed.setdefault(asset_id, {})
-        for outcomes, cells in classes.items():
-            cls, values = TossPath(outcomes), set(cells)
+            cells.append(covering[0][1] if covering else 0.0)
+        width, level = 1 << (depth - t), []
+        for j in range(1 << t):
+            values = set(cells[j * width:(j + 1) * width])
             if len(values) > 1:
                 raise PredictabilityError(
                     f"asset {asset_id!r}: quantity chosen at time {t} varies with "
-                    f"tosses after {cls.label()}"
+                    f"tosses after {label_at(t, j)}"
                 )
-            target[(t, cls)] = values.pop()
+            level.append(values.pop())
+        collapsed.setdefault(asset_id, {})[t] = level
     return collapsed
 
 
@@ -364,8 +365,8 @@ def quantity_process_from_rows(
         if row.asset not in by_id:
             raise PortfolioFormatError(f"unknown asset id {row.asset!r}")
     return QuantityProcess(horizon, {
-        by_id[asset_id]: [[table.get((t, w), 0.0) for w in iter_paths(t)] for t in range(horizon)]
-        for asset_id, table in _collapse_rows(rows, horizon).items()
+        by_id[asset_id]: [levels.get(t) or [0.0] * (1 << t) for t in range(horizon)]
+        for asset_id, levels in _collapse_rows(rows, horizon).items()
     })
 
 

@@ -34,6 +34,7 @@ from .lattice import (
     TossPath,
     check_node,
     iter_paths,
+    label_at,
     prefix_labels,
 )
 from .market import (
@@ -99,16 +100,11 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
         try:
             value = float(evaluate(s))
         except PayoffEvalError as exc:
-            raise PayoffEvalError(f"{exc} (at path {_node_label(maturity, len(values))})") from None
+            raise PayoffEvalError(f"{exc} (at path {label_at(maturity, len(values))})") from None
         if not math.isfinite(value):
-            raise PayoffEvalError(f"payoff is not finite at path {_node_label(maturity, len(values))}")
+            raise PayoffEvalError(f"payoff is not finite at path {label_at(maturity, len(values))}")
         values.append(value)
     return values
-
-
-def _node_label(n: int, k: int) -> str:
-    """``label()`` of the ``k``-th length-``n`` prefix in ``iter_paths`` order."""
-    return list(prefix_labels(n))[n][k]
 
 
 def fair_price(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> float:
@@ -128,7 +124,7 @@ def _require_finite(what: str, levels: list[list[float]]) -> None:
             k = next(k for k, x in enumerate(level) if not math.isfinite(x))
             raise ValueError(
                 f"{what} leaves the float range at node "
-                f"(t={n}, {_node_label(n, k)}): {level[k]!r}"
+                f"(t={n}, {label_at(n, k)}): {level[k]!r}"
             )
 
 

@@ -4,8 +4,11 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -710,6 +713,45 @@ class TestInternalConsistencyFailure:
             "but direct expectation gives 2.0\n"
         )
         assert not written.exists()
+
+
+class TestUnwritableOutput:
+    """An output file that cannot be opened or written is bad input, not a traceback."""
+
+    @pytest.mark.parametrize("where", [
+        "missing-directory",
+        "directory",
+        # opens, then fails to write
+        pytest.param("full-device", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="needs /dev/full")),
+    ])
+    @pytest.mark.parametrize("command, flag, what", [
+        ("price", "--tree", "tree"), ("replicate", "--out", "portfolio"),
+    ])
+    def test_exit_three_with_an_error_line(self, capsys, config, tmp_path, command, flag, what, where):
+        target = {
+            "missing-directory": tmp_path / "no" / "such" / "x.csv",
+            "directory": tmp_path,
+            "full-device": Path("/dev/full"),
+        }[where]
+        code, out, err = run(
+            capsys, command, "--config", config, "--payoff", "call(10)", "--maturity", "2",
+            flag, str(target),
+        )
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith(f"error: cannot write {what} {str(target)!r}: ")
+        assert err.count("\n") == 1
+
+    def test_python_m_crrpricing_exits_three(self, config, tmp_path):
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "crrpricing", "replicate", "--config", config,
+             "--payoff", "call(10)", "--maturity", "2", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_BAD_INPUT, "")
+        assert proc.stderr.startswith(f"error: cannot write portfolio {str(tmp_path)!r}: ")
 
 
 LIMIT = MAX_PAYOFF_DEPTH

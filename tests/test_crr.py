@@ -29,7 +29,6 @@ from crrpricing.lattice import (
     is_measurable_at,
     iter_paths,
     path_probability,
-    toss_tuples,
 )
 from crrpricing.market import (
     Asset,
@@ -421,7 +420,7 @@ class TestPricePaths:
     @given(edge_walks())
     def test_equals_price_path_at_every_entry(self, walk):
         params, n = walk
-        expected = [list(map(float.hex, price_path(params, s))) for s in toss_tuples(n)]
+        expected = [list(map(float.hex, price_path(params, w))) for w in iter_paths(n)]
         assert [list(map(float.hex, prices)) for prices in price_paths(params, n)] == expected
 
     def test_yields_fresh_lists_lazily(self):

@@ -17,6 +17,7 @@ from crrpricing.lattice import (
     expectation,
     is_measurable_at,
     iter_paths,
+    label_at,
     path_probability,
     prefix_labels,
 )
@@ -81,8 +82,13 @@ class TestIndex:
 
 class TestPrefixLabels:
     def test_levels_match_label_of_each_path(self):
-        levels = list(prefix_labels(5))
-        assert levels == [[w.label() for w in enumerate_paths(n)] for n in range(6)]
+        expected = [
+            ["".join("U" if o else "D" for o in w) or "-" for w in enumerate_paths(n)]
+            for n in range(9)
+        ]
+        assert [[w.label() for w in enumerate_paths(n)] for n in range(9)] == expected
+        assert list(prefix_labels(8)) == expected
+        assert [[label_at(n, k) for k in range(1 << n)] for n in range(9)] == expected
 
     def test_horizon_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):

@@ -429,6 +429,18 @@ def brute_force_collapse(rows, horizon):
     return collapsed
 
 
+def brute_force_levels(rows, horizon):
+    """``brute_force_collapse`` in the shape ``_collapse_rows`` returns: per
+    asset id, the level of each decision time the rows name, in ``iter_paths``
+    order."""
+    return {
+        asset_id: {
+            t: [table[(t, w)] for w in iter_paths(t)] for t in dict.fromkeys(t for t, _ in table)
+        }
+        for asset_id, table in brute_force_collapse(rows, horizon).items()
+    }
+
+
 @st.composite
 def row_tables(draw):
     """Small row tables: coarse, deeper-keyed, overlapping and conflicting
@@ -460,7 +472,7 @@ class TestCollapseRows:
     def test_matches_brute_force(self, table):
         rows, horizon = table
         assert collapse_outcome(_collapse_rows, rows, horizon) == collapse_outcome(
-            brute_force_collapse, rows, horizon
+            brute_force_levels, rows, horizon
         )
 
     def test_csv_round_trip_at_horizon_twelve(self):

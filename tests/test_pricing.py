@@ -34,7 +34,6 @@ from crrpricing.lattice import (
     iter_paths,
     path_probability,
     prefix_labels,
-    toss_tuples,
 )
 from crrpricing.market import (
     Asset,
@@ -46,6 +45,10 @@ from crrpricing.market import (
     qty_single,
     qty_sum,
     QuantityProcess,
+    quantities_allclose,
+    quantity_process_from_rows,
+    read_portfolio_csv,
+    read_portfolio_rows,
     write_portfolio_csv,
 )
 from crrpricing.payoff import PayoffEvalError, PayoffExpr, eval_payoff, parse_payoff
@@ -817,24 +820,43 @@ class TestLevelOperatorsMatchNodeByNode:
         )
 
 
+def count_toss_paths(monkeypatch) -> list:
+    """Collects every ``TossPath`` built from now until the test ends."""
+    built = []
+    original = TossPath.__init__
+
+    def counting_init(path, *args, **kwargs):
+        built.append(path)
+        original(path, *args, **kwargs)
+
+    monkeypatch.setattr(TossPath, "__init__", counting_init)
+    return built
+
+
 class TestHedgeBuildsNoTossPaths:
     def test_hedge_verify_and_csv_of_an_average_payoff(self, monkeypatch):
         crr = CrrMarket(CrrParams(u=1.15, d=0.9, v=100.0, r=0.02, p=0.45), horizon=8)
         expr = parse_payoff("avg(S) - 100")
-        built = []
-        original = TossPath.__init__
-
-        def counting_init(path, *args, **kwargs):
-            built.append(path)
-            original(path, *args, **kwargs)
-
-        monkeypatch.setattr(TossPath, "__init__", counting_init)
+        built = count_toss_paths(monkeypatch)
         hedge = replicating_portfolio(crr, expr, 8)
         report = verify_replication(crr, hedge, expr, 8)
         text = write_portfolio_csv(hedge)
         assert report.is_replicating()
         assert text.count("\n") == 1 + 2 * (2**8 - 1)
         assert len(built) <= 1
+
+    def test_portfolio_reader_builds_one_per_csv_row(self, monkeypatch):
+        crr = CrrMarket(CrrParams(u=1.2, d=0.8, v=10.0, r=0.03, p=0.5), horizon=8)
+        hedge = replicating_portfolio(crr, parse_payoff("lookback"), 8)
+        text = write_portfolio_csv(hedge)
+        rows = read_portfolio_rows(text)
+        built = count_toss_paths(monkeypatch)
+        collapsed = quantity_process_from_rows(rows, 8, crr.market.assets)
+        assert built == []
+        loaded = read_portfolio_csv(text, 8, crr.market.assets)
+        assert len(built) == len(rows) == 2 * (2**8 - 1)
+        assert quantities_allclose(collapsed, hedge, tol=0.0)
+        assert quantities_allclose(loaded, hedge, tol=0.0)
 
 
 class TestWorkPerCommand:
@@ -865,21 +887,20 @@ class TestWorkPerCommand:
 
 def loop_terminal_payoffs(crr, payoff, maturity):
     """``terminal_payoffs`` as the per-path loop it was before the price lists
-    were shared: one ``price_path`` per toss tuple, and the first path that
+    were shared: one ``price_path`` per toss path, and the first path that
     raises or is not finite names the error."""
     if isinstance(payoff, get_args(PayoffExpr)):
-        paths = toss_tuples(maturity)
-        evaluate = lambda s: pricing.eval_payoff(payoff, price_path(crr.params, s))
+        evaluate = lambda w: pricing.eval_payoff(payoff, price_path(crr.params, w))
     else:
-        paths, evaluate = iter_paths(maturity), payoff
+        evaluate = payoff
     values = []
-    for s in paths:
+    for w in iter_paths(maturity):
         try:
-            value = float(evaluate(s))
+            value = float(evaluate(w))
         except PayoffEvalError as exc:
-            raise PayoffEvalError(f"{exc} (at path {TossPath(s).label()})") from None
+            raise PayoffEvalError(f"{exc} (at path {w.label()})") from None
         if not math.isfinite(value):
-            raise PayoffEvalError(f"payoff is not finite at path {TossPath(s).label()}")
+            raise PayoffEvalError(f"payoff is not finite at path {w.label()}")
         values.append(value)
     return values
 
