@@ -2,10 +2,10 @@
 portfolios, and check market viability.
 
 Exit codes: 0 success; 2 market not viable (price/replicate); 3 malformed input
-(config, payoff, CSV, tolerance, output path) or an internal consistency
-failure; 4 portfolio does not replicate; 5 market not viable (check). Identical
-inputs produce byte-identical output: node order is fixed, reports round to 6
-significant digits, CSV numbers use the shortest round-trip form.
+(config, payoff, CSV, tolerance, output path), a closed stdout or an internal
+consistency failure; 4 portfolio does not replicate; 5 market not viable
+(check). Identical inputs give byte-identical output: fixed node order, reports
+rounded to 6 significant digits, CSV numbers in shortest round-trip form.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import math
+import os
 import sys
 from typing import Callable
 
@@ -171,10 +172,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     if is_viable(crr.params):
         print(f"viable; q = {_fmt(risk_neutral_q(crr.params))}")
         return EXIT_OK
-    print("not viable: requires d < 1+r < u")
     portfolio = construct_arbitrage(crr)
     verdict = is_arbitrage_process(crr, crr.measure(), portfolio)
-    witness = verdict.witness_time if verdict.is_arbitrage else 1
+    if not verdict.is_arbitrage:
+        raise RuntimeError(
+            "internal consistency failure: the constructed arbitrage portfolio "
+            f"fails the arbitrage check ({verdict.violated_clause})"
+        )
+    witness = verdict.witness_time
+    print("not viable: requires d < 1+r < u")
     print(f"arbitrage portfolio (witness time {witness}):")
     for asset in sorted({crr.risky, crr.riskfree}, key=lambda a: a.id):
         print(f"  {asset.id}: {_fmt(portfolio.levels[asset][0][0])}")
@@ -246,7 +252,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader closed stdout: send the interpreter's exit flush to the null device
+        try:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        except (OSError, ValueError):  # no real file descriptor behind stdout
+            pass
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except MarketNotViableError:
         print("market not viable: requires d < 1+r < u", file=sys.stderr)
         return EXIT_INVIABLE

@@ -70,44 +70,40 @@ class PathAvg:
 
 
 @dataclass(frozen=True, slots=True)
-class Add:
+class _Binary:
+    """A node with two operands; each subclass is one operator."""
+
     left: "PayoffExpr"
     right: "PayoffExpr"
 
 
-@dataclass(frozen=True, slots=True)
-class Sub:
-    left: "PayoffExpr"
-    right: "PayoffExpr"
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Mul:
-    left: "PayoffExpr"
-    right: "PayoffExpr"
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Div:
-    left: "PayoffExpr"
-    right: "PayoffExpr"
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
+
+
+class Max2(_Binary):
+    __slots__ = ()
+
+
+class Min2(_Binary):
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
 class Neg:
     operand: "PayoffExpr"
-
-
-@dataclass(frozen=True, slots=True)
-class Max2:
-    left: "PayoffExpr"
-    right: "PayoffExpr"
-
-
-@dataclass(frozen=True, slots=True)
-class Min2:
-    left: "PayoffExpr"
-    right: "PayoffExpr"
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,6 +169,10 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.open = 0
+        # The ``expr`` and ``term`` rules: ``infix`` with their operators bound.
+        # A partial adds no Python frame, so sharing the loop costs no recursion.
+        self.term = functools.partial(self.infix, {"*": Mul, "/": Div}, self.factor)
+        self.expr = functools.partial(self.infix, {"+": Add, "-": Sub}, self.term)
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -218,21 +218,13 @@ class _Parser:
             raise PayoffSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return expr
 
-    def expr(self) -> tuple[PayoffExpr, int]:
-        node, depth = self.term()
-        while self.peek().kind == "sym" and self.peek().text in "+-":
+    def infix(self, ops: dict[str, type[_Binary]], operand: Callable) -> tuple[PayoffExpr, int]:
+        """``operand (op operand)*`` for the symbols in ``ops``, left-associative."""
+        node, depth = operand()
+        while self.peek().kind == "sym" and self.peek().text in ops:
             op = self.advance()
-            rhs, rhs_depth = self.term()
-            node = Add(node, rhs) if op.text == "+" else Sub(node, rhs)
-            depth = self.bound(1 + max(depth, rhs_depth), op)
-        return node, depth
-
-    def term(self) -> tuple[PayoffExpr, int]:
-        node, depth = self.factor()
-        while self.peek().kind == "sym" and self.peek().text in "*/":
-            op = self.advance()
-            rhs, rhs_depth = self.factor()
-            node = Mul(node, rhs) if op.text == "*" else Div(node, rhs)
+            rhs, rhs_depth = operand()
+            node = ops[op.text](node, rhs)
             depth = self.bound(1 + max(depth, rhs_depth), op)
         return node, depth
 
@@ -335,15 +327,17 @@ def parse_payoff(text: str) -> PayoffExpr:
 
 _ADD, _MUL, _NEG, _ATOM = 1, 2, 3, 4
 
+# Each binary node's symbol and binding level; an atom-level one prints as a call.
+_SYNTAX: dict[type[_Binary], tuple[str, int]] = {
+    Add: ("+", _ADD), Sub: ("-", _ADD), Mul: ("*", _MUL), Div: ("/", _MUL),
+    Max2: ("max", _ATOM), Min2: ("min", _ATOM),
+}
+
 
 def _level(e: PayoffExpr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _ADD
-    if isinstance(e, (Mul, Div)):
-        return _MUL
-    if isinstance(e, Neg):
-        return _NEG
-    return _ATOM
+    if isinstance(e, _Binary):
+        return _SYNTAX[type(e)][1]
+    return _NEG if isinstance(e, Neg) else _ATOM
 
 
 def _fmt_number(v: float) -> str:
@@ -381,19 +375,22 @@ def print_payoff(e: PayoffExpr) -> str:
             return "-" + wrap(operand, _NEG)
         case PosPart(operand):
             return f"pos({print_payoff(operand)})"
-        case Max2(left, right):
-            return f"max({print_payoff(left)}, {print_payoff(right)})"
-        case Min2(left, right):
-            return f"min({print_payoff(left)}, {print_payoff(right)})"
-        case Add(left, right):
-            return f"{wrap(left, _ADD)} + {wrap(right, _ADD + 1)}"
-        case Sub(left, right):
-            return f"{wrap(left, _ADD)} - {wrap(right, _ADD + 1)}"
-        case Mul(left, right):
-            return f"{wrap(left, _MUL)} * {wrap(right, _MUL + 1)}"
-        case Div(left, right):
-            return f"{wrap(left, _MUL)} / {wrap(right, _MUL + 1)}"
+        case _Binary(left, right):
+            symbol, level = _SYNTAX[type(e)]
+            if level == _ATOM:
+                return f"{symbol}({print_payoff(left)}, {print_payoff(right)})"
+            return f"{wrap(left, level)} {symbol} {wrap(right, level + 1)}"
     raise TypeError(f"not a payoff expression: {e!r}")
+
+
+# Closure factories for the binary nodes but ``Div``, each operator written inline.
+_COMBINE: dict[type[_Binary], Callable[[Callable, Callable], Callable]] = {
+    Add: lambda f, g: lambda prices: f(prices) + g(prices),
+    Sub: lambda f, g: lambda prices: f(prices) - g(prices),
+    Mul: lambda f, g: lambda prices: f(prices) * g(prices),
+    Max2: lambda f, g: lambda prices: max(f(prices), g(prices)),
+    Min2: lambda f, g: lambda prices: min(f(prices), g(prices)),
+}
 
 
 def _compile(e: PayoffExpr) -> Callable[[Sequence[float]], float]:
@@ -435,46 +432,31 @@ def _compile(e: PayoffExpr) -> Callable[[Sequence[float]], float]:
                     raise PayoffEvalError(f"division by zero in {print_payoff(e)!r}")
                 return f(prices) / divisor
             return divide
-        case Add(left, right):
-            f, g = _compile(left), _compile(right)
-            return lambda prices: f(prices) + g(prices)
-        case Sub(left, right):
-            f, g = _compile(left), _compile(right)
-            return lambda prices: f(prices) - g(prices)
-        case Mul(left, right):
-            f, g = _compile(left), _compile(right)
-            return lambda prices: f(prices) * g(prices)
-        case Max2(left, right):
-            f, g = _compile(left), _compile(right)
-            return lambda prices: max(f(prices), g(prices))
-        case Min2(left, right):
-            f, g = _compile(left), _compile(right)
-            return lambda prices: min(f(prices), g(prices))
+        case _Binary(left, right):
+            return _COMBINE[type(e)](_compile(left), _compile(right))
 
     def not_an_expression(prices):
         raise TypeError(f"not a payoff expression: {e!r}")
     return not_an_expression
 
 
-# Compiled payoffs by identity: ``(expression, closure)`` under ``id(expression)``.
-# Not keyed by equality, since equal expressions can evaluate differently
-# (``Const(0.0) == Const(-0.0)``, ``Const(1) == Const(1.0)``).
-_COMPILED: dict[int, tuple[PayoffExpr, Callable[[Sequence[float]], float]]] = {}
-_COMPILED_MAX = 256
+# The last expression evaluated and its closure, matched by identity: equal
+# expressions can evaluate differently (``Const(0.0) == Const(-0.0)``).
+_last: tuple[object, Callable[[Sequence[float]], float]] = (None, _compile(None))
 
 
 def eval_payoff(e: PayoffExpr, prices: Sequence[float]) -> float:
     """Evaluate on the observed prices ``S_0 .. S_T``; aggregates range over
-    the whole sequence including the initial price. Each expression object
-    is compiled once and its closure reused."""
+    the whole sequence including the initial price. The last expression
+    evaluated stays compiled in one slot, so evaluating one expression on
+    path after path compiles it once."""
+    global _last
     if not prices:
         raise PayoffEvalError("price path must contain at least the initial price")
-    hit = _COMPILED.get(id(e))
-    if hit is None or hit[0] is not e:
-        if len(_COMPILED) >= _COMPILED_MAX:
-            _COMPILED.clear()
-        hit = _COMPILED[id(e)] = (e, _compile(e))
-    return hit[1](prices)
+    last = _last  # read once: another thread may replace the slot meanwhile
+    if last[0] is not e:
+        last = _last = (e, _compile(e))
+    return last[1](prices)
 
 
 def payoff_horizon(e: PayoffExpr) -> int | None:
@@ -489,7 +471,7 @@ def payoff_horizon(e: PayoffExpr) -> int | None:
             return None
         case Neg(operand) | PosPart(operand):
             return payoff_horizon(operand)
-        case Add(left, right) | Sub(left, right) | Mul(left, right) | Div(left, right) | Max2(left, right) | Min2(left, right):
+        case _Binary(left, right):
             lh, rh = payoff_horizon(left), payoff_horizon(right)
             if lh is None or rh is None:
                 return None

@@ -41,6 +41,7 @@ from .market import (
     CSV_BATCH,
     Market,
     PortfolioRow,
+    PredictabilityError,
     QuantityProcess,
     closing_value_level,
     closing_value_process,  # noqa: F401  (kept importable: perfbench/spans.py rebinds it here)
@@ -323,10 +324,10 @@ def is_arbitrage_process(
     """
     market = mkt.market if isinstance(mkt, CrrMarket) else mkt
     if not isinstance(p, QuantityProcess):
-        rows = list(p)
-        if not is_trading_strategy(rows, market.horizon):
+        try:
+            p = quantity_process_from_rows(p, market.horizon, market.assets)
+        except PredictabilityError:
             return ArbitrageVerdict(False, None, "not-predictable")
-        p = quantity_process_from_rows(rows, market.horizon, market.assets)
     if abs(init_value(market, p)) > tol:
         return ArbitrageVerdict(False, None, "init-nonzero")
     if not is_self_financing(market, p, tol):

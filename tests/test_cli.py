@@ -337,6 +337,21 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--config", cfg)
         assert code == EXIT_BAD_INPUT
 
+    def test_uncertified_arbitrage_is_a_consistency_failure(self, capsys, tmp_path):
+        # u is one ulp above d and 1 + r rounds to d, so the market is not
+        # viable, but the constructed long-stock portfolio closes at exactly
+        # 0 on both paths in floats: no strict gain
+        cfg = write_config(
+            tmp_path, u=0.4051023661596364, d=0.40510236615963635, v=3.0,
+            r=-0.5948976338403636, horizon=1,
+        )
+        code, out, err = run(capsys, "check", "--config", cfg)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == (
+            "error: internal consistency failure: the constructed arbitrage portfolio "
+            "fails the arbitrage check (no-strict-gain)\n"
+        )
+
 
 class TestCrossCommandConsistency:
     def test_randomized_price_equals_replicate_init(self, capsys, tmp_path):
@@ -752,6 +767,65 @@ class TestUnwritableOutput:
         )
         assert (proc.returncode, proc.stdout) == (EXIT_BAD_INPUT, "")
         assert proc.stderr.startswith(f"error: cannot write portfolio {str(tmp_path)!r}: ")
+
+
+class BrokenPipeStdout(io.StringIO):
+    """A stdout whose reader has gone: writing, or only flushing, fails."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early gets exit 3 and one error line."""
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("command", [
+        ["check"],
+        ["price", "--payoff", "lookback", "--maturity", "3"],
+        ["replicate", "--payoff", "lookback", "--maturity", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_exit_three_with_an_error_line(self, capsys, monkeypatch, config, command, failing):
+        monkeypatch.setattr(sys, "stdout", BrokenPipeStdout(failing))
+        code = main([*command, "--config", config])
+        assert (code, capsys.readouterr().err) == (
+            EXIT_BAD_INPUT, "error: cannot write stdout: [Errno 32] Broken pipe\n"
+        )
+
+    @pytest.mark.parametrize("command, lines_read", [
+        # the horizon-12 hedge CSV is far larger than a pipe buffer
+        (["replicate", "--payoff", "lookback", "--maturity", "12"], 1),
+        # closed before anything is written: the output waits in the buffer
+        (["check"], 0),
+    ], ids=["replicate", "check"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_python_m_crrpricing_reader_closes_the_pipe(self, tmp_path, command, lines_read, unbuffered):
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "crrpricing", *command, "--config", write_config(tmp_path, horizon=12)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for _ in range(lines_read):
+            assert proc.stdout.readline() == "time,prefix,asset,quantity\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_BAD_INPUT
+        assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 LIMIT = MAX_PAYOFF_DEPTH

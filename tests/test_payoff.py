@@ -1,13 +1,15 @@
 """Payoff language: parsing, printing, evaluation, maturity inference."""
 import functools
 import operator
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crrpricing.crr import CrrParams, price_path
+from crrpricing import payoff as payoff_module
+from crrpricing.crr import CrrMarket, CrrParams, price_path
 from crrpricing.lattice import BinaryLattice, TossPath, is_measurable_at
 from crrpricing.payoff import (
     MAX_PAYOFF_DEPTH,
@@ -32,6 +34,7 @@ from crrpricing.payoff import (
     payoff_horizon,
     print_payoff,
 )
+from crrpricing.pricing import terminal_payoffs
 
 
 class TestParsing:
@@ -367,3 +370,39 @@ class TestCompiledMatchesInterpreter:
         for bad in (NOT_AN_EXPRESSION, [1.0], Neg(NOT_AN_EXPRESSION)):
             with pytest.raises(TypeError, match="not a payoff expression"):
                 eval_payoff(bad, [1.0])
+
+
+BINARY_NODES = [Add, Sub, Mul, Div, Max2, Min2]
+
+
+class TestBinaryNodes:
+    @pytest.mark.parametrize("node", BINARY_NODES, ids=lambda node: node.__name__)
+    def test_each_operator_is_its_own_class(self, node):
+        left, right = PriceAt(1), Const(2.0)
+        e = node(left, right)
+        assert [e == other(left, right) for other in BINARY_NODES] == [
+            other is node for other in BINARY_NODES
+        ]
+        assert repr(e) == f"{node.__name__}(left=PriceAt(index=1), right=Const(value=2.0))"
+        copy = pickle.loads(pickle.dumps(e))
+        assert type(copy) is node and copy == e and hash(copy) == hash(e)
+
+
+class TestCompileSlot:
+    def test_terminal_payoffs_compiles_once_per_call(self, monkeypatch):
+        """Evaluating one expression on every path compiles it once, even
+        when calls alternate between two expressions."""
+        compiled = []
+        compile_node = payoff_module._compile
+        monkeypatch.setattr(
+            payoff_module, "_compile", lambda e: compiled.append(e) or compile_node(e)
+        )
+        crr = CrrMarket(PARAMS, horizon=6)
+        first, second = parse_payoff("lookback"), parse_payoff("avg(S) - 10")
+        counts = []
+        for e in (first, second, first, first, second):
+            compiled.clear()
+            terminal_payoffs(crr, e, 6)
+            counts.append(sum(node is e for node in compiled))
+        # at most once per call of 64 paths; a repeat call reuses the closure
+        assert max(counts) == 1 and counts[3] == 0

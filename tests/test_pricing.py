@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crrpricing import cli, pricing
+from crrpricing import cli, market, pricing
 from crrpricing import crr as crr_module
 from crrpricing.crr import (
     CrrMarket,
@@ -38,6 +38,8 @@ from crrpricing.lattice import (
 from crrpricing.market import (
     Asset,
     Market,
+    PortfolioFormatError,
+    PortfolioRow,
     closing_value_level,
     closing_value_process,
     init_value,
@@ -396,6 +398,39 @@ class TestArbitrage:
         ]
         verdict = is_arbitrage_process(crr, crr.measure(), rows)
         assert verdict.violated_clause == "not-predictable"
+
+    def test_row_table_is_collapsed_once(self, crr, monkeypatch):
+        hedge = replicating_portfolio(crr, parse_payoff("lookback"), 4)
+        rows = read_portfolio_rows(write_portfolio_csv(hedge))
+        calls = []
+        collapse = market._collapse_rows
+        monkeypatch.setattr(market, "_collapse_rows", lambda *a: calls.append(a) or collapse(*a))
+        verdict = is_arbitrage_process(crr, crr.measure(), rows)
+        assert len(calls) == 1
+        assert verdict.violated_clause == "init-nonzero"
+
+    @pytest.mark.parametrize("table", [
+        [PortfolioRow(0, path("U"), "S", 1.0), PortfolioRow(0, path("D"), "S", -1.0)],
+        [PortfolioRow(0, path("-"), "S", 1.0)],
+        [PortfolioRow(0, path("-"), "S", 1.0), PortfolioRow(0, path("-"), "S", 2.0)],
+    ], ids=["peeking", "predictable", "conflicting"])
+    def test_unknown_asset_id_is_reported_first(self, crr, table):
+        """Row tables follow the reader's precedence: an unknown asset id is a
+        format error before any conflict or predictability verdict."""
+        unknown = PortfolioRow(0, path("-"), "X", 1.0)
+        for rows in (table + [unknown], [unknown] + table):
+            text = "time,prefix,asset,quantity\n" + "".join(
+                f"{r.time},{r.prefix.label()},{r.asset},{r.quantity!r}\n" for r in rows
+            )
+            with pytest.raises(PortfolioFormatError, match="unknown asset id 'X'"):
+                is_arbitrage_process(crr, crr.measure(), rows)
+            with pytest.raises(PortfolioFormatError, match="unknown asset id 'X'"):
+                read_portfolio_csv(text, crr.horizon, crr.market.assets)
+
+    def test_conflicting_rows_of_known_assets_raise_the_conflict(self, crr):
+        rows = [PortfolioRow(1, path("U"), "S", 1.0), PortfolioRow(1, path("U"), "S", 2.0)]
+        with pytest.raises(PortfolioFormatError, match="conflicting quantities"):
+            is_arbitrage_process(crr, crr.measure(), rows)
 
     def test_losing_portfolio_clause(self, crr):
         # short the stock, bank the proceeds: loses whenever the stock rallies
