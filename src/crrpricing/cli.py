@@ -10,24 +10,24 @@ rounded to 6 significant digits, CSV numbers in shortest round-trip form.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import sys
-from typing import Callable
+from typing import Callable, TextIO
 
 from .crr import CrrMarket, MarketNotViableError, is_viable, risk_neutral_q
-from .lattice import TossPath, label_at
+from .lattice import label_at
 from .market import (
     PredictabilityError,
     closing_value_level,
     closing_value_process,  # noqa: F401  (kept importable: perfbench/spans.py rebinds it here)
+    read_path_table,
     read_portfolio_csv,
     write_portfolio_csv,
 )
 from .payoff import parse_payoff
 from .pricing import (
+    NotStockPortfolioError,
     PayoffLike,
     fair_price,
     construct_arbitrage,
@@ -53,7 +53,7 @@ def _read_text(path: str, what: str) -> str:
         raise ValueError(f"cannot read {what} {path!r}: {exc}") from None
 
 
-def _write_text(path: str, what: str, write: Callable[[io.TextIOBase], object]) -> None:
+def _write_text(path: str, what: str, write: Callable[[TextIO], object]) -> None:
     """Let ``write`` fill the file at ``path``; an unwritable file is a ``ValueError``."""
     try:
         with open(path, "w", encoding="utf-8") as f:
@@ -65,36 +65,6 @@ def _write_text(path: str, what: str, write: Callable[[io.TextIOBase], object]) 
 def _read_market(path: str) -> CrrMarket:
     """The market described by the JSON config file at ``path``."""
     return CrrMarket.from_json(_read_text(path, "config"))
-
-
-def read_path_table(text: str, maturity: int) -> dict[TossPath, float]:
-    """Parse a per-terminal-path payoff table: header 'prefix,value' and one
-    row per length-``maturity`` path; ``terminal_payoffs`` checks that every
-    path has a row."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["prefix", "value"]:
-        raise ValueError("path table must start with header 'prefix,value'")
-    table: dict[TossPath, float] = {}
-    for lineno, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
-        if len(rec) != 2:
-            raise ValueError(f"path table line {lineno}: expected 2 columns")
-        try:
-            prefix = TossPath.from_label(rec[0].strip())
-            value = float(rec[1])
-        except ValueError as exc:
-            raise ValueError(f"path table line {lineno}: {exc}") from None
-        if len(prefix) != maturity:
-            raise ValueError(
-                f"path table line {lineno}: prefix {prefix.label()!r} has length "
-                f"{len(prefix)}, expected {maturity}"
-            )
-        if prefix in table:
-            raise ValueError(f"path table line {lineno}: duplicate prefix")
-        table[prefix] = value
-    return table
 
 
 def _fmt(x: float) -> str:
@@ -125,7 +95,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     if args.out:
         _write_text(args.out, "portfolio", lambda f: write_portfolio_csv(portfolio, f))
     else:
-        sys.stdout.write(write_portfolio_csv(portfolio))
+        write_portfolio_csv(portfolio, sys.stdout)
     ok = report.is_replicating()
     print(
         f"replicating: {'yes' if ok else 'no'}; "
@@ -141,16 +111,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = _read_text(args.portfolio, "portfolio")
     try:
         portfolio = read_portfolio_csv(text, args.maturity, crr.market.assets)
+        report = verify_replication(crr, portfolio, payoff, args.maturity, args.tolerance)
     except PredictabilityError as exc:
         print("trading-strategy: fail (quantities peek at future tosses)")
         print(f"  {exc}")
         print("replicating: no")
         return EXIT_NOT_REPLICATING
-    try:
-        report = verify_replication(crr, portfolio, payoff, args.maturity, args.tolerance)
-    except ValueError as exc:
-        if "stock portfolio" not in str(exc):
-            raise
+    except NotStockPortfolioError as exc:
         print(f"stock-portfolio: fail ({exc})")
         print("replicating: no")
         return EXIT_NOT_REPLICATING

@@ -5,8 +5,8 @@ which are stocks. Portfolios are quantity processes: per asset, one list per
 interval ``]n-1, n]`` holds an amount for each of the first ``n-1`` tosses, so
 predictability is built into the representation. Value and closing-value
 processes, the self-financing predicate, and a funding construction that
-repairs any portfolio into a self-financing one are provided, together with a
-CSV format for portfolios whose reader places rows by ``TossPath.index()``.
+repairs any portfolio into a self-financing one are provided, with one record
+loop for both CSV inputs: portfolios (by ``TossPath.index()``) and path tables.
 """
 from __future__ import annotations
 
@@ -405,39 +405,65 @@ def write_portfolio_csv(p: QuantityProcess, out: io.TextIOBase | None = None) ->
     return buf.getvalue() if out is None else ""
 
 
-def read_portfolio_rows(f: io.TextIOBase | str) -> list[PortfolioRow]:
-    """Parse portfolio CSV into rows; raises PortfolioFormatError on bad shape."""
-    if isinstance(f, str):
-        f = io.StringIO(f)
-    reader = csv.reader(f)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != ["time", "prefix", "asset", "quantity"]:
-        raise PortfolioFormatError(
-            "portfolio CSV must start with header 'time,prefix,asset,quantity'"
-        )
-    rows = []
+def _read_csv(
+    text: str, fields: tuple[str, ...], what: str, where: str,
+    error: type[ValueError], record: Callable[[list[str]], object],
+) -> list:
+    """``record`` of each nonblank CSV line after the header ``fields``. A bad header
+    (named by ``what``), column count or field (``where`` and line) raises ``error``."""
+    reader = csv.reader(io.StringIO(text))
+    if [h.strip() for h in next(reader, [])] != list(fields):
+        raise error(f"{what} must start with header {','.join(fields)!r}")
+    records = []
     for lineno, rec in enumerate(reader, start=2):
         if not rec:
             continue
-        if len(rec) != 4:
-            raise PortfolioFormatError(f"line {lineno}: expected 4 columns, got {len(rec)}")
+        if len(rec) != len(fields):
+            raise error(f"{where} {lineno}: expected {len(fields)} columns, got {len(rec)}")
         try:
-            time = int(rec[0])
-            prefix = TossPath.from_label(rec[1].strip())
-            quantity = float(rec[3])
+            records.append(record(rec))
         except ValueError as exc:
-            raise PortfolioFormatError(f"line {lineno}: {exc}") from None
-        if not math.isfinite(quantity):
-            raise PortfolioFormatError(f"line {lineno}: quantity {rec[3]!r} is not finite")
-        rows.append(PortfolioRow(time, prefix, rec[2].strip(), quantity))
-    return rows
+            raise error(f"{where} {lineno}: {exc}") from None
+    return records
 
 
-def read_portfolio_csv(
-    f: io.TextIOBase | str, horizon: int, assets: Iterable[Asset]
-) -> QuantityProcess:
+def _portfolio_row(rec: list[str]) -> PortfolioRow:
+    time = int(rec[0])
+    prefix = TossPath.from_label(rec[1].strip())
+    quantity = float(rec[3])
+    if not math.isfinite(quantity):
+        raise ValueError(f"quantity {rec[3]!r} is not finite")
+    return PortfolioRow(time, prefix, rec[2].strip(), quantity)
+
+
+def read_portfolio_rows(text: str) -> list[PortfolioRow]:
+    """Parse portfolio CSV into rows; raises PortfolioFormatError on bad shape."""
+    fields = ("time", "prefix", "asset", "quantity")
+    return _read_csv(text, fields, "portfolio CSV", "line", PortfolioFormatError, _portfolio_row)
+
+
+def read_portfolio_csv(text: str, horizon: int, assets: Iterable[Asset]) -> QuantityProcess:
     """Load a portfolio from CSV; the table must be predictable."""
-    return quantity_process_from_rows(read_portfolio_rows(f), horizon, assets)
+    return quantity_process_from_rows(read_portfolio_rows(text), horizon, assets)
+
+
+def read_path_table(text: str, maturity: int) -> dict[TossPath, float]:
+    """Payoffs by length-``maturity`` path; ``terminal_payoffs`` reports a path with no row."""
+    table: dict[TossPath, float] = {}
+
+    def entry(rec: list[str]) -> None:
+        prefix = TossPath.from_label(rec[0].strip())
+        value = float(rec[1])
+        if len(prefix) != maturity:
+            raise ValueError(
+                f"prefix {prefix.label()!r} has length {len(prefix)}, expected {maturity}"
+            )
+        if prefix in table:
+            raise ValueError("duplicate prefix")
+        table[prefix] = value
+
+    _read_csv(text, ("prefix", "value"), "path table", "path table line", ValueError, entry)
+    return table
 
 
 def init_value(mkt: Market, p: QuantityProcess) -> float:

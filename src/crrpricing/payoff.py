@@ -21,6 +21,7 @@ levels deep (see ``_Parser``).
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -238,6 +239,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "number":
             raise self.fail("expected a number")
+        if math.isinf(float(tok.text)):
+            raise self.fail(f"number {tok.text} is outside the float range")
         self.advance()
         return float(tok.text)
 

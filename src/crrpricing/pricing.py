@@ -215,6 +215,10 @@ def replicating_portfolio(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> 
     return QuantityProcess(maturity, {crr.risky: delta, crr.riskfree: bank})
 
 
+class NotStockPortfolioError(ValueError):
+    """A portfolio given to ``verify_replication`` trades a non-stock asset."""
+
+
 @dataclass(frozen=True)
 class ReplicationReport:
     """Clause-by-clause outcome of checking a hedge against a payoff; both the
@@ -242,7 +246,7 @@ def verify_replication(
     offenders = support_set(p) - crr.market.stocks
     if offenders:
         names = sorted(a.id for a in offenders)
-        raise ValueError(f"not a stock portfolio: support contains {names}")
+        raise NotStockPortfolioError(f"not a stock portfolio: support contains {names}")
     if p.horizon < maturity:
         raise ValueError(
             f"portfolio trades until {p.horizon} but the payoff matures at {maturity}"

@@ -25,7 +25,7 @@ from crrpricing.cli import (
     main,
     read_path_table,
 )
-from crrpricing import cli, pricing
+from crrpricing import cli, market, pricing
 from crrpricing.crr import CrrMarket
 from crrpricing.payoff import MAX_PAYOFF_DEPTH
 
@@ -150,6 +150,24 @@ class TestPrice:
         assert code == EXIT_OK
         assert out == "fair price: 1.25789\n"
 
+    def test_path_table_with_a_long_row_names_its_columns(self, capsys, config, tmp_path):
+        table = tmp_path / "payoffs.csv"
+        table.write_text("prefix,value\nUU,0,1\nUD,2.4\nDU,0.4\nDD,3.6\n")
+        code, out, err = run(
+            capsys, "price", "--config", config, "--path-table", str(table),
+            "--maturity", "2",
+        )
+        assert (code, out, err) == (
+            EXIT_BAD_INPUT, "", "error: path table line 2: expected 2 columns, got 3\n"
+        )
+
+    @pytest.mark.parametrize("payoff, offset", [("call(1e400)", 5), ("1e400 / (S_T - S_T)", 0)])
+    def test_overflowing_literal_is_bad_input(self, capsys, config, payoff, offset):
+        code, out, err = run(capsys, "price", "--config", config, "--payoff", payoff, "--maturity", "3")
+        assert (code, out, err) == (
+            EXIT_BAD_INPUT, "", f"error: number 1e400 is outside the float range at offset {offset}\n"
+        )
+
     def test_malformed_path_table_exit_three(self, capsys, config, tmp_path):
         table = tmp_path / "payoffs.csv"
         table.write_text("prefix,value\nUU,0\nUD,2.4\nDU,0.4\n")
@@ -194,6 +212,23 @@ class TestReplicate:
         for rec in csv.DictReader(io.StringIO(out_csv.read_text())):
             expected = 1.0 if rec["asset"] == "S" else 0.0
             assert float(rec["quantity"]) == pytest.approx(expected, abs=1e-9)
+
+    def test_stdout_is_streamed_like_out(self, capsys, monkeypatch, config, tmp_path):
+        streams = []
+
+        def write_portfolio_csv(portfolio, out=None):
+            streams.append(out)
+            return market.write_portfolio_csv(portfolio, out)
+
+        monkeypatch.setattr(cli, "write_portfolio_csv", write_portfolio_csv)
+        argv = ["replicate", "--config", config, "--payoff", "lookback", "--maturity", "3"]
+        code, piped, _ = run(capsys, *argv)
+        hedge = tmp_path / "hedge.csv"
+        code_out, report, _ = run(capsys, *argv, "--out", str(hedge))
+        assert code == code_out == EXIT_OK
+        assert piped == hedge.read_text() + report
+        assert streams[0] is sys.stdout
+        assert streams[1] is not None and streams[1] is not sys.stdout
 
     def test_report_matches_price_output(self, capsys, config):
         code_p, out_p, _ = run(
@@ -307,6 +342,28 @@ class TestVerify:
         )
         assert code == EXIT_NOT_REPLICATING
         assert "stock-portfolio: fail" in out
+
+    def test_clause_is_told_by_error_class_not_message(self, capsys, monkeypatch, config, tmp_path):
+        hedge = self.replicate_to_file(capsys, config, tmp_path)
+
+        def verify_replication(*args):
+            raise ValueError("not a stock portfolio: worded alike, but another fault")
+
+        monkeypatch.setattr(cli, "verify_replication", verify_replication)
+        code, out, err = run(
+            capsys, "verify", "--config", config, "--payoff", "lookback",
+            "--maturity", "2", "--portfolio", str(hedge),
+        )
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == "error: not a stock portfolio: worded alike, but another fault\n"
+
+    def test_maturity_past_the_market_horizon_is_bad_input(self, capsys, config, tmp_path):
+        hedge = self.replicate_to_file(capsys, config, tmp_path, maturity="3")
+        code, out, err = run(
+            capsys, "verify", "--config", config, "--payoff", "lookback",
+            "--maturity", "5", "--portfolio", str(hedge),
+        )
+        assert (code, out, err) == (EXIT_BAD_INPUT, "", "error: maturity 5 outside market horizon 4\n")
 
 
 class TestCheck:
@@ -726,6 +783,22 @@ class TestInternalConsistencyFailure:
         assert err == (
             "error: internal consistency failure: backward induction gives 1.0 "
             "but direct expectation gives 2.0\n"
+        )
+        assert not written.exists()
+
+    @pytest.mark.parametrize("command, extra", [("price", "--tree"), ("replicate", "--out")])
+    def test_engine_check_reports_the_gap(self, capsys, monkeypatch, config, tmp_path, command, extra):
+        # only the expectation inside price_lattice is shifted; the induction runs as is
+        monkeypatch.setattr(pricing, "fair_price", lambda crr, payoff, maturity: 1e6)
+        written = tmp_path / "out.csv"
+        code, out, err = run(
+            capsys, command, "--config", config, "--payoff", "lookback", "--maturity", "2",
+            extra, str(written),
+        )
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert re.fullmatch(
+            r"error: internal consistency failure: backward induction gives 1\.2578\d+ "
+            r"but direct expectation gives 1000000\.0\n", err
         )
         assert not written.exists()
 

@@ -33,6 +33,7 @@ from crrpricing.market import (
     qty_sum,
     quantities_allclose,
     quantity_process_from_rows,
+    read_path_table,
     read_portfolio_csv,
     read_portfolio_rows,
     support_set,
@@ -99,6 +100,26 @@ class TestMarketConstruction:
         }
         with pytest.raises(ValueError, match="unique"):
             Market(prices=prices, stocks=[Asset("x")])
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Asset(""), "asset id must be nonempty"),
+        (lambda: Asset("x", kind="bond"), "asset kind must be 'stock' or 'extra', got 'bond'"),
+        (lambda: Market({SLOT: LatticeProcess.constant(2, 0.0)}, stocks=[APL]),
+         "stocks must be drawn from the market's assets"),
+        (lambda: Market({APL: LatticeProcess.constant(0, 1.0), SLOT: LatticeProcess.constant(0, 0.0)},
+                        stocks=[APL]),
+         "market horizon must be at least 1"),
+        (lambda: QuantityProcess(0, {}), "quantity process needs horizon >= 1"),
+    ], ids=["empty id", "unknown kind", "foreign stock", "horizon 0", "quantity horizon 0"])
+    def test_constructor_rejections(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_price_of_an_untraded_asset_rejected(self, mkt):
+        with pytest.raises(ValueError) as info:
+            mkt.price(Asset("Msft"))
+        assert str(info.value) == "asset 'Msft' is not traded on this market"
 
 
 class TestQuantityAlgebra:
@@ -221,6 +242,12 @@ class TestValueProcesses:
         with pytest.raises(ValueError):
             value_process(mkt, p1, 3, node("U"))
 
+    def test_portfolio_outlasting_the_market_rejected(self, mkt):
+        long = qty_single(APL, lambda n, w: 1.0, horizon=5)
+        with pytest.raises(ValueError) as info:
+            value_process(mkt, long, 0, TossPath())
+        assert str(info.value) == "portfolio horizon 5 exceeds market horizon 4"
+
 
 class TestSelfFinancing:
     def test_ladder_is_not_self_financing(self, mkt, p1):
@@ -315,6 +342,14 @@ class TestTradingStrategy:
         ]
         assert is_trading_strategy(rows, horizon=2)
 
+    def test_default_horizon_ends_after_the_latest_decision_time(self):
+        peeking = [PortfolioRow(0, node("U"), "Apl", 1.0), PortfolioRow(0, node("D"), "Apl", 2.0)]
+        assert not is_trading_strategy(peeking)
+        # a horizon of 1 would put the time-1 rows out of range
+        later = [PortfolioRow(1, node("U"), "Apl", 5.0), PortfolioRow(1, node("D"), "Apl", -1.0)]
+        assert is_trading_strategy(later)
+        assert is_trading_strategy([])
+
     def test_init_value_examples(self, mkt, p1):
         assert init_value(mkt, p1) == pytest.approx(10.0, abs=1e-12)
         assert init_value(mkt, qty_empty(4)) == 0.0
@@ -382,6 +417,85 @@ class TestPortfolioCsv:
             "time,prefix,asset,quantity\n", horizon=3, assets=[APL, SLOT]
         )
         assert quantities_allclose(p, qty_empty(3))
+
+
+PORTFOLIO_HEADER = "time,prefix,asset,quantity\n"
+TABLE_HEADER = "prefix,value\n"
+
+# (reader, CSV text, exception class, message): the record loop's own faults,
+# then each reader's field rules, all numbered by their line in the file
+RECORD_FAULTS = [
+    (read_portfolio_rows, "", PortfolioFormatError,
+     "portfolio CSV must start with header 'time,prefix,asset,quantity'"),
+    (read_path_table, "", ValueError, "path table must start with header 'prefix,value'"),
+    (read_path_table, "prefix,value,x\nU,1\n", ValueError,
+     "path table must start with header 'prefix,value'"),
+    (read_path_table, "value,prefix\n", ValueError,
+     "path table must start with header 'prefix,value'"),
+    (read_portfolio_rows, PORTFOLIO_HEADER + "0,-,Apl\n", PortfolioFormatError,
+     "line 2: expected 4 columns, got 3"),
+    (read_path_table, TABLE_HEADER + "U,1,2\n", ValueError,
+     "path table line 2: expected 2 columns, got 3"),
+    (read_path_table, TABLE_HEADER + "U,1\n\nD\n", ValueError,
+     "path table line 4: expected 2 columns, got 1"),
+    (read_portfolio_rows, PORTFOLIO_HEADER + "\nx,-,Apl,1\n", PortfolioFormatError,
+     "line 3: invalid literal for int() with base 10: 'x'"),
+    (read_portfolio_rows, PORTFOLIO_HEADER + "0,-,Apl,inf\n", PortfolioFormatError,
+     "line 2: quantity 'inf' is not finite"),
+    (read_path_table, TABLE_HEADER + "X,1\n", ValueError,
+     "path table line 2: invalid toss label 'X': characters must be U or D"),
+    (read_path_table, TABLE_HEADER + "U,abc\n", ValueError,
+     "path table line 2: could not convert string to float: 'abc'"),
+    # a bad value outranks a wrong length
+    (read_path_table, TABLE_HEADER + "UU,abc\n", ValueError,
+     "path table line 2: could not convert string to float: 'abc'"),
+    (read_path_table, TABLE_HEADER + "UU,1\n", ValueError,
+     "path table line 2: prefix 'UU' has length 2, expected 1"),
+    (read_path_table, TABLE_HEADER + "U,1\n\nU,2\n", ValueError,
+     "path table line 4: duplicate prefix"),
+]
+
+RECORD_FAULT_IDS = [
+    "portfolio empty",
+    "table empty",
+    "table extra header column",
+    "table swapped header",
+    "portfolio short line",
+    "table long line",
+    "table short line after a blank",
+    "portfolio bad time after a blank",
+    "portfolio infinite quantity",
+    "table bad label",
+    "table bad value",
+    "table bad value and length",
+    "table wrong length",
+    "table duplicate after a blank",
+]
+
+
+class TestCsvRecords:
+    """Portfolio CSVs and path tables run on one record loop."""
+
+    @staticmethod
+    def read(reader, text):
+        return reader(text, 1) if reader is read_path_table else reader(text)
+
+    @pytest.mark.parametrize("reader, text, error, message", RECORD_FAULTS, ids=RECORD_FAULT_IDS)
+    def test_faults_carry_the_line(self, reader, text, error, message):
+        with pytest.raises(ValueError) as info:
+            self.read(reader, text)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    def test_blank_lines_are_skipped(self, p1):
+        text = write_portfolio_csv(p1)
+        spaced = text.replace("\n", "\n\n", 3) + "\n\n"
+        assert read_portfolio_rows(spaced) == read_portfolio_rows(text)
+        table = read_path_table(TABLE_HEADER + "\nU,1.5\n\n\nD,0\n\n", 1)
+        assert table == {node("U"): 1.5, node("D"): 0.0}
+
+    def test_header_only_reads_no_records(self):
+        assert read_portfolio_rows(PORTFOLIO_HEADER) == []
+        assert read_path_table(" prefix , value ", 2) == {}
 
 
 def brute_force_collapse(rows, horizon):

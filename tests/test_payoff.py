@@ -87,6 +87,9 @@ MALFORMED = [
     ("1 2", 2),          # trailing input
     ("avg(2)", 4),       # avg applies to the path
     ("S + 1", 2),        # bare S needs an index
+    ("call(1e400)", 5),  # a literal beyond the float range
+    ("1e400 / (S_T - S_T)", 0),
+    ("-1e400", 1),
 ]
 
 
@@ -103,6 +106,17 @@ class TestSyntaxErrors:
         with pytest.raises(PayoffSyntaxError) as info:
             parse_payoff("1 ? 2")
         assert info.value.position == 2
+
+    def test_overflowing_literal_names_itself(self):
+        with pytest.raises(PayoffSyntaxError) as info:
+            parse_payoff("call(1e400)")
+        assert str(info.value) == "number 1e400 is outside the float range at offset 5"
+
+    def test_largest_literals_parse_print_and_reparse(self):
+        for text in ("1e308", "call(1e308)", "-1.7976931348623157e308"):
+            expr = parse_payoff(text)
+            assert parse_payoff(print_payoff(expr)) == expr
+        assert parse_payoff("1e308") == Const(1e308)
 
 
 PARAMS = CrrParams(u=1.2, d=0.8, v=10.0, r=0.03, p=0.5)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crrpricing
 from crrpricing import cli, market, pricing
 from crrpricing import crr as crr_module
 from crrpricing.crr import (
@@ -103,6 +104,10 @@ class TestFairPrice:
         crr = CrrMarket(INVIABLE, horizon=2)
         with pytest.raises(MarketNotViableError, match="no risk-neutral measure"):
             fair_price(crr, parse_payoff("call(10)"), 2)
+
+    def test_non_payoff_rejected(self, crr):
+        with pytest.raises(TypeError, match="^cannot interpret str as a payoff$"):
+            terminal_payoffs(crr, "lookback", 2)
 
     def test_matches_independent_path_sum(self, crr):
         # oracle: loop over terminal paths, multiplying out weights by hand
@@ -202,6 +207,17 @@ class TestPriceLattice:
         with pytest.raises(ValueError, match=message):
             tree.at(1, path("UD"))
 
+    def test_induction_disagreeing_with_expectation_raises(self, crr, monkeypatch):
+        expr = parse_payoff("lookback")
+        root = price_lattice(crr, expr, 2).root
+        monkeypatch.setattr(pricing, "fair_price", lambda *args: root + 1e-6)
+        with pytest.raises(RuntimeError) as info:
+            price_lattice(crr, expr, 2)
+        assert str(info.value) == (
+            f"internal consistency failure: backward induction gives {root!r} "
+            f"but direct expectation gives {root + 1e-6!r}"
+        )
+
 
 class TestReplicatingPortfolio:
     def test_lookback_hedge_quantities(self, crr):
@@ -224,6 +240,10 @@ class TestReplicatingPortfolio:
         crr = CrrMarket(INVIABLE, horizon=2)
         with pytest.raises(MarketNotViableError):
             replicating_portfolio(crr, parse_payoff("call(10)"), 2)
+
+    def test_maturity_zero_rejected(self, crr):
+        with pytest.raises(ValueError, match="^replication needs at least one trading period$"):
+            replicating_portfolio(crr, parse_payoff("7"), 0)
 
 
 class TestVerifyReplication:
@@ -292,6 +312,19 @@ class TestVerifyReplication:
         with pytest.raises(ValueError, match="stock portfolio"):
             verify_replication(crr, alien, parse_payoff("lookback"), 2)
 
+    def test_non_stock_support_has_its_own_error_class(self, crr):
+        alien = qty_single(crr.extra, lambda n, w: 1.0, horizon=2)
+        with pytest.raises(pricing.NotStockPortfolioError) as info:
+            verify_replication(crr, alien, parse_payoff("lookback"), 2)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == f"not a stock portfolio: support contains {[crr.extra.id]}"
+        assert "NotStockPortfolioError" not in crrpricing.__all__
+
+    def test_portfolio_shorter_than_maturity_rejected(self, crr):
+        expr = parse_payoff("lookback")
+        with pytest.raises(ValueError, match="^portfolio trades until 2 but the payoff matures at 3$"):
+            verify_replication(crr, replicating_portfolio(crr, expr, 2), expr, 3)
+
 
 class TestMartingale:
     def test_discounted_risky_price_under_q(self, crr):
@@ -307,6 +340,10 @@ class TestMartingale:
         proc = LatticeProcess.constant(3, 5.0)
         for p in (0.1, 0.5, 0.9):
             assert is_martingale(PathMeasure(p), proc, 3)
+
+    def test_horizon_past_the_process_rejected(self):
+        with pytest.raises(ValueError, match="^horizon 4 outside process horizon 3$"):
+            martingale_residual(PathMeasure(0.5), LatticeProcess.constant(3, 5.0), 4)
 
     def test_one_step_residual_formula(self, crr):
         # residual at the root under p: |v - (p u v + (1-p) d v)/(1+r)|
