@@ -2,11 +2,14 @@
 discounting, the viability condition, and the risk-neutral toss probability.
 
 The risky price multiplies by ``u`` on an up toss and ``d`` on a down toss
-from initial value ``v``; the risk-free asset compounds at a constant
-per-period rate ``r``. The market admits no arbitrage among stock-only
-portfolios exactly when ``d < 1 + r < u``, in which case the unique
-Bernoulli up-probability making the discounted risky price driftless is
-``q = (1 + r - d) / (u - d)``.
+from initial value ``v``, one running product: a node holding ``s`` has
+children ``s * u`` and ``s * d``. The market's risky level, ``price_paths``
+and ``price_path`` all multiply in that order, so the payoff and the hedge
+read the same price at every node. The risk-free asset compounds at a
+constant per-period rate ``r``. The market admits no arbitrage among
+stock-only portfolios exactly when ``d < 1 + r < u``, in which case the
+unique Bernoulli up-probability making the discounted risky price driftless
+is ``q = (1 + r - d) / (u - d)``.
 """
 from __future__ import annotations
 
@@ -52,18 +55,10 @@ class CrrParams:
                 raise ValueError(f"{name} must be finite, got {name}={getattr(self, name)}")
 
 
-def geom_rand_walk(params: CrrParams, n: int, path: TossPath) -> float:
-    """Risky price after ``n`` tosses: ``v`` times one factor per toss."""
-    if len(path) < n:
-        raise ValueError(f"need at least {n} tosses, path has {len(path)}")
-    return params.v * math.prod(
-        params.u if path[i] else params.d for i in range(n)
-    )
-
-
 def price_path(params: CrrParams, path: TossPath) -> list[float]:
-    """All prices along a scenario, time 0 through ``len(path)``;
-    ``price_paths`` yields the same lists, bit for bit, for every path."""
+    """All prices along a scenario, time 0 through ``len(path)``: the
+    geometric random walk of the paper's Isabelle theory along one path,
+    ``prices[n]`` being its value after ``n`` tosses."""
     prices = [params.v]
     for outcome in path:
         prices.append(prices[-1] * (params.u if outcome else params.d))
@@ -163,9 +158,10 @@ class CrrMarket:
         check_horizon(horizon)
         if horizon < 1:
             raise ValueError("market horizon must be at least 1")
-        # The extreme prices, multiplied in geom_rand_walk's order.
-        top = params.v * math.prod([max(params.u, 1.0)] * horizon)
-        bottom = params.v * math.prod([min(params.d, 1.0)] * horizon)
+        # The extreme nodes of the running product from v: rounded multiplication
+        # is monotone, so every node lies between these two.
+        top = math.prod([max(params.u, 1.0)] * horizon, start=params.v)
+        bottom = math.prod([min(params.d, 1.0)] * horizon, start=params.v)
         if not (math.isfinite(top) and bottom >= sys.float_info.min):
             raise ValueError(
                 f"risky prices leave the float range within horizon {horizon}: "
@@ -180,6 +176,15 @@ class CrrMarket:
                 f"risk-free prices leave the float range within horizon {horizon}: "
                 f"(1 + r)^{horizon} = {bank!r}"
             )
+        if is_viable(params):
+            # the running product of min(q, 1 - q) is the smallest path weight
+            q = risk_neutral_q(params)
+            weight = math.prod([min(q, 1.0 - q)] * horizon, start=1.0)
+            if weight < sys.float_info.min:
+                raise ValueError(
+                    f"risk-neutral path weights leave the float range within horizon "
+                    f"{horizon}: smallest {weight!r} (q={q!r})"
+                )
         self.params = params
         self.horizon = horizon
         self.risky = Asset(RISKY_ID)
@@ -187,9 +192,8 @@ class CrrMarket:
         self.extra = Asset(EXTRA_ID, kind="extra")
         self.market = Market(
             prices={
-                # geom_rand_walk at every node, bit for bit
                 self.risky: LatticeProcess(
-                    horizon, lambda n: [params.v * f for f in toss_products(params.u, params.d, n)]
+                    horizon, lambda n: toss_products(params.v, params.u, params.d, n)
                 ),
                 self.riskfree: LatticeProcess(
                     horizon, lambda n: [disc_rfr_proc(params.r, n)] * (1 << n)

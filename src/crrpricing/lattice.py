@@ -158,14 +158,16 @@ class PathMeasure:
 
     def weights(self, n: int) -> list[float]:
         """``path_probability`` of every length-``n`` path, bit for bit."""
-        return toss_products(self.p, 1.0 - self.p, n)
+        return toss_products(1.0, self.p, 1.0 - self.p, n)
 
 
-def toss_products(up: float, down: float, n: int) -> list[float]:
-    """One factor per toss, ``up`` or ``down``, multiplied in toss order, at
-    every length-``n`` path in ``iter_paths`` order: node ``k`` holding ``f``
-    has children ``f * up`` and ``f * down``."""
-    level = [1.0]
+def toss_products(start: float, up: float, down: float, n: int) -> list[float]:
+    """The running product from ``start``, one factor per toss, ``up`` or
+    ``down``, at every length-``n`` path in ``iter_paths`` order: node ``k``
+    holding ``f`` has children ``f * up`` and ``f * down``. From ``v`` with
+    factors ``u`` and ``d`` this is the last price of each ``crr.price_paths``
+    list, bit for bit."""
+    level = [start]
     for _ in range(n):
         level = [x for f in level for x in (f * up, f * down)]
     return level
@@ -241,9 +243,7 @@ class LatticeProcess:
 
 def expectation(m: PathMeasure, f: LatticeProcess, n: int) -> float:
     """Expected value of the process at time ``n`` under the path measure."""
-    if n > f.horizon:
-        raise ValueError(f"time {n} outside process horizon {f.horizon}")
-    return math.fsum(map(operator.mul, m.weights(n), f.level(n)))
+    return math.fsum(map(operator.mul, f.level(n), m.weights(n)))
 
 
 def conditional_expectation_step(
@@ -253,8 +253,6 @@ def conditional_expectation_step(
     children values of ``prefix`` at time ``n + 1``."""
     if len(prefix) != n:
         raise ValueError(f"prefix has length {len(prefix)}, expected {n}")
-    if n + 1 > f.horizon:
-        raise ValueError(f"time {n + 1} outside process horizon {f.horizon}")
     up = f.at(n + 1, prefix.child(True))
     down = f.at(n + 1, prefix.child(False))
     return m.p * up + (1.0 - m.p) * down

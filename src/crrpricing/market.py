@@ -410,21 +410,20 @@ def _read_csv(
     error: type[ValueError], record: Callable[[list[str]], object],
 ) -> list:
     """``record`` of each nonblank CSV line after the header ``fields``. A bad header
-    (named by ``what``), column count or field (``where`` and line) raises ``error``."""
+    (named by ``what``), column count, field or CSV syntax (``where`` and the
+    physical line ``reader.line_num``) raises ``error``."""
     reader = csv.reader(io.StringIO(text))
-    if [h.strip() for h in next(reader, [])] != list(fields):
-        raise error(f"{what} must start with header {','.join(fields)!r}")
     records = []
-    for lineno, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
-        if len(rec) != len(fields):
-            raise error(f"{where} {lineno}: expected {len(fields)} columns, got {len(rec)}")
-        try:
-            records.append(record(rec))
-        except ValueError as exc:
-            raise error(f"{where} {lineno}: {exc}") from None
-    return records
+    try:
+        if [h.strip() for h in next(reader, [])] == list(fields):
+            for rec in filter(None, reader):
+                if len(rec) != len(fields):
+                    raise ValueError(f"expected {len(fields)} columns, got {len(rec)}")
+                records.append(record(rec))
+            return records
+    except (ValueError, csv.Error) as exc:
+        raise error(f"{where} {reader.line_num}: {exc}") from None
+    raise error(f"{what} must start with header {','.join(fields)!r}")
 
 
 def _portfolio_row(rec: list[str]) -> PortfolioRow:

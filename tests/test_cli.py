@@ -161,6 +161,16 @@ class TestPrice:
             EXIT_BAD_INPUT, "", "error: path table line 2: expected 2 columns, got 3\n"
         )
 
+    def test_oversized_path_table_field_is_bad_input(self, capsys, config, tmp_path):
+        table = tmp_path / "payoffs.csv"
+        table.write_text(f"prefix,value\nUU,0\nUD,{'9' * 200_000}\nDU,0.4\nDD,3.6\n")
+        code, out, err = run(
+            capsys, "price", "--config", config, "--path-table", str(table),
+            "--maturity", "2",
+        )
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith("error: path table line 3: field larger than field limit")
+
     @pytest.mark.parametrize("payoff, offset", [("call(1e400)", 5), ("1e400 / (S_T - S_T)", 0)])
     def test_overflowing_literal_is_bad_input(self, capsys, config, payoff, offset):
         code, out, err = run(capsys, "price", "--config", config, "--payoff", payoff, "--maturity", "3")
@@ -318,6 +328,29 @@ class TestVerify:
         assert code == EXIT_BAD_INPUT
         assert "header" in err
 
+    def test_oversized_quantity_field_is_bad_input(self, capsys, config, tmp_path):
+        hedge = self.replicate_to_file(capsys, config, tmp_path)
+        rows = hedge.read_text()
+        hedge.write_text(rows + f"1,U,S,{'9' * 200_000}\n")
+        code, out, err = run(
+            capsys, "verify", "--config", config, "--payoff", "lookback",
+            "--maturity", "2", "--portfolio", str(hedge),
+        )
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        lineno = len(rows.splitlines()) + 1
+        assert err.startswith(f"error: line {lineno}: field larger than field limit")
+
+    def test_error_names_the_physical_line_after_a_quoted_newline(self, capsys, config, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text('time,prefix,asset,quantity\n0,-,"S\n",1\n1,U,S,x\n')
+        code, out, err = run(
+            capsys, "verify", "--config", config, "--payoff", "lookback",
+            "--maturity", "2", "--portfolio", str(bad),
+        )
+        assert (code, out, err) == (
+            EXIT_BAD_INPUT, "", "error: line 4: could not convert string to float: 'x'\n"
+        )
+
     @pytest.mark.parametrize("extra", ["1,-,S,0.5", "1,U,S,0.5"])
     def test_disagreeing_row_is_a_conflict_at_any_depth(self, capsys, config, tmp_path, extra):
         # A coarser key for the same decision is not a peek at later tosses:
@@ -468,8 +501,9 @@ class TestArgumentHandling:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(u=1e200, v=1e200, horizon=3), dict(u=1.5, d=1e-200, v=1e-200, horizon=3)],
-        ids=["overflow", "underflow"],
+        [dict(u=1e200, v=1e200, horizon=3), dict(u=1.5, d=1e-200, v=1e-200, horizon=3),
+         dict(u=1e110, d=0.5, v=1e-200, horizon=3)],
+        ids=["overflow", "underflow", "weight-underflow"],
     )
     def test_prices_outside_float_range_are_bad_input(self, capsys, config, tmp_path, overrides):
         hedge = tmp_path / "hedge.csv"
@@ -570,10 +604,10 @@ class TestFloatRangeAndTolerance:
         hedge = tmp_path / "hedge.csv"
         argv = ["--config", cfg, "--payoff", "call(1e9)", "--maturity", "6"]
         code, out, _ = run(capsys, "replicate", *argv, "--out", str(hedge))
-        assert (code, out) == (EXIT_OK, "replicating: yes; init value = 1.81147e+08; max terminal error = 2.38419e-07\n")
+        assert (code, out) == (EXIT_OK, "replicating: yes; init value = 1.81147e+08; max terminal error = 1.19209e-07\n")
         code, out, _ = run(capsys, "verify", *argv, "--portfolio", str(hedge))
         assert code == EXIT_OK
-        assert "self-financing: pass\nterminal-match: pass (max error = 2.38419e-07)\n" in out
+        assert "self-financing: pass\nterminal-match: pass (max error = 1.19209e-07)\n" in out
 
 
 class TestGoldenBytes:

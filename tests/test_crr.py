@@ -3,7 +3,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from crrpricing.crr import (
@@ -13,7 +13,6 @@ from crrpricing.crr import (
     disc_rfr_proc,
     discounted_value,
     filtration_equivalent_bernoulli,
-    geom_rand_walk,
     is_viable,
     price_path,
     price_paths,
@@ -29,6 +28,7 @@ from crrpricing.lattice import (
     is_measurable_at,
     iter_paths,
     path_probability,
+    toss_products,
 )
 from crrpricing.market import (
     Asset,
@@ -39,6 +39,8 @@ from crrpricing.market import (
     qty_single,
     qty_sum,
 )
+from crrpricing.payoff import parse_payoff
+from crrpricing.pricing import fair_price
 
 PARAMS = CrrParams(u=1.2, d=0.8, v=10.0, r=0.03, p=0.5)
 
@@ -83,17 +85,20 @@ class TestCrrParams:
 
 
 class TestGeomRandWalk:
+    """The paper's geometric random walk after ``n`` tosses, read as
+    ``price_path(params, w)[n]``."""
+
     def test_walk_values(self):
-        assert geom_rand_walk(PARAMS, 0, path("-")) == 10.0
-        assert geom_rand_walk(PARAMS, 1, path("U")) == pytest.approx(12.0, abs=1e-12)
-        assert geom_rand_walk(PARAMS, 2, path("UD")) == pytest.approx(9.6, abs=1e-12)
+        assert price_path(PARAMS, path("-"))[0] == 10.0
+        assert price_path(PARAMS, path("U"))[1] == pytest.approx(12.0, abs=1e-12)
+        assert price_path(PARAMS, path("UD"))[2] == pytest.approx(9.6, abs=1e-12)
 
     def test_double_down(self):
-        assert geom_rand_walk(PARAMS, 2, path("DD")) == pytest.approx(6.4, abs=1e-12)
+        assert price_path(PARAMS, path("DD"))[2] == pytest.approx(6.4, abs=1e-12)
 
     def test_path_dependence_collapses_on_price(self):
-        assert geom_rand_walk(PARAMS, 2, path("UD")) == pytest.approx(
-            geom_rand_walk(PARAMS, 2, path("DU")), abs=1e-12
+        assert price_path(PARAMS, path("UD"))[2] == pytest.approx(
+            price_path(PARAMS, path("DU"))[2], abs=1e-12
         )
 
     def test_degenerate_factors_rejected_at_construction(self):
@@ -105,15 +110,11 @@ class TestGeomRandWalk:
     def test_adapted_at_every_time(self):
         lattice = BinaryLattice(4)
         for n in range(5):
-            f = lambda w: geom_rand_walk(PARAMS, n, w)
+            f = lambda w: price_path(PARAMS, w)[n]
             assert is_measurable_at(f, lattice, n)
 
     def test_price_path_expands_walk(self):
         assert price_path(PARAMS, path("UD")) == pytest.approx([10.0, 12.0, 9.6])
-
-    def test_short_path_rejected(self):
-        with pytest.raises(ValueError):
-            geom_rand_walk(PARAMS, 3, path("UD"))
 
 
 class TestDiscounting:
@@ -286,11 +287,29 @@ class TestCrrMarket:
 
     @pytest.mark.parametrize(
         "u,d,v",
-        [(1e200, 0.5, 1e200), (1.5, 1e-200, 1e-200), (1e110, 0.5, 1e-200), (1.5, 1e-110, 1e200)],
+        # the last one's prices stay in range, but q**3 (about 1e-331) does not
+        [(1e200, 0.5, 1e200), (1.5, 1e-200, 1e-200), (1e110, 0.5, 1e-200)],
     )
     def test_prices_outside_float_range_rejected(self, u, d, v):
         with pytest.raises(ValueError, match="float range"):
             CrrMarket(CrrParams(u=u, d=d, v=v, r=0.01, p=0.5), horizon=3)
+
+    def test_underflowing_risk_neutral_weights_rejected(self):
+        # q is about 2.2e-16, so the all-up path's weight q**24 underflows
+        params = CrrParams(u=2.0, d=math.nextafter(1.01, 0.0), v=1.0, r=0.01, p=0.5)
+        CrrMarket(params, horizon=19)
+        with pytest.raises(ValueError, match="risk-neutral path weights leave the float range"):
+            CrrMarket(params, horizon=24)
+
+    @pytest.mark.parametrize("u,d,v", [(1.5, 1e-110, 1e200)])
+    def test_running_products_inside_float_range_accepted(self, u, d, v):
+        # d**3 alone underflows, but no price or risk-neutral weight does
+        assert d * d * d < sys.float_info.min
+        crr = CrrMarket(CrrParams(u=u, d=d, v=v, r=0.01, p=0.5), horizon=3)
+        stock = crr.market.price(crr.risky)
+        prices = [x for n in range(4) for x in stock.level(n)]
+        assert sys.float_info.min <= min(prices) and max(prices) < math.inf
+        assert fair_price(crr, parse_payoff("S_T"), 3) == pytest.approx(v, rel=1e-12)
 
     def test_float_range_boundary(self):
         top = CrrParams(u=2.0, d=0.5, v=sys.float_info.max / 8, r=0.01, p=0.5)
@@ -350,8 +369,8 @@ class TestTwoRateArbitrage:
 @st.composite
 def wide_markets(draw):
     """Markets up to horizon 12 with spot prices from 1e-300 to 1e300 and
-    rates down to just above -1; configs whose prices leave the float range
-    are rejected by ``CrrMarket`` and skipped."""
+    rates down to just above -1; configs whose prices or risk-neutral weights
+    leave the float range are rejected by ``CrrMarket`` and skipped."""
     d = draw(st.floats(1e-3, 2.0))
     u = d * draw(st.floats(1.0, 4.0, exclude_min=True))
     v = draw(st.sampled_from([1e-300, 1e-9, 1.0, 1e9, 1e300])) * draw(st.floats(0.5, 2.0))
@@ -377,9 +396,19 @@ class TestPriceLevels:
         for n in range(crr.horizon + 1):
             nodes = list(iter_paths(n))
             assert list(map(repr, stock.level(n))) == [
-                repr(geom_rand_walk(crr.params, n, w)) for w in nodes
+                repr(price_path(crr.params, w)[-1]) for w in nodes
             ]
             assert list(map(repr, bank.level(n))) == [repr(disc_rfr_proc(crr.params.r, n))] * 2**n
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_markets())
+    def test_risky_level_is_the_payoffs_running_product(self, crr):
+        # the hedge and the payoff read the same price at every node
+        stock = crr.market.price(crr.risky)
+        for n in range(crr.horizon + 1):
+            assert list(map(float.hex, stock.level(n))) == [
+                prices[-1].hex() for prices in price_paths(crr.params, n)
+            ]
 
     def test_levels_are_computed_on_demand(self):
         crr = CrrMarket(PARAMS, horizon=3)
@@ -411,6 +440,57 @@ def edge_walks(draw):
     u = draw(st.one_of(st.floats(1.0, 4.0, exclude_min=True), near(top)))
     d = draw(st.one_of(st.floats(0.05, 1.0, exclude_max=True), near(bottom)))
     return CrrParams(u=u, d=d, v=v, r=0.0, p=0.5), n
+
+
+class TestFloatRangeCheck:
+    """``CrrMarket`` accepts a config exactly when every node of the running
+    product, and in a viable market every risk-neutral path weight, stays
+    finite and normal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_walks())
+    def test_accepts_exactly_the_configs_whose_nodes_stay_in_range(self, walk):
+        params, n = walk
+        horizon = max(n, 1)
+        prices_in_range = all(
+            math.isfinite(x) and x >= sys.float_info.min
+            for t in range(horizon + 1)
+            for x in toss_products(params.v, params.u, params.d, t)
+        )
+        q = risk_neutral_q(params) if is_viable(params) else 0.5
+        weights_in_range = all(
+            x >= sys.float_info.min
+            for t in range(horizon + 1)
+            for x in toss_products(1.0, q, 1.0 - q, t)
+        )
+        try:
+            CrrMarket(params, horizon)
+        except ValueError as exc:
+            if not prices_in_range:
+                assert "risky prices leave the float range" in str(exc)
+            else:
+                assert not weights_in_range
+                assert "risk-neutral path weights leave the float range" in str(exc)
+        else:
+            assert prices_in_range and weights_in_range
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_walks())
+    @example((CrrParams(u=1e110, d=0.5, v=1e-200, r=0.0, p=0.5), 3))
+    @example((CrrParams(u=1.5, d=1e-110, v=1e200, r=0.0, p=0.5), 3))
+    def test_accepted_edge_markets_price_the_stock_at_its_spot(self, walk):
+        # r = 0, so the fair price of S_T is v; only products below the
+        # smallest normal float, at most one per path, may be lost
+        params, n = walk
+        try:
+            crr = CrrMarket(params, max(n, 1))
+        except ValueError:
+            reject()
+        if not is_viable(params):
+            reject()
+        assert fair_price(crr, parse_payoff("S_T"), n) == pytest.approx(
+            params.v, rel=1e-12, abs=2**n * sys.float_info.min
+        )
 
 
 class TestPricePaths:
