@@ -108,6 +108,8 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     crr = _read_market(args.config)
     payoff = _load_payoff(args, args.maturity)
+    if args.maturity < 1:  # before the portfolio's decision times are checked against it
+        raise ValueError("replication needs at least one trading period")
     text = _read_text(args.portfolio, "portfolio")
     try:
         portfolio = read_portfolio_csv(text, args.maturity, crr.market.assets)

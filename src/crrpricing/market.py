@@ -11,6 +11,7 @@ loop for both CSV inputs: portfolios (by ``TossPath.index()``) and path tables.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -175,7 +176,7 @@ def _node_worth(mkt: Market, p: QuantityProcess, n: int, path: TossPath, t: int)
     """Time-``n`` worth, at the node ``path`` passes through, of the holdings
     chosen at time ``t`` (``n`` or ``n - 1``)."""
     [worth] = _worth(mkt, p, n, t)
-    return worth[(path if len(path) == n else path.truncate(n)).index()]
+    return list(worth)[(path if len(path) == n else path.truncate(n)).index()]
 
 
 def value_process(mkt: Market, p: QuantityProcess, n: int, path: TossPath) -> float:
@@ -193,33 +194,44 @@ def closing_value_process(mkt: Market, p: QuantityProcess, n: int, path: TossPat
     return _node_worth(mkt, p, n, path, max(n - 1, 0))
 
 
-def _worth(mkt: Market, p: QuantityProcess, n: int, *chosen: int) -> list[list[float]]:
+def _held_at(level: list[float], shift: int) -> Iterable[float]:
+    """``level[k >> shift]`` for each ``k``, without building that list."""
+    return level if shift == 0 else itertools.chain.from_iterable(zip(*[level] * (1 << shift)))
+
+
+def _node_fsums(columns: list[Iterable[float]], width: int) -> Iterable[float]:
+    """``math.fsum`` across ``columns`` (one per asset, in id order) at each of
+    ``width`` nodes, lazily, so a caller that stops early sums no further."""
+    return map(math.fsum, zip(*columns)) if columns else itertools.repeat(0.0, width)
+
+
+def _worth(mkt: Market, p: QuantityProcess, n: int, *chosen: int) -> list[Iterable[float]]:
     """Per decision time ``t`` in ``chosen`` (``n``: value, ``n - 1``: closing
-    value), the time-``n`` worth of those holdings at each length-``n`` node."""
+    value), the time-``n`` worth of those holdings at each length-``n`` node, lazily."""
     _check_time(mkt, p, n)
     support = sorted(support_set(p), key=lambda a: a.id)
     prices = [mkt.price(a).level(n) for a in support]
-    worth = []
-    for t in chosen:
-        held = [p.levels[a][t] for a in support]
-        worth.append([
-            math.fsum(s[k] * h[k >> (n - t)] for s, h in zip(prices, held)) for k in range(1 << n)
-        ])
-    return worth
+    return [
+        _node_fsums([
+            map(operator.mul, s, _held_at(p.levels[a][t], n - t)) for a, s in zip(support, prices)
+        ], 1 << n)
+        for t in chosen
+    ]
 
 
 def closing_value_level(mkt: Market, p: QuantityProcess, n: int) -> list[float]:
     """``closing_value_process`` at every length-``n`` node, in ``iter_paths`` order."""
     [closing] = _worth(mkt, p, n, max(n - 1, 0))
-    return closing
+    return list(closing)
 
 
 def is_self_financing(mkt: Market, p: QuantityProcess, tol: float = 1e-9) -> bool:
     """Whether rebalancing never injects or withdraws cash after inception."""
+    # ``tol >= gap`` is false for a NaN gap, so a NaN fails the check.
+    within = functools.partial(operator.ge, tol)
     for n in range(1, p.horizon):
         value, closing = _worth(mkt, p, n, n, n - 1)
-        # Written so that a NaN cash gap fails the check.
-        if not all(abs(v - c) <= tol for v, c in zip(value, closing)):
+        if not all(map(within, map(abs, map(operator.sub, value, closing)))):
             return False
     return True
 
@@ -249,15 +261,14 @@ def make_self_financing(
     spent0 = math.fsum(mkt.price(a).at(0, EMPTY_PATH) * p.levels[a][0][0] for a in others)
     beta = [[(v0 - spent0) / fprices[0][0]]]
     for n in range(1, horizon):
-        prices = [mkt.price(a).level(n) for a in others]
-        held = [p.levels[a][n - 1] for a in others]
-        chosen = [p.levels[a][n] for a in others]
-        beta.append([
-            beta[-1][k >> 1]
-            + math.fsum(s[k] * (h[k >> 1] - c[k]) for s, h, c in zip(prices, held, chosen))
-            / fprices[n][k]
-            for k in range(1 << n)
-        ])
+        cost = _node_fsums([
+            map(operator.mul, mkt.price(a).level(n),
+                map(operator.sub, _held_at(p.levels[a][n - 1], 1), p.levels[a][n]))
+            for a in others
+        ], 1 << n)
+        beta.append(list(map(
+            operator.add, _held_at(beta[-1], 1), map(operator.truediv, cost, fprices[n])
+        )))
     levels = {a: t for a, t in p.levels.items() if a != funding}
     levels[funding] = beta
     return QuantityProcess(horizon, levels)

@@ -202,12 +202,13 @@ def replicating_portfolio(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> 
     stock = crr.market.price(crr.risky)
     prices = [stock.level(n) for n in range(maturity + 1)]
     delta = [
-        [(v_up - v_down) / (s_up - s_down)
-         for v_up, v_down, s_up, s_down in zip(v[0::2], v[1::2], s[0::2], s[1::2])]
+        list(map(operator.truediv, map(operator.sub, v[0::2], v[1::2]),
+                 map(operator.sub, s[0::2], s[1::2])))
         for v, s in zip(values[1:], prices[1:])
     ]
     bank = [
-        [(v - h * s) / disc_rfr_proc(crr.params.r, n) for v, h, s in zip(v_n, h_n, s_n)]
+        list(map(operator.truediv, map(operator.sub, v_n, map(operator.mul, h_n, s_n)),
+                 itertools.repeat(disc_rfr_proc(crr.params.r, n))))
         for n, (v_n, h_n, s_n) in enumerate(zip(values, delta, prices))
     ]
     _require_finite(f"hedge quantity of {crr.risky.id!r}", delta)
@@ -253,7 +254,7 @@ def verify_replication(
         )
     kappa = terminal_payoffs(crr, payoff, maturity)
     tol *= max(1.0, max(map(abs, kappa)))
-    errors = [abs(c - k) for c, k in zip(closing_value_level(crr.market, p, maturity), kappa)]
+    errors = list(map(abs, map(operator.sub, closing_value_level(crr.market, p, maturity), kappa)))
     # max() keeps the first of incomparable values, so a NaN error after a number would be lost.
     worst = math.nan if any(map(math.isnan, errors)) else max(errors)
     return ReplicationReport(

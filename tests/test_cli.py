@@ -398,6 +398,18 @@ class TestVerify:
         )
         assert (code, out, err) == (EXIT_BAD_INPUT, "", "error: maturity 5 outside market horizon 4\n")
 
+    @pytest.mark.parametrize("maturity", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["replicate", "verify"])
+    def test_maturity_below_one_is_bad_input(self, capsys, config, tmp_path, command, maturity):
+        hedge = self.replicate_to_file(capsys, config, tmp_path)
+        extra = ["--portfolio", str(hedge)] if command == "verify" else []
+        code, out, err = run(
+            capsys, command, "--config", config, "--payoff", "lookback", "--maturity", maturity, *extra,
+        )
+        assert (code, out, err) == (
+            EXIT_BAD_INPUT, "", "error: replication needs at least one trading period\n"
+        )
+
 
 class TestCheck:
     def test_viable_reports_weight(self, capsys, config):
@@ -874,6 +886,19 @@ class TestUnwritableOutput:
         )
         assert (proc.returncode, proc.stdout) == (EXIT_BAD_INPUT, "")
         assert proc.stderr.startswith(f"error: cannot write portfolio {str(tmp_path)!r}: ")
+
+
+class TestStandardLibraryOnly:
+    def test_imports_and_checks_without_site_packages(self, config):
+        # -S leaves site-packages off sys.path: an import of any third-party
+        # package (numpy, say) anywhere in the package fails here
+        src = str(Path(cli.__file__).parents[1])
+        script = "import sys, crrpricing, crrpricing.cli; sys.exit(crrpricing.cli.main(sys.argv[1:]))"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, "check", "--config", config],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "viable; q = 0.575\n", "")
 
 
 class BrokenPipeStdout(io.StringIO):

@@ -712,12 +712,15 @@ def draw_number(rng, low, high, specials):
 
 @st.composite
 def random_markets(draw):
-    """A market of random node tables, zero prices included."""
+    """A market of random node tables, zero prices included; some markets
+    quote nonzero prices from 5e307 to 1.7e308, near the top of the float
+    range, so that ``make_self_financing`` gets past its zero-price check."""
     horizon = draw(st.integers(1, 5))
     rng = random.Random(draw(st.integers(0, 2**32)))
+    low, high, specials = draw(st.sampled_from([(-50.0, 200.0, [0.0, 1.0]), (5e307, 1.7e308, [1.0])]))
     tables = {
         a: LatticeProcess.from_table(horizon, {
-            (n, w): draw_number(rng, -50.0, 200.0, [0.0, 1.0])
+            (n, w): draw_number(rng, low, high, specials)
             for n in range(horizon + 1) for w in iter_paths(n)
         })
         for a in MARKET_ASSETS
@@ -727,12 +730,15 @@ def random_markets(draw):
 
 @st.composite
 def random_portfolios(draw, horizon):
-    """Random holdings of some assets; NaN, signed zeros and constants included."""
+    """Random holdings of some assets; NaN, signed zeros, constants and +-1e308
+    included. Holdings within +-1 keep products with +-1e308 prices finite, so
+    that their sums can overflow."""
     assets = draw(st.lists(st.sampled_from(MARKET_ASSETS), unique=True, max_size=4))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    specials = [0.0, -0.0, 1.0] + [math.nan] * draw(st.booleans())
+    high = draw(st.sampled_from([10.0, 1.0]))
+    specials = [0.0, -0.0, 1.0, 1e308, -1e308] + [math.nan] * draw(st.booleans())
     return QuantityProcess(horizon, {
-        a: [[draw_number(rng, -10.0, 10.0, specials) for _ in range(2**t)] for t in range(horizon)]
+        a: [[draw_number(rng, -high, high, specials) for _ in range(2**t)] for t in range(horizon)]
         for a in assets
     })
 
@@ -748,42 +754,68 @@ def same_floats(xs, ys):
     return list(map(repr, xs)) == list(map(repr, ys))
 
 
+def outcome(compute):
+    """``repr`` of what ``compute()`` returns, or the type and message of what
+    it raises. ``math.fsum`` raises ``OverflowError`` for finite terms whose sum
+    leaves the float range and ``ValueError`` for ``inf + -inf``; its messages
+    name no node, so the type is what tells that the first failing node is
+    the same."""
+    try:
+        return repr(compute())
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 class TestLevelsMatchNodeByNode:
     @settings(max_examples=200, deadline=None)
     @given(markets_and_portfolios(), st.sampled_from([0.0, 1e-9, 1e-3, 1.0, math.inf]))
     def test_values_and_self_financing(self, case, tol):
         mkt, p = case
         assert support_set(p) == reference_support(p)
-        assert is_self_financing(mkt, p, tol) == reference_is_self_financing(mkt, p, tol)
+        financed = outcome(lambda: is_self_financing(mkt, p, tol))
+        assert financed == outcome(lambda: reference_is_self_financing(mkt, p, tol))
         nan_held = any(math.isnan(x) for table in p.levels.values() for level in table for x in level)
         if nan_held and p.horizon >= 2:  # fails closed, whatever the tolerance
-            assert not is_self_financing(mkt, p, tol)
+            assert financed != repr(True)
         for n in range(p.horizon + 1):
             nodes = list(iter_paths(n))
-            closing = [reference_worth(mkt, p, n, w, max(n - 1, 0)) for w in nodes]
-            value = [reference_worth(mkt, p, n, w, min(n, p.horizon - 1)) for w in nodes]
-            assert same_floats(closing_value_level(mkt, p, n), closing)
-            assert same_floats([closing_value_process(mkt, p, n, w) for w in nodes], closing)
-            assert same_floats([value_process(mkt, p, n, w) for w in nodes], value)
+            closing = outcome(lambda: [reference_worth(mkt, p, n, w, max(n - 1, 0)) for w in nodes])
+            value = outcome(lambda: [reference_worth(mkt, p, n, w, min(n, p.horizon - 1)) for w in nodes])
+            assert outcome(lambda: closing_value_level(mkt, p, n)) == closing
+            assert outcome(lambda: [closing_value_process(mkt, p, n, w) for w in nodes]) == closing
+            assert outcome(lambda: [value_process(mkt, p, n, w) for w in nodes]) == value
 
     @settings(max_examples=200, deadline=None)
     @given(markets_and_portfolios(), st.sampled_from(MARKET_ASSETS), st.sampled_from([0.0, 5.0, -2.5]))
     def test_make_self_financing(self, case, funding, v0):
         mkt, p = case
-        try:
+
+        def funding_levels():
+            fixed = make_self_financing(mkt, p, funding, v0)
+            assert fixed.levels.keys() == p.levels.keys() | {funding}
+            for a, n in itertools.product(p.levels.keys() - {funding}, range(1, p.horizon + 1)):
+                assert same_floats(fixed.levels[a][n - 1], [p.quantity(a, n, w) for w in iter_paths(n - 1)])
+            return fixed.levels[funding]
+
+        def reference_levels():
             beta = reference_make_self_financing(mkt, p, funding, v0)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as raised:
-                make_self_financing(mkt, p, funding, v0)
-            assert str(raised.value) == str(exc)
-            return
-        fixed = make_self_financing(mkt, p, funding, v0)
-        assert fixed.levels.keys() == p.levels.keys() | {funding}
-        for n in range(1, p.horizon + 1):
-            nodes = list(iter_paths(n - 1))
-            assert same_floats(fixed.levels[funding][n - 1], [beta[(n, w)] for w in nodes])
-            for a in p.levels.keys() - {funding}:
-                assert same_floats(fixed.levels[a][n - 1], [p.quantity(a, n, w) for w in nodes])
+            return [[beta[(n, w)] for w in iter_paths(n - 1)] for n in range(1, p.horizon + 1)]
+
+        assert outcome(funding_levels) == outcome(reference_levels)
+
+    def test_the_first_node_whose_sum_fails_raises(self):
+        # time-1 holdings: at U the products 1e308 and 1e308 overflow their
+        # sum; at D they are inf and -inf, which fsum rejects with ValueError
+        huge, unit = LatticeProcess.deterministic([1e308] * 3), LatticeProcess.deterministic([1.0] * 3)
+        mkt = Market({APL: huge, GOOG: huge, FBK: unit, SLOT: unit}, stocks=[APL, GOOG, FBK])
+        p = QuantityProcess(2, {APL: [[0.0], [-1.0, -2.0]], GOOG: [[0.0], [-1.0, 2.0]]})
+        for compute in (
+            lambda: closing_value_level(mkt, p, 2),
+            lambda: is_self_financing(mkt, p),
+            lambda: make_self_financing(mkt, p, FBK, 0.0),
+        ):
+            with pytest.raises(OverflowError):
+                compute()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda h: st.tuples(random_portfolios(h), random_portfolios(h))),
