@@ -25,6 +25,7 @@ UP = True
 DOWN = False
 
 _ONLY_BOOL = frozenset({bool})
+_LETTERS, _BITS = str.maketrans("01", "UD"), str.maketrans("UD", "01")
 
 
 def check_horizon(horizon: int) -> int:
@@ -92,12 +93,8 @@ class TossPath:
     @classmethod
     def from_label(cls, text: str) -> "TossPath":
         """Parse a U/D string; '' and '-' denote the empty path."""
-        if text in ("", "-"):
-            return cls()
-        bad = set(text) - {"U", "D"}
-        if bad:
-            raise ValueError(f"invalid toss label {text!r}: characters must be U or D")
-        return cls(tuple(c == "U" for c in text))
+        n, _ = parse_label(text)
+        return cls(tuple(c == "U" for c in text[:n]))  # [:0] drops the '-' of the empty path
 
     def __str__(self) -> str:
         return self.label()
@@ -119,7 +116,17 @@ def prefix_labels(length: int) -> Iterator[list[str]]:
 
 def label_at(n: int, k: int) -> str:
     """``label()`` of the length-``n`` prefix whose ``TossPath.index()`` is ``k``."""
-    return "".join("UD"[k >> i & 1] for i in reversed(range(n))) or "-"
+    return format(k, f"0{n}b").translate(_LETTERS) if n else "-"
+
+
+def parse_label(text: str) -> tuple[int, int]:
+    """``label_at``'s inverse: a U/D string's length and ``TossPath.index()``; '' and '-' are empty."""
+    if text in ("", "-"):
+        return 0, 0
+    # checked first: int(..., 2) would also take '_', signs and blanks
+    if text.strip("UD"):
+        raise ValueError(f"invalid toss label {text!r}: characters must be U or D")
+    return len(text), int(text.translate(_BITS), 2)
 
 
 def iter_paths(length: int) -> Iterator[TossPath]:

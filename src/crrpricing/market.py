@@ -6,7 +6,7 @@ interval ``]n-1, n]`` holds an amount for each of the first ``n-1`` tosses, so
 predictability is built into the representation. Value and closing-value
 processes, the self-financing predicate, and a funding construction that
 repairs any portfolio into a self-financing one are provided, with one record
-loop for both CSV inputs: portfolios (by ``TossPath.index()``) and path tables.
+loop for both CSV inputs: portfolios (by prefix length and index) and path tables.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple
 
 from .lattice import EMPTY_PATH, LatticeProcess, TossPath, check_horizon, iter_paths
-from .lattice import label_at, prefix_labels
+from .lattice import label_at, parse_label, prefix_labels
 
 QuantityFn = Callable[[int, TossPath], float]
 
@@ -175,8 +175,7 @@ def _check_time(mkt: Market, p: QuantityProcess, n: int) -> None:
 def _node_worth(mkt: Market, p: QuantityProcess, n: int, path: TossPath, t: int) -> float:
     """Time-``n`` worth, at the node ``path`` passes through, of the holdings
     chosen at time ``t`` (``n`` or ``n - 1``)."""
-    [worth] = _worth(mkt, p, n, t)
-    return list(worth)[(path if len(path) == n else path.truncate(n)).index()]
+    return _worth(mkt, p, n, [t])[(path if len(path) == n else path.truncate(n)).index()]
 
 
 def value_process(mkt: Market, p: QuantityProcess, n: int, path: TossPath) -> float:
@@ -199,41 +198,48 @@ def _held_at(level: list[float], shift: int) -> Iterable[float]:
     return level if shift == 0 else itertools.chain.from_iterable(zip(*[level] * (1 << shift)))
 
 
-def _node_fsums(columns: list[Iterable[float]], width: int) -> Iterable[float]:
-    """``math.fsum`` across ``columns`` (one per asset, in id order) at each of
-    ``width`` nodes, lazily, so a caller that stops early sums no further."""
-    return map(math.fsum, zip(*columns)) if columns else itertools.repeat(0.0, width)
+def _node_fsums(n: int, groups: Callable[[], list[list[Iterable[float]]]], consume: Callable = list):
+    """``consume`` of, per group of columns (one per asset, in id order) from ``groups()``,
+    ``math.fsum`` across them at each length-``n`` node, lazily. A failing sum raises a
+    ``ValueError`` naming the first failing node, found by summing ``groups()`` again."""
+    def sums() -> list[Iterable[float]]:
+        return [map(math.fsum, zip(*g)) if g else itertools.repeat(0.0, 1 << n) for g in groups()]
+    try:
+        return consume(*sums())
+    except (OverflowError, ValueError):
+        nodes = zip(*sums())
+        for k in range(1 << n):
+            try:
+                next(nodes)
+            except (OverflowError, ValueError) as exc:
+                raise ValueError(
+                    f"portfolio worth leaves the float range at node (t={n}, {label_at(n, k)}): {exc}"
+                ) from None
+        raise
 
 
-def _worth(mkt: Market, p: QuantityProcess, n: int, *chosen: int) -> list[Iterable[float]]:
-    """Per decision time ``t`` in ``chosen`` (``n``: value, ``n - 1``: closing
-    value), the time-``n`` worth of those holdings at each length-``n`` node, lazily."""
+def _worth(mkt: Market, p: QuantityProcess, n: int, chosen: list[int], consume: Callable = list):
+    """``_node_fsums`` of the time-``n`` worth of the holdings chosen at each time in ``chosen``."""
     _check_time(mkt, p, n)
     support = sorted(support_set(p), key=lambda a: a.id)
     prices = [mkt.price(a).level(n) for a in support]
-    return [
-        _node_fsums([
-            map(operator.mul, s, _held_at(p.levels[a][t], n - t)) for a, s in zip(support, prices)
-        ], 1 << n)
+    return _node_fsums(n, lambda: [
+        [map(operator.mul, s, _held_at(p.levels[a][t], n - t)) for a, s in zip(support, prices)]
         for t in chosen
-    ]
+    ], consume)
 
 
 def closing_value_level(mkt: Market, p: QuantityProcess, n: int) -> list[float]:
     """``closing_value_process`` at every length-``n`` node, in ``iter_paths`` order."""
-    [closing] = _worth(mkt, p, n, max(n - 1, 0))
-    return list(closing)
+    return _worth(mkt, p, n, [max(n - 1, 0)])
 
 
 def is_self_financing(mkt: Market, p: QuantityProcess, tol: float = 1e-9) -> bool:
     """Whether rebalancing never injects or withdraws cash after inception."""
-    # ``tol >= gap`` is false for a NaN gap, so a NaN fails the check.
-    within = functools.partial(operator.ge, tol)
-    for n in range(1, p.horizon):
-        value, closing = _worth(mkt, p, n, n, n - 1)
-        if not all(map(within, map(abs, map(operator.sub, value, closing)))):
-            return False
-    return True
+    def financed(value: Iterable[float], closing: Iterable[float]) -> bool:
+        # ``tol >= gap`` is false for a NaN gap, so a NaN fails the check.
+        return all(map(functools.partial(operator.ge, tol), map(abs, map(operator.sub, value, closing))))
+    return all(_worth(mkt, p, n, [n, n - 1], financed) for n in range(1, p.horizon))
 
 
 def make_self_financing(
@@ -255,32 +261,31 @@ def make_self_financing(
                 f"(t={n}, {label_at(n, level.index(0.0))})"
             )
 
-    others = sorted(
-        (a for a in support_set(p) if a != funding), key=lambda a: a.id
-    )
-    spent0 = math.fsum(mkt.price(a).at(0, EMPTY_PATH) * p.levels[a][0][0] for a in others)
-    beta = [[(v0 - spent0) / fprices[0][0]]]
+    others = sorted((a for a in support_set(p) if a != funding), key=lambda a: a.id)
+    beta = [[(v0 - init_value(mkt, qty_rem_comp(p, funding))) / fprices[0][0]]]
     for n in range(1, horizon):
-        cost = _node_fsums([
+        cost = _node_fsums(n, lambda: [[
             map(operator.mul, mkt.price(a).level(n),
                 map(operator.sub, _held_at(p.levels[a][n - 1], 1), p.levels[a][n]))
             for a in others
-        ], 1 << n)
-        beta.append(list(map(
-            operator.add, _held_at(beta[-1], 1), map(operator.truediv, cost, fprices[n])
-        )))
+        ]])
+        beta.append(list(map(operator.add, _held_at(beta[-1], 1), map(operator.truediv, cost, fprices[n]))))
     levels = {a: t for a, t in p.levels.items() if a != funding}
     levels[funding] = beta
     return QuantityProcess(horizon, levels)
 
 
 class PortfolioRow(NamedTuple):
-    """One CSV line: quantities chosen at ``time`` to hold over ``]time, time+1]``."""
+    """One table row: quantities chosen at ``time`` to hold over ``]time, time+1]``."""
 
     time: int
     prefix: TossPath
     asset: str
     quantity: float
+
+
+def _row_keys(rows: Iterable[PortfolioRow]) -> list[tuple]:
+    return [(r.asset, r.time, len(r.prefix), r.prefix.index(), r.quantity) for r in rows]
 
 
 def is_trading_strategy(
@@ -296,89 +301,81 @@ def is_trading_strategy(
     """
     if isinstance(p, QuantityProcess):
         return True
-    rows = list(p)
+    keys = _row_keys(p)
     if horizon is None:
-        horizon = max((r.time + 1 for r in rows), default=1)
+        horizon = max((t + 1 for _, t, _, _, _ in keys), default=1)
     try:
-        _collapse_rows(rows, horizon)
+        _collapse_rows(keys, horizon)
     except PredictabilityError:
         return False
     return True
 
 
-def _collapse_rows(rows: Iterable[PortfolioRow], horizon: int) -> dict[str, dict[int, list[float]]]:
-    """Reduce a row table to canonical decision-time levels, or fail.
+def _collapse_rows(keys: Iterable[tuple], horizon: int) -> dict[str, dict[int, list[float]]]:
+    """Per asset id, the level of each decision time ``t`` that the keys
+    ``(asset id, t, prefix length n, prefix index k, quantity)`` name, or fail.
 
-    Returns, per asset id, the level of each decision time the rows name, 0
-    where no row covers a node. Rows are keyed by prefix length ``n`` and
-    ``index()``: depth cell ``k`` lies under key ``k >> (depth - n)``, and
-    class ``j`` of time ``t`` is the ``j``-th run of ``2^(depth - t)`` cells.
-    Rows that give a cell two quantities, whatever their prefix lengths, are a
-    ``PortfolioFormatError``. Rows keyed deeper than their decision time must
-    agree on the whole class they refine, absent siblings counting as 0, or the
-    table peeks at later tosses: a ``PredictabilityError``.
-    """
-    by_key: dict[tuple[str, int], dict[tuple[int, int], float]] = {}
-    for row in rows:
-        if not 0 <= row.time < horizon:
+    A key covers cells ``k << (depth - n)`` to ``(k + 1) << (depth - n)`` of its
+    ``(asset, t)`` slot; a cell takes the first covering key's value, else 0.
+    Two values for a cell are a ``PortfolioFormatError`` at the smallest such
+    cell; unequal cells in a time-``t`` class peek at later tosses: a
+    ``PredictabilityError``."""
+    slots: dict[tuple[str, int], dict[tuple[int, int], float]] = {}
+    for asset_id, t, n, k, q in keys:
+        if not 0 <= t < horizon:
+            raise PortfolioFormatError(f"decision time {t} outside 0..{horizon - 1}")
+        if n > horizon:
+            raise PortfolioFormatError(f"prefix {label_at(n, k)!r} longer than the horizon {horizon}")
+        slot = slots.setdefault((asset_id, t), {})
+        if (n, k) in slot and slot[n, k] != q:
             raise PortfolioFormatError(
-                f"decision time {row.time} outside 0..{horizon - 1}"
+                f"conflicting quantities for asset {asset_id!r} at (t={t}, {label_at(n, k)})"
             )
-        if len(row.prefix) > horizon:
-            raise PortfolioFormatError(
-                f"prefix {row.prefix.label()!r} longer than the horizon {horizon}"
-            )
-        slot = by_key.setdefault((row.asset, row.time), {})
-        key = (len(row.prefix), row.prefix.index())
-        if key in slot and slot[key] != row.quantity:
-            raise PortfolioFormatError(
-                f"conflicting quantities for asset {row.asset!r} at "
-                f"(t={row.time}, {row.prefix.label()})"
-            )
-        slot[key] = row.quantity
+        slot[n, k] = q  # a repeated key keeps its first place and takes the last value
 
     collapsed: dict[str, dict[int, list[float]]] = {}
-    for (asset_id, t), given in sorted(by_key.items()):
-        depth = max(t, max(n for n, _ in given))
-        # each depth cell takes the value of the first given row covering it
-        ranked = {key: (i, v) for i, (key, v) in enumerate(given.items())}
-        lengths = sorted({n for n, _ in given})
-        cells = []
-        for k in range(1 << depth):
-            covering = sorted(filter(None, (ranked.get((n, k >> (depth - n))) for n in lengths)))
-            if len({v for _, v in covering}) > 1:
-                raise PortfolioFormatError(
-                    f"conflicting quantities for asset {asset_id!r} at "
-                    f"(t={t}, {label_at(depth, k)})"
-                )
-            cells.append(covering[0][1] if covering else 0.0)
-        width, level = 1 << (depth - t), []
-        for j in range(1 << t):
-            values = set(cells[j * width:(j + 1) * width])
-            if len(values) > 1:
-                raise PredictabilityError(
-                    f"asset {asset_id!r}: quantity chosen at time {t} varies with "
-                    f"tosses after {label_at(t, j)}"
-                )
-            level.append(values.pop())
+    for (asset_id, t), given in sorted(slots.items()):
+        depth = max(t, max(given)[0])
+        spans = [(k << (depth - n), (k + 1) << (depth - n), q) for (n, k), q in given.items()]
+        cells = [0.0] * (1 << depth)
+        for lo, hi, q in reversed(spans):  # the first key covering a cell writes it last
+            cells[lo:hi] = [q] * (hi - lo)
+        # agreement as in a set: the same NaN object agrees with itself
+        conflicts = [i for lo, hi, q in spans if cells[lo:hi].count(q) != hi - lo
+                     for i in range(lo, hi) if cells[i] is not q and cells[i] != q]
+        if conflicts:
+            raise PortfolioFormatError(
+                f"conflicting quantities for asset {asset_id!r} at (t={t}, {label_at(depth, min(conflicts))})"
+            )
+        width = 1 << (depth - t)
+        level = cells[::width]
+        if list(_held_at(level, depth - t)) != cells:
+            j = next(j for j, v in enumerate(level) if cells[j * width:(j + 1) * width].count(v) != width)
+            raise PredictabilityError(
+                f"asset {asset_id!r}: quantity chosen at time {t} varies with "
+                f"tosses after {label_at(t, j)}"
+            )
         collapsed.setdefault(asset_id, {})[t] = level
     return collapsed
+
+
+def _quantity_process(keys: list[tuple], horizon: int, assets: Iterable[Asset]) -> QuantityProcess:
+    check_horizon(horizon)
+    by_id = {a.id: a for a in assets}
+    for asset_id, *_ in keys:
+        if asset_id not in by_id:
+            raise PortfolioFormatError(f"unknown asset id {asset_id!r}")
+    return QuantityProcess(horizon, {
+        by_id[asset_id]: [levels.get(t) or [0.0] * (1 << t) for t in range(horizon)]
+        for asset_id, levels in _collapse_rows(keys, horizon).items()
+    })
 
 
 def quantity_process_from_rows(
     rows: Iterable[PortfolioRow], horizon: int, assets: Iterable[Asset]
 ) -> QuantityProcess:
     """Build a predictable quantity process from a row table."""
-    check_horizon(horizon)
-    by_id = {a.id: a for a in assets}
-    rows = list(rows)
-    for row in rows:
-        if row.asset not in by_id:
-            raise PortfolioFormatError(f"unknown asset id {row.asset!r}")
-    return QuantityProcess(horizon, {
-        by_id[asset_id]: [levels.get(t) or [0.0] * (1 << t) for t in range(horizon)]
-        for asset_id, levels in _collapse_rows(rows, horizon).items()
-    })
+    return _quantity_process(_row_keys(rows), horizon, assets)
 
 
 # Nodes whose CSV lines are formatted and joined per write. Joining a whole
@@ -437,24 +434,19 @@ def _read_csv(
     raise error(f"{what} must start with header {','.join(fields)!r}")
 
 
-def _portfolio_row(rec: list[str]) -> PortfolioRow:
-    time = int(rec[0])
-    prefix = TossPath.from_label(rec[1].strip())
-    quantity = float(rec[3])
-    if not math.isfinite(quantity):
-        raise ValueError(f"quantity {rec[3]!r} is not finite")
-    return PortfolioRow(time, prefix, rec[2].strip(), quantity)
-
-
-def read_portfolio_rows(text: str) -> list[PortfolioRow]:
-    """Parse portfolio CSV into rows; raises PortfolioFormatError on bad shape."""
-    fields = ("time", "prefix", "asset", "quantity")
-    return _read_csv(text, fields, "portfolio CSV", "line", PortfolioFormatError, _portfolio_row)
-
-
 def read_portfolio_csv(text: str, horizon: int, assets: Iterable[Asset]) -> QuantityProcess:
     """Load a portfolio from CSV; the table must be predictable."""
-    return quantity_process_from_rows(read_portfolio_rows(text), horizon, assets)
+    def key(rec: list[str]) -> tuple:
+        time = int(rec[0])
+        n, k = parse_label(rec[1].strip())
+        quantity = float(rec[3])
+        if not math.isfinite(quantity):
+            raise ValueError(f"quantity {rec[3]!r} is not finite")
+        return rec[2].strip(), time, n, k, quantity
+
+    fields = ("time", "prefix", "asset", "quantity")
+    keys = _read_csv(text, fields, "portfolio CSV", "line", PortfolioFormatError, key)
+    return _quantity_process(keys, horizon, assets)
 
 
 def read_path_table(text: str, maturity: int) -> dict[TossPath, float]:

@@ -605,6 +605,20 @@ class TestFloatRangeAndTolerance:
         assert err == f"error: {node}: inf\n"
         assert not any(f.exists() for f in files.values())
 
+    @pytest.mark.parametrize("rows, node", [
+        ("0,-,S,1.5e307\n0,-,rf,1.7e308\n", "(t=1, D): intermediate overflow in fsum"),
+        ("0,-,S,1e308\n0,-,rf,-1.79e308\n", "(t=1, U): -inf + inf in fsum"),
+    ], ids=["overflow", "inf - inf"])
+    def test_hedge_whose_worth_leaves_the_float_range_is_bad_input(self, capsys, tmp_path, rows, node):
+        # the products with the prices stay finite, or overflow to opposite infinities
+        cfg = write_config(tmp_path, horizon=1)
+        hedge = tmp_path / "hedge.csv"
+        hedge.write_text("time,prefix,asset,quantity\n" + rows)
+        argv = ["--config", cfg, "--payoff", "call(10)", "--maturity", "1", "--portfolio", str(hedge)]
+        assert run(capsys, "verify", *argv) == (
+            EXIT_BAD_INPUT, "", f"error: portfolio worth leaves the float range at node {node}\n"
+        )
+
     def test_risk_free_prices_outside_float_range_are_bad_input(self, capsys, tmp_path):
         cfg = write_config(tmp_path, u=2.0, d=1.0, v=1.0, r=1e77, horizon=5)
         code, out, err = run(capsys, "check", "--config", cfg)

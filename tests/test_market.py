@@ -35,7 +35,6 @@ from crrpricing.market import (
     quantity_process_from_rows,
     read_path_table,
     read_portfolio_csv,
-    read_portfolio_rows,
     support_set,
     value_process,
     write_portfolio_csv,
@@ -363,9 +362,12 @@ class TestPortfolioCsv:
         assert quantities_allclose(loaded, p2)
 
     def test_rows_are_deterministic(self, p1):
-        rows = read_portfolio_rows(write_portfolio_csv(p1))
-        assert rows == read_portfolio_rows(write_portfolio_csv(p1))
-        assert rows[0] == PortfolioRow(0, TossPath(), "Apl", 1.0)
+        text = write_portfolio_csv(p1)
+        assert text == write_portfolio_csv(p1)
+        assert text.splitlines()[1] == "0,-,Apl,1.0"
+        loaded = read_portfolio_csv(text, horizon=4, assets=[APL, GOOG, SLOT])
+        assert levels_repr(loaded) == levels_repr(read_portfolio_csv(text, horizon=4, assets=[APL, GOOG, SLOT]))
+        assert levels_repr(loaded) == levels_repr(p1)
 
     def test_bad_header_rejected(self):
         with pytest.raises(PortfolioFormatError, match="header"):
@@ -419,28 +421,33 @@ class TestPortfolioCsv:
         assert quantities_allclose(p, qty_empty(3))
 
 
+def levels_repr(q):
+    """Every holding of ``q`` by asset id, signs of zeros included."""
+    return repr(sorted((a.id, table) for a, table in q.levels.items()))
+
+
 PORTFOLIO_HEADER = "time,prefix,asset,quantity\n"
 TABLE_HEADER = "prefix,value\n"
 
 # (reader, CSV text, exception class, message): the record loop's own faults,
 # then each reader's field rules, all numbered by their line in the file
 RECORD_FAULTS = [
-    (read_portfolio_rows, "", PortfolioFormatError,
+    (read_portfolio_csv, "", PortfolioFormatError,
      "portfolio CSV must start with header 'time,prefix,asset,quantity'"),
     (read_path_table, "", ValueError, "path table must start with header 'prefix,value'"),
     (read_path_table, "prefix,value,x\nU,1\n", ValueError,
      "path table must start with header 'prefix,value'"),
     (read_path_table, "value,prefix\n", ValueError,
      "path table must start with header 'prefix,value'"),
-    (read_portfolio_rows, PORTFOLIO_HEADER + "0,-,Apl\n", PortfolioFormatError,
+    (read_portfolio_csv, PORTFOLIO_HEADER + "0,-,Apl\n", PortfolioFormatError,
      "line 2: expected 4 columns, got 3"),
     (read_path_table, TABLE_HEADER + "U,1,2\n", ValueError,
      "path table line 2: expected 2 columns, got 3"),
     (read_path_table, TABLE_HEADER + "U,1\n\nD\n", ValueError,
      "path table line 4: expected 2 columns, got 1"),
-    (read_portfolio_rows, PORTFOLIO_HEADER + "\nx,-,Apl,1\n", PortfolioFormatError,
+    (read_portfolio_csv, PORTFOLIO_HEADER + "\nx,-,Apl,1\n", PortfolioFormatError,
      "line 3: invalid literal for int() with base 10: 'x'"),
-    (read_portfolio_rows, PORTFOLIO_HEADER + "0,-,Apl,inf\n", PortfolioFormatError,
+    (read_portfolio_csv, PORTFOLIO_HEADER + "0,-,Apl,inf\n", PortfolioFormatError,
      "line 2: quantity 'inf' is not finite"),
     (read_path_table, TABLE_HEADER + "X,1\n", ValueError,
      "path table line 2: invalid toss label 'X': characters must be U or D"),
@@ -478,7 +485,7 @@ class TestCsvRecords:
 
     @staticmethod
     def read(reader, text):
-        return reader(text, 1) if reader is read_path_table else reader(text)
+        return reader(text, 1) if reader is read_path_table else reader(text, 2, [APL, SLOT])
 
     @pytest.mark.parametrize("reader, text, error, message", RECORD_FAULTS, ids=RECORD_FAULT_IDS)
     def test_faults_carry_the_line(self, reader, text, error, message):
@@ -489,12 +496,12 @@ class TestCsvRecords:
     def test_blank_lines_are_skipped(self, p1):
         text = write_portfolio_csv(p1)
         spaced = text.replace("\n", "\n\n", 3) + "\n\n"
-        assert read_portfolio_rows(spaced) == read_portfolio_rows(text)
+        assert levels_repr(read_portfolio_csv(spaced, 4, [APL, GOOG])) == levels_repr(p1)
         table = read_path_table(TABLE_HEADER + "\nU,1.5\n\n\nD,0\n\n", 1)
         assert table == {node("U"): 1.5, node("D"): 0.0}
 
     def test_header_only_reads_no_records(self):
-        assert read_portfolio_rows(PORTFOLIO_HEADER) == []
+        assert read_portfolio_csv(PORTFOLIO_HEADER, 2, [APL, SLOT]).levels == {}
         assert read_path_table(" prefix , value ", 2) == {}
 
 
@@ -580,14 +587,69 @@ def collapse_outcome(collapse, rows, horizon):
         return type(exc), str(exc)
 
 
+def collapse_row_table(rows, horizon):
+    return _collapse_rows(market._row_keys(rows), horizon)
+
+
+def csv_text(rows):
+    return PORTFOLIO_HEADER + "".join(
+        f"{r.time},{r.prefix.label()},{r.asset},{r.quantity!r}\n" for r in rows
+    )
+
+
+def read_csv_levels(text, horizon):
+    """``read_portfolio_csv``'s levels of the assets S and rf, by asset id."""
+    loaded = read_portfolio_csv(text, horizon, [Asset("S"), Asset("rf")])
+    return {a.id: table for a, table in sorted(loaded.levels.items(), key=lambda item: item[0].id)}
+
+
+def brute_force_csv_levels(rows, horizon):
+    """``brute_force_levels`` as ``read_csv_levels`` gives them: every
+    decision time of every named asset, zeros where no row names the time."""
+    return {
+        asset_id: [levels.get(t) or [0.0] * (1 << t) for t in range(horizon)]
+        for asset_id, levels in brute_force_levels(rows, horizon).items()
+    }
+
+
 class TestCollapseRows:
     @settings(max_examples=400, deadline=None)
     @given(row_tables())
     def test_matches_brute_force(self, table):
         rows, horizon = table
-        assert collapse_outcome(_collapse_rows, rows, horizon) == collapse_outcome(
+        assert collapse_outcome(collapse_row_table, rows, horizon) == collapse_outcome(
             brute_force_levels, rows, horizon
         )
+
+    @settings(max_examples=400, deadline=None)
+    @given(row_tables())
+    def test_csv_text_matches_brute_force(self, table):
+        rows, horizon = table
+        assert collapse_outcome(read_csv_levels, csv_text(rows), horizon) == collapse_outcome(
+            brute_force_csv_levels, rows, horizon
+        )
+
+    @pytest.mark.parametrize("label, expected", [
+        ("U_D", (PortfolioFormatError, "line 2: invalid toss label 'U_D': characters must be U or D")),
+        ("u", (PortfolioFormatError, "line 2: invalid toss label 'u': characters must be U or D")),
+        ("UX", (PortfolioFormatError, "line 2: invalid toss label 'UX': characters must be U or D")),
+        ("+U", (PortfolioFormatError, "line 2: invalid toss label '+U': characters must be U or D")),
+        (" U ", repr({"S": [[0.0], [1.5, 0.0]]})),
+        # the empty prefix covers (t=1, D) too
+        ("-", (PortfolioFormatError, "conflicting quantities for asset 'S' at (t=1, D)")),
+        ("", (PortfolioFormatError, "conflicting quantities for asset 'S' at (t=1, D)")),
+        ("UDD", (PortfolioFormatError, "prefix 'UDD' longer than the horizon 2")),
+    ], ids=["underscore", "lower case", "other letter", "sign", "blanks", "dash", "empty", "too long"])
+    def test_labels(self, label, expected):
+        # the time-1 row keyed by the label, next to a time-1 row at (t=1, D)
+        text = f"{PORTFOLIO_HEADER}1,{label},S,1.5\n1,D,S,0.0\n"
+        assert collapse_outcome(read_csv_levels, text, 2) == expected
+
+    def test_label_longer_than_the_horizon_by_far(self):
+        label = "UD" * 50_000
+        with pytest.raises(PortfolioFormatError) as info:
+            read_portfolio_csv(f"{PORTFOLIO_HEADER}1,{label},S,1.5\n", 2, [Asset("S")])
+        assert str(info.value) == f"prefix {label!r} longer than the horizon 2"
 
     def test_csv_round_trip_at_horizon_twelve(self):
         risky, bank = Asset("S"), Asset("rf")
@@ -642,10 +704,20 @@ def reference_support(p):
     )
 
 
+def node_fsum(n, w, terms):
+    """``math.fsum`` of the terms at node ``(n, w)``; a sum that fails names its node."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(
+            f"portfolio worth leaves the float range at node (t={n}, {w.label()}): {exc}"
+        ) from None
+
+
 def reference_worth(mkt, p, n, w, t):
     held = w.truncate(t)
     support = sorted(reference_support(p), key=lambda a: a.id)
-    return math.fsum(mkt.price(a).at(n, w) * p.quantity(a, t + 1, held) for a in support)
+    return node_fsum(n, w, (mkt.price(a).at(n, w) * p.quantity(a, t + 1, held) for a in support))
 
 
 def reference_is_self_financing(mkt, p, tol):
@@ -668,15 +740,15 @@ def reference_make_self_financing(mkt, p, funding, v0):
                 )
     others = sorted((a for a in reference_support(p) if a != funding), key=lambda a: a.id)
     root = TossPath()
-    spent0 = math.fsum(mkt.price(a).at(0, root) * p.quantity(a, 1, root) for a in others)
+    spent0 = node_fsum(0, root, (mkt.price(a).at(0, root) * p.quantity(a, 1, root) for a in others))
     beta = {(1, root): (v0 - spent0) / fprice.at(0, root)}
     for n in range(1, p.horizon):
         for w in iter_paths(n):
             held = w.truncate(n - 1)
-            cost = math.fsum(
+            cost = node_fsum(n, w, (
                 mkt.price(a).at(n, w) * (p.quantity(a, n, held) - p.quantity(a, n + 1, w))
                 for a in others
-            )
+            ))
             beta[(n + 1, w)] = beta[(n, held)] + cost / fprice.at(n, w)
     return beta
 
@@ -757,9 +829,9 @@ def same_floats(xs, ys):
 def outcome(compute):
     """``repr`` of what ``compute()`` returns, or the type and message of what
     it raises. ``math.fsum`` raises ``OverflowError`` for finite terms whose sum
-    leaves the float range and ``ValueError`` for ``inf + -inf``; its messages
-    name no node, so the type is what tells that the first failing node is
-    the same."""
+    leaves the float range and ``ValueError`` for ``inf + -inf``; both reach
+    the caller as a ``ValueError`` that names the first failing node, so the
+    message tells whether that node is the same."""
     try:
         return repr(compute())
     except (ArithmeticError, ValueError) as exc:
@@ -804,18 +876,40 @@ class TestLevelsMatchNodeByNode:
         assert outcome(funding_levels) == outcome(reference_levels)
 
     def test_the_first_node_whose_sum_fails_raises(self):
-        # time-1 holdings: at U the products 1e308 and 1e308 overflow their
-        # sum; at D they are inf and -inf, which fsum rejects with ValueError
+        # APL and GOOG are priced 1e308 at every node. "overflow at U": at U
+        # the time-1 products 1e308 and 1e308 overflow their sum, and at D
+        # they are inf and -inf. "inf - inf at D": at U the time-1 products
+        # cancel, at D they are inf and -inf, which fsum rejects with
+        # ValueError. "overflow at 0": the time-0 products overflow their sum.
         huge, unit = LatticeProcess.deterministic([1e308] * 3), LatticeProcess.deterministic([1.0] * 3)
         mkt = Market({APL: huge, GOOG: huge, FBK: unit, SLOT: unit}, stocks=[APL, GOOG, FBK])
-        p = QuantityProcess(2, {APL: [[0.0], [-1.0, -2.0]], GOOG: [[0.0], [-1.0, 2.0]]})
-        for compute in (
-            lambda: closing_value_level(mkt, p, 2),
-            lambda: is_self_financing(mkt, p),
-            lambda: make_self_financing(mkt, p, FBK, 0.0),
-        ):
-            with pytest.raises(OverflowError):
-                compute()
+        holdings = {
+            "overflow at U": ([[0.0], [-1.0, -2.0]], [[0.0], [-1.0, 2.0]]),
+            "inf - inf at D": ([[0.0], [1.0, -2.0]], [[0.0], [-1.0, 2.0]]),
+            "overflow at 0": ([[1.0], [0.0, 0.0]], [[1.0], [0.0, 0.0]]),
+        }
+        computes = {
+            "closing": lambda p: closing_value_level(mkt, p, 2),
+            "self-financing": lambda p: is_self_financing(mkt, p),
+            "funding": lambda p: make_self_financing(mkt, p, FBK, 0.0),
+            "init": lambda p: init_value(mkt, p),
+        }
+        for case, compute, node in [
+            ("overflow at U", "closing", "(t=2, UU): intermediate overflow in fsum"),
+            ("overflow at U", "self-financing", "(t=1, U): intermediate overflow in fsum"),
+            ("overflow at U", "funding", "(t=1, U): intermediate overflow in fsum"),
+            ("inf - inf at D", "closing", "(t=2, DU): -inf + inf in fsum"),
+            ("inf - inf at D", "self-financing", "(t=1, D): -inf + inf in fsum"),
+            ("inf - inf at D", "funding", "(t=1, D): -inf + inf in fsum"),
+            ("overflow at 0", "init", "(t=0, -): intermediate overflow in fsum"),
+            ("overflow at 0", "funding", "(t=0, -): intermediate overflow in fsum"),
+        ]:
+            apl, goog = holdings[case]
+            with pytest.raises(ValueError) as info:
+                computes[compute](QuantityProcess(2, {APL: apl, GOOG: goog}))
+            assert (type(info.value), str(info.value)) == (
+                ValueError, f"portfolio worth leaves the float range at node {node}"
+            ), (case, compute)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda h: st.tuples(random_portfolios(h), random_portfolios(h))),
@@ -888,6 +982,4 @@ class TestPortfolioCsvBytes:
 
     def test_awkward_ids_read_back(self):
         p = QuantityProcess(2, {Asset('a,"b"\nc'): [[1.5], [-0.0, 2.0]], Asset("é S"): [[0.0], [1.0, 5e-324]]})
-        rows = read_portfolio_rows(write_portfolio_csv(p))
-        assert {row.asset for row in rows} == {'a,"b"\nc', "é S"}
-        assert len(rows) == 6
+        assert levels_repr(read_portfolio_csv(write_portfolio_csv(p), 2, list(p.levels))) == levels_repr(p)
