@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Mapping, NamedTuple
+from typing import Callable, Iterable, Literal, Mapping
 
 from .lattice import EMPTY_PATH, LatticeProcess, TossPath, check_horizon, iter_paths
 from .lattice import label_at, parse_label, prefix_labels
@@ -172,10 +172,22 @@ def _check_time(mkt: Market, p: QuantityProcess, n: int) -> None:
         raise ValueError(f"time {n} outside portfolio horizon {p.horizon}")
 
 
+def _worth_error(n: int, k: int, exc: Exception) -> ValueError:
+    return ValueError(f"portfolio worth leaves the float range at node (t={n}, {label_at(n, k)}): {exc}")
+
+
 def _node_worth(mkt: Market, p: QuantityProcess, n: int, path: TossPath, t: int) -> float:
     """Time-``n`` worth, at the node ``path`` passes through, of the holdings
-    chosen at time ``t`` (``n`` or ``n - 1``)."""
-    return _worth(mkt, p, n, [t])[(path if len(path) == n else path.truncate(n)).index()]
+    chosen at time ``t`` (``n`` or ``n - 1``): the ``math.fsum`` of that node's
+    products in support-id order, as ``_worth`` sums them, and no other node's."""
+    _check_time(mkt, p, n)
+    k = (path if len(path) == n else path.truncate(n)).index()
+    support = sorted(support_set(p), key=lambda a: a.id)
+    products = [mkt.price(a).level(n)[k] * p.levels[a][t][k >> (n - t)] for a in support]
+    try:
+        return math.fsum(products)
+    except (OverflowError, ValueError) as exc:
+        raise _worth_error(n, k, exc) from None
 
 
 def value_process(mkt: Market, p: QuantityProcess, n: int, path: TossPath) -> float:
@@ -212,9 +224,7 @@ def _node_fsums(n: int, groups: Callable[[], list[list[Iterable[float]]]], consu
             try:
                 next(nodes)
             except (OverflowError, ValueError) as exc:
-                raise ValueError(
-                    f"portfolio worth leaves the float range at node (t={n}, {label_at(n, k)}): {exc}"
-                ) from None
+                raise _worth_error(n, k, exc) from None
         raise
 
 
@@ -275,39 +285,16 @@ def make_self_financing(
     return QuantityProcess(horizon, levels)
 
 
-class PortfolioRow(NamedTuple):
-    """One table row: quantities chosen at ``time`` to hold over ``]time, time+1]``."""
-
-    time: int
-    prefix: TossPath
-    asset: str
-    quantity: float
-
-
-def _row_keys(rows: Iterable[PortfolioRow]) -> list[tuple]:
-    return [(r.asset, r.time, len(r.prefix), r.prefix.index(), r.quantity) for r in rows]
-
-
-def is_trading_strategy(
-    p: QuantityProcess | Iterable[PortfolioRow], horizon: int | None = None
-) -> bool:
+def is_trading_strategy(p: QuantityProcess) -> bool:
     """Whether every holding depends only on the tosses seen when it is chosen.
 
-    Quantity processes satisfy this by construction. A raw row table (as read
-    from CSV) may key a decision-time-``t`` quantity by more than ``t``
-    tosses; the table qualifies only if such entries are constant across each
-    length-``t`` prefix class. Rows that give one cell two quantities are a
-    ``PortfolioFormatError``, not a verdict.
+    A ``QuantityProcess`` keys each time-``t`` holding by its length-``t``
+    prefix, so it qualifies by construction. A table from outside becomes one
+    only through ``read_portfolio_csv``, which raises ``PredictabilityError``
+    for a table that peeks at later tosses; anything else is a ``TypeError``.
     """
-    if isinstance(p, QuantityProcess):
-        return True
-    keys = _row_keys(p)
-    if horizon is None:
-        horizon = max((t + 1 for _, t, _, _, _ in keys), default=1)
-    try:
-        _collapse_rows(keys, horizon)
-    except PredictabilityError:
-        return False
+    if not isinstance(p, QuantityProcess):
+        raise TypeError(f"expected a QuantityProcess, got {type(p).__name__}")
     return True
 
 
@@ -357,25 +344,6 @@ def _collapse_rows(keys: Iterable[tuple], horizon: int) -> dict[str, dict[int, l
             )
         collapsed.setdefault(asset_id, {})[t] = level
     return collapsed
-
-
-def _quantity_process(keys: list[tuple], horizon: int, assets: Iterable[Asset]) -> QuantityProcess:
-    check_horizon(horizon)
-    by_id = {a.id: a for a in assets}
-    for asset_id, *_ in keys:
-        if asset_id not in by_id:
-            raise PortfolioFormatError(f"unknown asset id {asset_id!r}")
-    return QuantityProcess(horizon, {
-        by_id[asset_id]: [levels.get(t) or [0.0] * (1 << t) for t in range(horizon)]
-        for asset_id, levels in _collapse_rows(keys, horizon).items()
-    })
-
-
-def quantity_process_from_rows(
-    rows: Iterable[PortfolioRow], horizon: int, assets: Iterable[Asset]
-) -> QuantityProcess:
-    """Build a predictable quantity process from a row table."""
-    return _quantity_process(_row_keys(rows), horizon, assets)
 
 
 # Nodes whose CSV lines are formatted and joined per write. Joining a whole
@@ -446,7 +414,15 @@ def read_portfolio_csv(text: str, horizon: int, assets: Iterable[Asset]) -> Quan
 
     fields = ("time", "prefix", "asset", "quantity")
     keys = _read_csv(text, fields, "portfolio CSV", "line", PortfolioFormatError, key)
-    return _quantity_process(keys, horizon, assets)
+    check_horizon(horizon)
+    by_id = {a.id: a for a in assets}
+    for asset_id, *_ in keys:
+        if asset_id not in by_id:
+            raise PortfolioFormatError(f"unknown asset id {asset_id!r}")
+    return QuantityProcess(horizon, {
+        by_id[asset_id]: [levels.get(t) or [0.0] * (1 << t) for t in range(horizon)]
+        for asset_id, levels in _collapse_rows(keys, horizon).items()
+    })
 
 
 def read_path_table(text: str, maturity: int) -> dict[TossPath, float]:

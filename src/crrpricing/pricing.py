@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union, get_args
+from typing import Callable, Mapping, Union, get_args
 
 from .crr import (
     CrrMarket,
@@ -40,15 +40,12 @@ from .lattice import (
 from .market import (
     CSV_BATCH,
     Market,
-    PortfolioRow,
-    PredictabilityError,
     QuantityProcess,
     closing_value_level,
     closing_value_process,  # noqa: F401  (kept importable: perfbench/spans.py rebinds it here)
     init_value,
     is_self_financing,
     is_trading_strategy,
-    quantity_process_from_rows,
     support_set,
 )
 from .payoff import PayoffEvalError, PayoffExpr, eval_payoff, payoff_horizon
@@ -58,7 +55,6 @@ PayoffLike = Union[PayoffExpr, Mapping[TossPath, float], Callable[[TossPath], fl
 ARBITRAGE_CLAUSES = (
     "init-nonzero",
     "not-self-financing",
-    "not-predictable",
     "negative-closing-value",
     "no-strict-gain",
     "none",
@@ -314,25 +310,22 @@ class ArbitrageVerdict:
 def is_arbitrage_process(
     mkt: Market | CrrMarket,
     m: PathMeasure,
-    p: QuantityProcess | Iterable[PortfolioRow],
+    p: QuantityProcess,
     tol: float = 1e-9,
 ) -> ArbitrageVerdict:
     """Decide whether a portfolio is a free lunch under the given measure.
 
-    The portfolio must be a predictable, self-financing strategy with zero
-    initial value whose closing value, at some time up to its horizon, is
-    nonnegative on every positive-probability path and positive on at least
-    one. Zero-probability paths are ignored, so degenerate measures follow
-    the almost-everywhere reading. When no witness time exists the verdict
-    carries 'no-strict-gain' if some time was nonnegative throughout and
-    'negative-closing-value' otherwise.
+    The portfolio must be a ``QuantityProcess`` (a trading strategy by
+    construction; anything else is a ``TypeError``) that is self-financing,
+    with zero initial value and a closing value that, at some time up to its
+    horizon, is nonnegative on every positive-probability path and positive
+    on at least one. Zero-probability paths are ignored, so degenerate
+    measures follow the almost-everywhere reading. When no witness time
+    exists the verdict carries 'no-strict-gain' if some time was nonnegative
+    throughout and 'negative-closing-value' otherwise.
     """
     market = mkt.market if isinstance(mkt, CrrMarket) else mkt
-    if not isinstance(p, QuantityProcess):
-        try:
-            p = quantity_process_from_rows(p, market.horizon, market.assets)
-        except PredictabilityError:
-            return ArbitrageVerdict(False, None, "not-predictable")
+    is_trading_strategy(p)  # a TypeError for anything but a QuantityProcess
     if abs(init_value(market, p)) > tol:
         return ArbitrageVerdict(False, None, "init-nonzero")
     if not is_self_financing(market, p, tol):
@@ -357,7 +350,8 @@ def construct_arbitrage(crr: CrrMarket) -> QuantityProcess:
     When the risky asset dominates the risk-free one (``1 + r <= d``), borrow
     the initial stock price and hold one share; in the mirrored case short
     one share and bank the proceeds. Either way the closing value one step
-    in is nonnegative in both outcomes and positive in one.
+    in is nonnegative in both outcomes and positive in one, so the portfolio
+    trades over that one period only, whatever the market's horizon.
     """
     params = crr.params
     if is_viable(params):
@@ -366,10 +360,7 @@ def construct_arbitrage(crr: CrrMarket) -> QuantityProcess:
         shares, units = 1.0, -params.v
     else:  # u <= 1 + r
         shares, units = -1.0, params.v
-    return QuantityProcess(crr.horizon, {
-        crr.risky: [[shares] * (1 << t) for t in range(crr.horizon)],
-        crr.riskfree: [[units] * (1 << t) for t in range(crr.horizon)],
-    })
+    return QuantityProcess(1, {crr.risky: [[shares]], crr.riskfree: [[units]]})
 
 
 def one_step_no_arbitrage_check(crr: CrrMarket) -> bool:

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crrpricing.lattice import LatticeProcess, TossPath, enumerate_paths, iter_paths, prefix_labels
+from crrpricing.lattice import LatticeProcess, TossPath, enumerate_paths, iter_paths, label_at, prefix_labels
 from crrpricing import market
 from crrpricing.market import (
     _collapse_rows,
     Asset,
     Market,
     PortfolioFormatError,
-    PortfolioRow,
     PredictabilityError,
     QuantityProcess,
     closing_value_level,
@@ -32,7 +31,6 @@ from crrpricing.market import (
     qty_single,
     qty_sum,
     quantities_allclose,
-    quantity_process_from_rows,
     read_path_table,
     read_portfolio_csv,
     support_set,
@@ -326,28 +324,21 @@ class TestTradingStrategy:
         assert is_trading_strategy(p1)
 
     def test_table_peeking_at_first_toss_fails(self):
-        rows = [
-            PortfolioRow(0, node("U"), "Apl", 1.0),
-            PortfolioRow(0, node("D"), "Apl", 2.0),
-        ]
-        assert not is_trading_strategy(rows, horizon=2)
+        text = "time,prefix,asset,quantity\n0,U,Apl,1.0\n0,D,Apl,2.0\n"
+        with pytest.raises(PredictabilityError, match="varies with tosses after -"):
+            read_portfolio_csv(text, horizon=2, assets=[APL, SLOT])
 
     def test_table_constant_on_classes_qualifies(self):
-        rows = [
-            PortfolioRow(0, node("U"), "Apl", 2.0),
-            PortfolioRow(0, node("D"), "Apl", 2.0),
-            PortfolioRow(1, node("U"), "Apl", 5.0),
-            PortfolioRow(1, node("D"), "Apl", -1.0),
-        ]
-        assert is_trading_strategy(rows, horizon=2)
+        text = "time,prefix,asset,quantity\n0,U,Apl,2.0\n0,D,Apl,2.0\n1,U,Apl,5.0\n1,D,Apl,-1.0\n"
+        p = read_portfolio_csv(text, horizon=2, assets=[APL, SLOT])
+        assert p.levels[APL] == [[2.0], [5.0, -1.0]]
+        assert is_trading_strategy(p)
 
-    def test_default_horizon_ends_after_the_latest_decision_time(self):
-        peeking = [PortfolioRow(0, node("U"), "Apl", 1.0), PortfolioRow(0, node("D"), "Apl", 2.0)]
-        assert not is_trading_strategy(peeking)
-        # a horizon of 1 would put the time-1 rows out of range
-        later = [PortfolioRow(1, node("U"), "Apl", 5.0), PortfolioRow(1, node("D"), "Apl", -1.0)]
-        assert is_trading_strategy(later)
-        assert is_trading_strategy([])
+    @pytest.mark.parametrize("table", [[], [(0, node("U"), "Apl", 1.0)], "time,prefix,asset,quantity\n"],
+                             ids=["no rows", "row tuples", "csv text"])
+    def test_only_quantity_processes_get_a_verdict(self, table):
+        with pytest.raises(TypeError, match="expected a QuantityProcess"):
+            is_trading_strategy(table)
 
     def test_init_value_examples(self, mkt, p1):
         assert init_value(mkt, p1) == pytest.approx(10.0, abs=1e-12)
@@ -409,8 +400,8 @@ class TestPortfolioCsv:
             read_portfolio_csv(text, horizon=2, assets=[APL, SLOT])
 
     def test_coarse_row_expands_to_classes(self):
-        rows = [PortfolioRow(1, TossPath(), "Apl", 4.0)]
-        p = quantity_process_from_rows(rows, horizon=2, assets=[APL, SLOT])
+        text = "time,prefix,asset,quantity\n1,-,Apl,4.0\n"
+        p = read_portfolio_csv(text, horizon=2, assets=[APL, SLOT])
         assert p.quantity(APL, 2, node("U")) == 4.0
         assert p.quantity(APL, 2, node("D")) == 4.0
 
@@ -505,26 +496,28 @@ class TestCsvRecords:
         assert read_path_table(" prefix , value ", 2) == {}
 
 
-def brute_force_collapse(rows, horizon):
+def brute_force_collapse(keys, horizon):
     """Reference for ``_collapse_rows``: the original O(4^T) scan, which
-    compares every depth cell against every given row and every class."""
+    compares every depth cell against every given row and every class. A row
+    is the key ``(asset id, time, prefix length, prefix index, quantity)``."""
     by_key = {}
-    for row in rows:
-        if not 0 <= row.time < horizon:
+    for asset_id, time, n, k, quantity in keys:
+        prefix = TossPath.from_label(label_at(n, k))
+        if not 0 <= time < horizon:
             raise PortfolioFormatError(
-                f"decision time {row.time} outside 0..{horizon - 1}"
+                f"decision time {time} outside 0..{horizon - 1}"
             )
-        if len(row.prefix) > horizon:
+        if len(prefix) > horizon:
             raise PortfolioFormatError(
-                f"prefix {row.prefix.label()!r} longer than the horizon {horizon}"
+                f"prefix {prefix.label()!r} longer than the horizon {horizon}"
             )
-        slot = by_key.setdefault((row.asset, row.time), {})
-        if row.prefix in slot and slot[row.prefix] != row.quantity:
+        slot = by_key.setdefault((asset_id, time), {})
+        if prefix in slot and slot[prefix] != quantity:
             raise PortfolioFormatError(
-                f"conflicting quantities for asset {row.asset!r} at "
-                f"(t={row.time}, {row.prefix.label()})"
+                f"conflicting quantities for asset {asset_id!r} at "
+                f"(t={time}, {prefix.label()})"
             )
-        slot[row.prefix] = row.quantity
+        slot[prefix] = quantity
 
     collapsed = {}
     for (asset_id, t), given in sorted(by_key.items()):
@@ -564,20 +557,20 @@ def brute_force_levels(rows, horizon):
 
 @st.composite
 def row_tables(draw):
-    """Small row tables: coarse, deeper-keyed, overlapping and conflicting
-    rows over two assets and a few quantities (signed zeros included)."""
+    """Small tables of ``_collapse_rows`` keys: coarse, deeper-keyed,
+    overlapping and conflicting rows over two assets and a few quantities
+    (signed zeros included)."""
     horizon = draw(st.integers(1, 4))
     prefixes = st.integers(0, horizon).flatmap(
-        lambda n: st.tuples(*[st.booleans()] * n).map(TossPath)
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))
     )
-    row = st.builds(
-        PortfolioRow,
-        time=st.integers(0, horizon - 1),
-        prefix=prefixes,
-        asset=st.sampled_from(["S", "rf"]),
-        quantity=st.sampled_from([1.0, 0.0, -0.0, 2.5]),
-    )
-    return draw(st.lists(row, max_size=10)), horizon
+    key = st.tuples(
+        st.sampled_from(["S", "rf"]),
+        st.integers(0, horizon - 1),
+        prefixes,
+        st.sampled_from([1.0, 0.0, -0.0, 2.5]),
+    ).map(lambda r: (r[0], r[1], *r[2], r[3]))
+    return draw(st.lists(key, max_size=10)), horizon
 
 
 def collapse_outcome(collapse, rows, horizon):
@@ -587,13 +580,9 @@ def collapse_outcome(collapse, rows, horizon):
         return type(exc), str(exc)
 
 
-def collapse_row_table(rows, horizon):
-    return _collapse_rows(market._row_keys(rows), horizon)
-
-
-def csv_text(rows):
+def csv_text(keys):
     return PORTFOLIO_HEADER + "".join(
-        f"{r.time},{r.prefix.label()},{r.asset},{r.quantity!r}\n" for r in rows
+        f"{t},{label_at(n, k)},{asset_id},{q!r}\n" for asset_id, t, n, k, q in keys
     )
 
 
@@ -617,7 +606,7 @@ class TestCollapseRows:
     @given(row_tables())
     def test_matches_brute_force(self, table):
         rows, horizon = table
-        assert collapse_outcome(collapse_row_table, rows, horizon) == collapse_outcome(
+        assert collapse_outcome(_collapse_rows, rows, horizon) == collapse_outcome(
             brute_force_levels, rows, horizon
         )
 
@@ -910,6 +899,27 @@ class TestLevelsMatchNodeByNode:
             assert (type(info.value), str(info.value)) == (
                 ValueError, f"portfolio worth leaves the float range at node {node}"
             ), (case, compute)
+
+    def test_single_node_worth_sums_only_its_node(self):
+        # APL and GOOG are priced 1e308 at every node. The holdings chosen at
+        # time 1 give the products -1e308 and -1e308 after U, whose sum
+        # overflows, and 1e308 and -1e308 after D, which cancel.
+        huge, unit = LatticeProcess.deterministic([1e308] * 3), LatticeProcess.deterministic([1.0] * 3)
+        mkt = Market({APL: huge, GOOG: huge, SLOT: unit}, stocks=[APL, GOOG])
+        p = QuantityProcess(2, {APL: [[0.0], [-1.0, 1.0]], GOOG: [[0.0], [-1.0, -1.0]]})
+        assert repr(value_process(mkt, p, 1, node("D"))) == "0.0"
+        assert repr(closing_value_process(mkt, p, 2, node("DU"))) == "0.0"
+        for worth, n, w in [(value_process, 1, "U"), (closing_value_process, 2, "UD")]:
+            with pytest.raises(ValueError) as info:
+                worth(mkt, p, n, node(w))
+            assert (type(info.value), str(info.value)) == (
+                ValueError,
+                f"portfolio worth leaves the float range at node (t={n}, {w}): intermediate overflow in fsum",
+            )
+        # an untraded asset is named before any sum is taken
+        untraded = QuantityProcess(2, {APL: p.levels[APL], GOOG: p.levels[GOOG], FBK: [[0.0], [0.0, 1.0]]})
+        with pytest.raises(ValueError, match="^asset 'Fbk' is not traded on this market$"):
+            value_process(mkt, untraded, 1, node("U"))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda h: st.tuples(random_portfolios(h), random_portfolios(h))),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crrpricing
-from crrpricing import cli, market, pricing
+from crrpricing import cli, pricing
 from crrpricing import crr as crr_module
 from crrpricing.crr import (
     CrrMarket,
@@ -40,7 +40,6 @@ from crrpricing.market import (
     Asset,
     Market,
     PortfolioFormatError,
-    PortfolioRow,
     closing_value_level,
     closing_value_process,
     init_value,
@@ -49,7 +48,6 @@ from crrpricing.market import (
     qty_sum,
     QuantityProcess,
     quantities_allclose,
-    quantity_process_from_rows,
     read_portfolio_csv,
     write_portfolio_csv,
 )
@@ -411,6 +409,18 @@ class TestArbitrage:
         assert down == pytest.approx(3.0, abs=1e-12)
         assert is_arbitrage_process(crr, crr.measure(), p).is_arbitrage
 
+    def test_certificate_trades_one_period_at_any_horizon(self):
+        params = CrrParams(u=1.2, d=1.05, v=10, r=0.03, p=0.5)
+        certified = []
+        for horizon in (1, 24):
+            crr = CrrMarket(params, horizon=horizon)
+            p = construct_arbitrage(crr)
+            verdict = is_arbitrage_process(crr, crr.measure(), p)
+            values = closing_value_level(crr.market, p, 1)
+            certified.append((p.horizon, sorted((a.id, t) for a, t in p.levels.items()), verdict, values))
+        assert certified[0][:3] == (1, [("S", [[1.0]]), ("rf", [[-10.0]])], ArbitrageVerdict(True, 1, "none"))
+        assert repr(certified[1]) == repr(certified[0])
+
     def test_viable_market_has_no_construction(self, crr):
         with pytest.raises(ValueError, match="viable"):
             construct_arbitrage(crr)
@@ -425,48 +435,28 @@ class TestArbitrage:
         verdict = is_arbitrage_process(crr, crr.measure(), p)
         assert verdict.violated_clause == "not-self-financing"
 
-    def test_unpredictable_rows_clause(self, crr):
-        from crrpricing.market import PortfolioRow
-
-        rows = [
-            PortfolioRow(0, path("U"), "S", 1.0),
-            PortfolioRow(0, path("D"), "S", -1.0),
-        ]
-        verdict = is_arbitrage_process(crr, crr.measure(), rows)
-        assert verdict.violated_clause == "not-predictable"
-
-    def test_row_table_is_collapsed_once(self, crr, monkeypatch):
-        hedge = replicating_portfolio(crr, parse_payoff("lookback"), 4)
-        rows = csv_rows(write_portfolio_csv(hedge))
-        calls = []
-        collapse = market._collapse_rows
-        monkeypatch.setattr(market, "_collapse_rows", lambda *a: calls.append(a) or collapse(*a))
-        verdict = is_arbitrage_process(crr, crr.measure(), rows)
-        assert len(calls) == 1
-        assert verdict.violated_clause == "init-nonzero"
+    def test_row_tables_get_no_verdict(self, crr):
+        rows = [(0, path("U"), "S", 1.0), (0, path("D"), "S", -1.0)]
+        with pytest.raises(TypeError, match="expected a QuantityProcess, got list"):
+            is_arbitrage_process(crr, crr.measure(), rows)
 
     @pytest.mark.parametrize("table", [
-        [PortfolioRow(0, path("U"), "S", 1.0), PortfolioRow(0, path("D"), "S", -1.0)],
-        [PortfolioRow(0, path("-"), "S", 1.0)],
-        [PortfolioRow(0, path("-"), "S", 1.0), PortfolioRow(0, path("-"), "S", 2.0)],
+        "0,U,S,1.0\n0,D,S,-1.0\n",
+        "0,-,S,1.0\n",
+        "0,-,S,1.0\n0,-,S,2.0\n",
     ], ids=["peeking", "predictable", "conflicting"])
     def test_unknown_asset_id_is_reported_first(self, crr, table):
-        """Row tables follow the reader's precedence: an unknown asset id is a
-        format error before any conflict or predictability verdict."""
-        unknown = PortfolioRow(0, path("-"), "X", 1.0)
-        for rows in (table + [unknown], [unknown] + table):
-            text = "time,prefix,asset,quantity\n" + "".join(
-                f"{r.time},{r.prefix.label()},{r.asset},{r.quantity!r}\n" for r in rows
-            )
+        """An unknown asset id is a format error before any conflict or
+        predictability verdict, wherever its row is."""
+        unknown = "0,-,X,1.0\n"
+        for rows in (table + unknown, unknown + table):
             with pytest.raises(PortfolioFormatError, match="unknown asset id 'X'"):
-                is_arbitrage_process(crr, crr.measure(), rows)
-            with pytest.raises(PortfolioFormatError, match="unknown asset id 'X'"):
-                read_portfolio_csv(text, crr.horizon, crr.market.assets)
+                read_portfolio_csv("time,prefix,asset,quantity\n" + rows, crr.horizon, crr.market.assets)
 
     def test_conflicting_rows_of_known_assets_raise_the_conflict(self, crr):
-        rows = [PortfolioRow(1, path("U"), "S", 1.0), PortfolioRow(1, path("U"), "S", 2.0)]
-        with pytest.raises(PortfolioFormatError, match="conflicting quantities"):
-            is_arbitrage_process(crr, crr.measure(), rows)
+        text = "time,prefix,asset,quantity\n1,U,S,1.0\n1,U,S,2.0\n"
+        with pytest.raises(PortfolioFormatError, match=r"conflicting quantities for asset 'S' at \(t=1, U\)"):
+            read_portfolio_csv(text, crr.horizon, crr.market.assets)
 
     def test_losing_portfolio_clause(self, crr):
         # short the stock, bank the proceeds: loses whenever the stock rallies
@@ -892,14 +882,6 @@ class TestLevelOperatorsMatchNodeByNode:
         )
 
 
-def csv_rows(text: str) -> list[PortfolioRow]:
-    """The data lines of a portfolio CSV as ``PortfolioRow``s."""
-    return [
-        PortfolioRow(int(t), TossPath.from_label(w), a, float(q))
-        for t, w, a, q in itertools.islice(csv.reader(io.StringIO(text)), 1, None)
-    ]
-
-
 def count_toss_paths(monkeypatch) -> list:
     """Collects every ``TossPath`` built from now until the test ends."""
     built = []
@@ -929,15 +911,12 @@ class TestHedgeBuildsNoTossPaths:
         crr = CrrMarket(CrrParams(u=1.2, d=0.8, v=10.0, r=0.03, p=0.5), horizon=8)
         hedge = replicating_portfolio(crr, parse_payoff("lookback"), 8)
         text = write_portfolio_csv(hedge)
-        rows = csv_rows(text)
         built = count_toss_paths(monkeypatch)
-        collapsed = quantity_process_from_rows(rows, 8, crr.market.assets)
         loaded = read_portfolio_csv(text, 8, crr.market.assets)
         assert built == []
-        assert len(rows) == 2 * (2**8 - 1)
-        for q in (collapsed, loaded):
-            assert q.levels.keys() == hedge.levels.keys()
-            assert all(repr(q.levels[a]) == repr(hedge.levels[a]) for a in hedge.levels)
+        assert text.count("\n") == 1 + 2 * (2**8 - 1)
+        assert loaded.levels.keys() == hedge.levels.keys()
+        assert all(repr(loaded.levels[a]) == repr(hedge.levels[a]) for a in hedge.levels)
 
 
 class TestWorkPerCommand:
