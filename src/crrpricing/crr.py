@@ -189,7 +189,7 @@ class CrrMarket:
         self.horizon = horizon
         self.risky = Asset(RISKY_ID)
         self.riskfree = Asset(RISKFREE_ID)
-        self.extra = Asset(EXTRA_ID, kind="extra")
+        self.extra = Asset(EXTRA_ID)
         self.market = Market(
             prices={
                 self.risky: LatticeProcess(

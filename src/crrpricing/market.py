@@ -6,7 +6,8 @@ interval ``]n-1, n]`` holds an amount for each of the first ``n-1`` tosses, so
 predictability is built into the representation. Value and closing-value
 processes, the self-financing predicate, and a funding construction that
 repairs any portfolio into a self-financing one are provided, with one record
-loop for both CSV inputs: portfolios (by prefix length and index) and path tables.
+loop for both CSV inputs, each label parsed to its prefix length and index:
+portfolios and path tables.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .lattice import EMPTY_PATH, LatticeProcess, TossPath, check_horizon, iter_paths
+from .lattice import LatticeProcess, TossPath, check_horizon, iter_paths
 from .lattice import label_at, parse_label, prefix_labels
 
 QuantityFn = Callable[[int, TossPath], float]
@@ -35,16 +36,13 @@ class PredictabilityError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Asset:
-    """A tradable instrument; ``extra`` marks the non-stock slot."""
+    """A tradable instrument; a ``Market`` names which ones are stocks."""
 
     id: str
-    kind: Literal["stock", "extra"] = "stock"
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("asset id must be nonempty")
-        if self.kind not in ("stock", "extra"):
-            raise ValueError(f"asset kind must be 'stock' or 'extra', got {self.kind!r}")
 
 
 class Market:
@@ -56,8 +54,6 @@ class Market:
         self.prices = dict(prices)
         self.assets = frozenset(self.prices)
         self.stocks = frozenset(stocks)
-        if len({a.id for a in self.assets}) != len(self.assets):
-            raise ValueError("asset ids must be unique within a market")
         if not self.stocks <= self.assets:
             raise ValueError("stocks must be drawn from the market's assets")
         if self.stocks == self.assets:
@@ -244,6 +240,11 @@ def closing_value_level(mkt: Market, p: QuantityProcess, n: int) -> list[float]:
     return _worth(mkt, p, n, [max(n - 1, 0)])
 
 
+def init_value(mkt: Market, p: QuantityProcess) -> float:
+    """Value at inception; a single number since time 0 has one node."""
+    return _worth(mkt, p, 0, [0])[0]
+
+
 def is_self_financing(mkt: Market, p: QuantityProcess, tol: float = 1e-9) -> bool:
     """Whether rebalancing never injects or withdraws cash after inception."""
     def financed(value: Iterable[float], closing: Iterable[float]) -> bool:
@@ -388,7 +389,9 @@ def _read_csv(
     """``record`` of each nonblank CSV line after the header ``fields``. A bad header
     (named by ``what``), column count, field or CSV syntax (``where`` and the
     physical line ``reader.line_num``) raises ``error``."""
-    reader = csv.reader(io.StringIO(text))
+    # io.StringIO's lines, decoded as read; io.StringIO would copy the text at 4 bytes a character
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    reader = csv.reader(io.TextIOWrapper(data, "utf-8", "surrogatepass", newline="\n"))
     records = []
     try:
         if [h.strip() for h in next(reader, [])] == list(fields):
@@ -425,28 +428,29 @@ def read_portfolio_csv(text: str, horizon: int, assets: Iterable[Asset]) -> Quan
     })
 
 
-def read_path_table(text: str, maturity: int) -> dict[TossPath, float]:
-    """Payoffs by length-``maturity`` path; ``terminal_payoffs`` reports a path with no row."""
-    table: dict[TossPath, float] = {}
+def read_path_table(text: str, maturity: int) -> list[float]:
+    """Payoffs by length-``maturity`` path, as that level in ``iter_paths`` order;
+    every path needs exactly one row."""
+    table: dict[int, float] = {}
 
     def entry(rec: list[str]) -> None:
-        prefix = TossPath.from_label(rec[0].strip())
+        n, k = parse_label(rec[0].strip())
         value = float(rec[1])
-        if len(prefix) != maturity:
-            raise ValueError(
-                f"prefix {prefix.label()!r} has length {len(prefix)}, expected {maturity}"
-            )
-        if prefix in table:
+        if n != maturity:
+            raise ValueError(f"prefix {label_at(n, k)!r} has length {n}, expected {maturity}")
+        if k in table:
             raise ValueError("duplicate prefix")
-        table[prefix] = value
+        table[k] = value
 
     _read_csv(text, ("prefix", "value"), "path table", "path table line", ValueError, entry)
-    return table
-
-
-def init_value(mkt: Market, p: QuantityProcess) -> float:
-    """Value at inception; a single number since time 0 has one node."""
-    return value_process(mkt, p, 0, EMPTY_PATH)
+    check_horizon(maturity)
+    level = list(map(table.get, range(1 << maturity)))
+    if None in level:
+        raise ValueError(
+            f"path table misses {level.count(None)} of {len(level)} maturity "
+            f"paths, e.g. {label_at(maturity, level.index(None))}"
+        )
+    return level
 
 
 def quantities_allclose(

@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union, get_args
+from typing import Callable, Union, get_args
 
 from .crr import (
     CrrMarket,
@@ -50,7 +50,7 @@ from .market import (
 )
 from .payoff import PayoffEvalError, PayoffExpr, eval_payoff, payoff_horizon
 
-PayoffLike = Union[PayoffExpr, Mapping[TossPath, float], Callable[[TossPath], float]]
+PayoffLike = Union[PayoffExpr, list[float], Callable[[TossPath], float]]
 
 ARBITRAGE_CLAUSES = (
     "init-nonzero",
@@ -66,9 +66,9 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
 
     Entry ``k`` belongs to the path with ``TossPath.index() == k`` (``iter_paths``
     order). Accepts a parsed expression, which is evaluated on the price lists
-    of ``price_paths`` (prefixes shared, no ``TossPath``), a per-path table,
-    or any callable on toss paths (the escape hatch for payoffs outside the
-    expression grammar).
+    of ``price_paths`` (prefixes shared, no ``TossPath``), the maturity level
+    itself (as ``read_path_table`` gives it), or any callable on toss paths
+    (the escape hatch for payoffs outside the expression grammar).
     """
     if not 0 <= maturity <= crr.horizon:
         raise ValueError(f"maturity {maturity} outside market horizon {crr.horizon}")
@@ -80,14 +80,10 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
             )
         paths = price_paths(crr.params, maturity)
         evaluate = functools.partial(eval_payoff, payoff)
-    elif isinstance(payoff, Mapping):
-        missing = [w for w in iter_paths(maturity) if w not in payoff]
-        if missing:
-            raise ValueError(
-                f"path table misses {len(missing)} of {2 ** maturity} maturity "
-                f"paths, e.g. {missing[0].label()}"
-            )
-        paths, evaluate = iter_paths(maturity), payoff.__getitem__
+    elif isinstance(payoff, list):
+        if len(payoff) != 1 << maturity:
+            raise ValueError(f"payoff level has {len(payoff)} values, expected {1 << maturity}")
+        paths, evaluate = payoff, float
     elif callable(payoff):
         paths, evaluate = iter_paths(maturity), payoff
     else:
@@ -106,9 +102,9 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
 
 def fair_price(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> float:
     """Discounted risk-neutral expectation of the payoff over maturity paths."""
-    weights = crr.risk_neutral_measure().weights(maturity)
-    kappa = terminal_payoffs(crr, payoff, maturity)
-    expectation = math.fsum(map(operator.mul, weights, kappa))
+    measure = crr.risk_neutral_measure()
+    kappa = terminal_payoffs(crr, payoff, maturity)  # checks the maturity before 2^maturity weights
+    expectation = math.fsum(map(operator.mul, measure.weights(maturity), kappa))
     price = expectation / disc_rfr_proc(crr.params.r, maturity)
     _require_finite("price", [[price]])
     return price
@@ -222,7 +218,6 @@ class ReplicationReport:
     cash gaps and the terminal errors were held to ``tolerance``."""
 
     self_financing: bool
-    trading_strategy: bool
     max_terminal_error: float
     init_value: float
     tolerance: float
@@ -232,7 +227,7 @@ class ReplicationReport:
         return self.max_terminal_error <= self.tolerance
 
     def is_replicating(self) -> bool:
-        return self.self_financing and self.trading_strategy and self.terminal_match
+        return self.self_financing and self.terminal_match
 
 
 def verify_replication(
@@ -255,7 +250,6 @@ def verify_replication(
     worst = math.nan if any(map(math.isnan, errors)) else max(errors)
     return ReplicationReport(
         self_financing=is_self_financing(crr.market, p, tol),
-        trading_strategy=is_trading_strategy(p),
         max_terminal_error=worst,
         init_value=init_value(crr.market, p),
         tolerance=tol,

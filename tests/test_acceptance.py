@@ -105,7 +105,7 @@ def test_criterion_03_path_probability_table():
 def test_criterion_04_example_tables():
     with criterion(4, "deterministic portfolio tables"):
         apl, goog, fbk = Asset("Apl"), Asset("Goog"), Asset("Fbk")
-        slot = Asset("slot", kind="extra")
+        slot = Asset("slot")
         mkt = Market(
             prices={
                 apl: LatticeProcess.deterministic([100, 98, 96, 98, 98]),
@@ -159,14 +159,19 @@ def _random_viable_market(rng: random.Random, horizon: int) -> CrrMarket:
     return CrrMarket(params, horizon)
 
 
+def _replication_grid():
+    """The 200 ``(case, market, payoff text, maturity)`` draws of criterion 5."""
+    rng = random.Random(55)
+    for case in range(200):
+        maturity = rng.randint(1, 10)
+        crr = _random_viable_market(rng, maturity)
+        pool = ACCEPTANCE_PAYOFFS + [rng.choice(RANDOM_EXPRESSIONS)]
+        yield case, crr, rng.choice(pool).format(k=round(rng.uniform(1.0, 40.0), 3)), maturity
+
+
 def test_criterion_05_replication_property_suite():
     with criterion(5, "200-case replication suite"):
-        rng = random.Random(55)
-        for case in range(200):
-            maturity = rng.randint(1, 10)
-            crr = _random_viable_market(rng, maturity)
-            pool = ACCEPTANCE_PAYOFFS + [rng.choice(RANDOM_EXPRESSIONS)]
-            text = rng.choice(pool).format(k=round(rng.uniform(1.0, 40.0), 3))
+        for case, crr, text, maturity in _replication_grid():
             expr = parse_payoff(text)
             hedge = replicating_portfolio(crr, expr, maturity)
             report = verify_replication(crr, hedge, expr, maturity)
@@ -179,6 +184,14 @@ def test_criterion_05_replication_property_suite():
             assert abs(report.init_value - price) <= 1e-9, (
                 f"case {case} ({text}): init {report.init_value} vs price {price}"
             )
+
+
+def test_init_value_is_the_root_value_process():
+    # the level kernel's node-0 sum is the node-keyed oracle's, bit for bit
+    for case, crr, text, maturity in _replication_grid():
+        hedge = replicating_portfolio(crr, parse_payoff(text), maturity)
+        got = init_value(crr.market, hedge)
+        assert got.hex() == value_process(crr.market, hedge, 0, TossPath()).hex(), f"case {case} ({text})"
 
 
 def test_criterion_06_martingale_suite():
@@ -247,7 +260,7 @@ def test_criterion_07_viability_suite():
         # two risk-free assets at different rates: certified free lunch
         horizon = 5
         low, high = Asset("rf-low"), Asset("rf-high")
-        slot = Asset("slot", kind="extra")
+        slot = Asset("slot")
         two_rate = Market(
             prices={
                 low: LatticeProcess(horizon, lambda n: [1.01**n] * (1 << n)),

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from crrpricing.cli import (
 )
 from crrpricing import cli, market, pricing
 from crrpricing.crr import CrrMarket
+from crrpricing.lattice import TossPath, prefix_labels
 from crrpricing.payoff import MAX_PAYOFF_DEPTH
 
 REFERENCE = {"u": 1.2, "d": 0.8, "v": 10.0, "r": 0.03, "p": 0.5, "horizon": 4}
@@ -123,6 +125,18 @@ class TestPrice:
         )
         assert code == EXIT_BAD_INPUT
         assert "horizon" in err
+
+    def test_maturity_far_beyond_horizon_builds_no_weights(self, capsys, tmp_path):
+        # the maturity is checked before the 2^40 risk-neutral path weights
+        cfg = write_config(tmp_path, horizon=2)
+        tracemalloc.start()
+        try:
+            result = run(capsys, "price", "--config", cfg, "--payoff", "lookback", "--maturity", "40")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (EXIT_BAD_INPUT, "", "error: maturity 40 outside market horizon 2\n")
+        assert peak < 1 << 20
 
     def test_tree_csv_written(self, capsys, config, tmp_path):
         tree = tmp_path / "tree.csv"
@@ -717,11 +731,7 @@ class TestConfigJson:
 
 class TestPathTableParsing:
     def test_reads_values(self):
-        table = read_path_table("prefix,value\nU,1.5\nD,0\n", 1)
-        from crrpricing.lattice import TossPath
-
-        assert table[TossPath.from_label("U")] == 1.5
-        assert table[TossPath.from_label("D")] == 0.0
+        assert read_path_table("prefix,value\nU,1.5\nD,0\n", 1) == [1.5, 0.0]
 
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -730,6 +740,61 @@ class TestPathTableParsing:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
             read_path_table("prefix,value\nUU,1\nD,0\n", 1)
+
+    def test_incomplete_table_is_reported_before_a_late_maturity(self, capsys, config, tmp_path):
+        # the reader checks completeness; the maturity meets the market horizon later
+        table = tmp_path / "table.csv"
+        table.write_text("prefix,value\nUUUUU,1\n")
+        result = run(capsys, "price", "--config", config, "--path-table", str(table), "--maturity", "5")
+        assert result == (EXIT_BAD_INPUT, "", "error: path table misses 31 of 32 maturity paths, e.g. UUUUD\n")
+
+
+PAYOFF_SOURCES = {"payoff": ["--payoff", "lookback"], "path-table": ["--path-table", "{table}"]}
+COMMANDS = {  # the payoff arguments go after the command name
+    "price": ["price", "--maturity", "4"],
+    "price --tree": ["price", "--maturity", "4", "--tree", "{tree}"],
+    "replicate": ["replicate", "--maturity", "4"],
+    "verify": ["verify", "--maturity", "4", "--portfolio", "{hedge}"],
+}
+
+
+class TestNoTossPath:
+    """No command builds a ``TossPath``: CSV labels, levels and payoffs are
+    all addressed by prefix length and index."""
+
+    @staticmethod
+    def count_toss_paths(monkeypatch, capsys, argv):
+        built = []
+        init = TossPath.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TossPath, "__init__", counting)
+            TossPath.from_label("U")  # the counter sees construction
+            code, _, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        return len(built) - 1
+
+    def test_check(self, monkeypatch, capsys, config):
+        assert self.count_toss_paths(monkeypatch, capsys, ["check", "--config", config]) == 0
+
+    @pytest.mark.parametrize("source", PAYOFF_SOURCES)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command(self, monkeypatch, capsys, config, tmp_path, command, source):
+        table = tmp_path / "table.csv"
+        labels = list(prefix_labels(4))[-1]
+        table.write_text("prefix,value\n" + "".join(f"{w},{w.count('U') ** 2 / 3}\n" for w in labels))
+        names = {"table": str(table), "tree": str(tmp_path / "tree.csv"), "hedge": str(tmp_path / "hedge.csv")}
+
+        def argv(template):
+            name, *rest = template + ["--config", config]
+            return [arg.format(**names) for arg in [name, *PAYOFF_SOURCES[source], *rest]]
+
+        assert run(capsys, *argv(COMMANDS["replicate"]), "--out", names["hedge"])[0] == EXIT_OK
+        assert self.count_toss_paths(monkeypatch, capsys, argv(COMMANDS[command])) == 0
 
 
 NON_FINITE = re.compile(r"\b(?:nan|inf)", re.IGNORECASE)  # not the "nan" of "self-financing"

@@ -344,7 +344,7 @@ class TestTwoRateArbitrage:
         r1, r2 = 0.01, 0.03
         low = Asset("rf-low")
         high = Asset("rf-high")
-        slot = Asset("slot", kind="extra")
+        slot = Asset("slot")
         mkt = Market(
             prices={
                 low: LatticeProcess(horizon, lambda n: [1.01**n] * (1 << n)),

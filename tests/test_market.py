@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crrpricing.crr import CrrMarket, CrrParams
 from crrpricing.lattice import LatticeProcess, TossPath, enumerate_paths, iter_paths, label_at, prefix_labels
 from crrpricing import market
+from crrpricing.pricing import terminal_payoffs
 from crrpricing.market import (
     _collapse_rows,
     Asset,
@@ -41,7 +43,7 @@ from crrpricing.market import (
 APL = Asset("Apl")
 GOOG = Asset("Goog")
 FBK = Asset("Fbk")
-SLOT = Asset("slot", kind="extra")
+SLOT = Asset("slot")
 
 # deterministic share prices; the final time repeats the last quoted value
 # because the portfolios are never rebalanced past their horizon
@@ -90,24 +92,15 @@ class TestMarketConstruction:
         with pytest.raises(ValueError, match="horizon"):
             Market(prices=prices, stocks=[APL])
 
-    def test_rejects_duplicate_ids(self):
-        prices = {
-            Asset("x"): LatticeProcess.constant(2, 1.0),
-            Asset("x", kind="extra"): LatticeProcess.constant(2, 0.0),
-        }
-        with pytest.raises(ValueError, match="unique"):
-            Market(prices=prices, stocks=[Asset("x")])
-
     @pytest.mark.parametrize("build, message", [
         (lambda: Asset(""), "asset id must be nonempty"),
-        (lambda: Asset("x", kind="bond"), "asset kind must be 'stock' or 'extra', got 'bond'"),
         (lambda: Market({SLOT: LatticeProcess.constant(2, 0.0)}, stocks=[APL]),
          "stocks must be drawn from the market's assets"),
         (lambda: Market({APL: LatticeProcess.constant(0, 1.0), SLOT: LatticeProcess.constant(0, 0.0)},
                         stocks=[APL]),
          "market horizon must be at least 1"),
         (lambda: QuantityProcess(0, {}), "quantity process needs horizon >= 1"),
-    ], ids=["empty id", "unknown kind", "foreign stock", "horizon 0", "quantity horizon 0"])
+    ], ids=["empty id", "foreign stock", "horizon 0", "quantity horizon 0"])
     def test_constructor_rejections(self, build, message):
         with pytest.raises(ValueError) as info:
             build()
@@ -283,7 +276,7 @@ class TestSelfFinancing:
             horizon = rng.randint(2, 5)
             a = Asset("a")
             fund = Asset("fund")
-            slot = Asset("slot", kind="extra")
+            slot = Asset("slot")
             price_tbl = {
                 (n, w): rng.uniform(1.0, 50.0)
                 for n in range(horizon + 1)
@@ -489,11 +482,152 @@ class TestCsvRecords:
         spaced = text.replace("\n", "\n\n", 3) + "\n\n"
         assert levels_repr(read_portfolio_csv(spaced, 4, [APL, GOOG])) == levels_repr(p1)
         table = read_path_table(TABLE_HEADER + "\nU,1.5\n\n\nD,0\n\n", 1)
-        assert table == {node("U"): 1.5, node("D"): 0.0}
+        assert table == [1.5, 0.0]
 
     def test_header_only_reads_no_records(self):
         assert read_portfolio_csv(PORTFOLIO_HEADER, 2, [APL, SLOT]).levels == {}
-        assert read_path_table(" prefix , value ", 2) == {}
+        with pytest.raises(ValueError, match=r"^path table misses 4 of 4 maturity paths, e.g. UU$"):
+            read_path_table(" prefix , value ", 2)
+
+
+def tossed_path_table(text, maturity):
+    """Reference for ``read_path_table``'s records: the former reader, which
+    keys each row by its ``TossPath`` and leaves missing paths to the caller."""
+    table = {}
+
+    def entry(rec):
+        prefix = TossPath.from_label(rec[0].strip())
+        value = float(rec[1])
+        if len(prefix) != maturity:
+            raise ValueError(
+                f"prefix {prefix.label()!r} has length {len(prefix)}, expected {maturity}"
+            )
+        if prefix in table:
+            raise ValueError("duplicate prefix")
+        table[prefix] = value
+
+    market._read_csv(text, ("prefix", "value"), "path table", "path table line", ValueError, entry)
+    return table
+
+
+def tossed_table_level(table, maturity):
+    """Reference for the completeness check: the former ``Mapping`` branch of
+    ``terminal_payoffs``, its missing-path scan and then the values in
+    ``iter_paths`` order."""
+    missing = [w for w in iter_paths(maturity) if w not in table]
+    if missing:
+        raise ValueError(
+            f"path table misses {len(missing)} of {2 ** maturity} maturity "
+            f"paths, e.g. {missing[0].label()}"
+        )
+    return [table[w] for w in iter_paths(maturity)]
+
+
+def tossed_payoffs(text, maturity):
+    """Reference for ``terminal_payoffs`` of a path table: the former reader and
+    ``Mapping`` branch, which evaluated ``table[w]`` at each maturity path as
+    the callable branch does."""
+    table = tossed_path_table(text, maturity)
+    tossed_table_level(table, maturity)
+    return terminal_payoffs(TABLE_CRR, table.__getitem__, maturity)
+
+
+def outcome(compute):
+    """``repr`` of the result, or the exception's type and message."""
+    try:
+        return repr(compute())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+TABLE_CRR = CrrMarket(CrrParams(u=1.2, d=0.8, v=10.0, r=0.03, p=0.5), horizon=3)
+TABLE_VALUES = st.floats().map(repr) | st.sampled_from(["nan", "-inf", "1e400", " 2 "])
+TABLE_FAULTS = st.sampled_from(["abc", "", "1,2"])
+TABLE_LABELS = st.integers(0, 4).flatmap(lambda n: st.integers(0, (1 << n) - 1).map(lambda k: label_at(n, k)))
+
+
+@st.composite
+def path_tables(draw):
+    """A path table and its maturity: complete or not, with duplicate rows,
+    wrong lengths, bad labels, blank lines, odd field counts, NaN and inf."""
+    maturity = draw(st.integers(0, 3))
+    labels = [label_at(maturity, k) for k in range(1 << maturity)]
+    rows = list(draw(st.permutations(labels)))
+    if draw(st.booleans()):  # drop rows, add others, shuffle again
+        rows = rows[:draw(st.integers(0, len(rows)))] + draw(st.lists(st.one_of(
+            st.sampled_from(labels),
+            TABLE_LABELS,
+            st.sampled_from(["", "-", " U ", "X", "U_", "+U", "U D", "u", "-U"]),
+        ), max_size=4))
+        rows = draw(st.permutations(rows))
+    lines = ["prefix,value"]
+    for label in rows:
+        value = draw(TABLE_FAULTS if draw(st.integers(0, 15)) == 0 else TABLE_VALUES)
+        lines += [""] * draw(st.integers(0, 1)) + [f"{label},{value}"]
+    return maturity, "\n".join(lines) + "\n"
+
+
+def stringio_read_csv(text, fields, what, where, error, record):
+    """Reference for ``market._read_csv``: the same loop over ``io.StringIO`` lines."""
+    reader = csv.reader(io.StringIO(text))
+    records = []
+    try:
+        if [h.strip() for h in next(reader, [])] == list(fields):
+            for rec in filter(None, reader):
+                if len(rec) != len(fields):
+                    raise ValueError(f"expected {len(fields)} columns, got {len(rec)}")
+                records.append(record(rec))
+            return records
+    except (ValueError, csv.Error) as exc:
+        raise error(f"{where} {reader.line_num}: {exc}") from None
+    raise error(f"{what} must start with header {','.join(fields)!r}")
+
+
+CSV_TEXT = st.lists(st.sampled_from(["a", "b", ",", '"', "\n", "\r", "\r\n", " ", "\x00", "\u2028", "\x0c", "é", "\ud83d", "\ude00", "\U0001f600"]))
+
+
+class TestCsvLines:
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(["a,b\n", "a,b", ""]), CSV_TEXT.map("".join))
+    def test_records_and_line_numbers_match_stringio(self, header, body):
+        def record(rec):
+            if rec == ["b", "a"]:
+                raise ValueError("a record fault")
+            return rec
+
+        args = (header + body, ("a", "b"), "table", "line", PortfolioFormatError, record)
+        assert outcome(lambda: market._read_csv(*args)) == outcome(lambda: stringio_read_csv(*args))
+
+
+class TestPathTableLevel:
+    """``read_path_table`` gives the maturity level, as the former
+    ``{TossPath: value}`` table read through ``terminal_payoffs`` did."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(path_tables())
+    def test_matches_the_tossed_table(self, case):
+        maturity, text = case
+        assert outcome(lambda: read_path_table(text, maturity)) == outcome(
+            lambda: tossed_table_level(tossed_path_table(text, maturity), maturity)
+        )
+        assert outcome(lambda: terminal_payoffs(TABLE_CRR, read_path_table(text, maturity), maturity)) == outcome(
+            lambda: tossed_payoffs(text, maturity)
+        )
+
+    def test_level_is_in_iter_paths_order(self):
+        text = TABLE_HEADER + "DD,4\nUD,2\nDU,3\nUU,1\n"
+        assert read_path_table(text, 2) == [1.0, 2.0, 3.0, 4.0]
+        assert read_path_table(TABLE_HEADER + "-,7\n", 0) == [7.0]
+
+    def test_misses_name_the_first_path(self):
+        with pytest.raises(ValueError, match=r"^path table misses 2 of 4 maturity paths, e.g. UD$"):
+            read_path_table(TABLE_HEADER + "DD,4\nUU,1\n", 2)
+
+    def test_maturity_is_checked_after_the_records(self):
+        with pytest.raises(ValueError, match=r"^path table line 2: prefix 'U' has length 1, expected 25$"):
+            read_path_table(TABLE_HEADER + "U,1\n", 25)
+        with pytest.raises(ValueError, match="^horizon 25 exceeds the exhaustive-enumeration cap 24"):
+            read_path_table(TABLE_HEADER, 25)
 
 
 def brute_force_collapse(keys, horizon):
@@ -813,6 +947,15 @@ def markets_and_portfolios(draw):
 
 def same_floats(xs, ys):
     return list(map(repr, xs)) == list(map(repr, ys))
+
+
+def tossed_payoffs(text, maturity):
+    """Reference for ``terminal_payoffs`` of a path table: the former reader and
+    ``Mapping`` branch, which evaluated ``table[w]`` at each maturity path as
+    the callable branch does."""
+    table = tossed_path_table(text, maturity)
+    tossed_table_level(table, maturity)
+    return terminal_payoffs(TABLE_CRR, table.__getitem__, maturity)
 
 
 def outcome(compute):

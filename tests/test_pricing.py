@@ -120,13 +120,8 @@ class TestFairPrice:
         assert fair_price(crr, expr, 3) == pytest.approx(total / 1.03**3, abs=1e-12)
 
     def test_path_table_payoff(self, crr):
-        table = {
-            path("UU"): 0.0,
-            path("UD"): 2.4,
-            path("DU"): 0.4,
-            path("DD"): 3.6,
-        }
-        assert fair_price(crr, table, 2) == pytest.approx(1.2579, abs=5e-4)
+        level = [0.0, 2.4, 0.4, 3.6]  # UU, UD, DU, DD
+        assert fair_price(crr, level, 2) == pytest.approx(1.2579, abs=5e-4)
 
     def test_callable_payoff(self, crr):
         # depends on raw tosses, not prices: outside the expression grammar
@@ -135,8 +130,8 @@ class TestFairPrice:
         assert got == pytest.approx(0.575 / 1.03, abs=1e-12)
 
     def test_incomplete_path_table_rejected(self, crr):
-        with pytest.raises(ValueError, match="misses"):
-            fair_price(crr, {path("UU"): 1.0}, 2)
+        with pytest.raises(ValueError, match=r"^payoff level has 1 values, expected 4$"):
+            fair_price(crr, [1.0], 2)
 
     def test_fixed_index_beyond_maturity_rejected(self, crr):
         with pytest.raises(PayoffEvalError, match=r"S\[3\]"):
@@ -256,7 +251,7 @@ class TestVerifyReplication:
         report = verify_replication(crr, qty_empty(2), parse_payoff("lookback"), 2)
         assert not report.is_replicating()
         assert report.max_terminal_error == pytest.approx(3.6, abs=1e-12)
-        assert report.self_financing and report.trading_strategy
+        assert report.self_financing
 
     def test_perturbed_delta_detected(self, crr):
         expr = parse_payoff("lookback")
@@ -471,7 +466,7 @@ class TestArbitrage:
         horizon = 4
         low = Asset("rf-low")
         high = Asset("rf-high")
-        slot = Asset("slot", kind="extra")
+        slot = Asset("slot")
         mkt = Market(
             prices={
                 low: LatticeProcess(horizon, lambda n: [1.01**n] * (1 << n)),
@@ -673,8 +668,8 @@ class TestLevelListsMatchNodeTables:
 
 def path_terminal_payoffs(crr, payoff, maturity):
     """Reference terminal payoffs, one ``TossPath`` at a time."""
-    if isinstance(payoff, dict):
-        evaluate = payoff.__getitem__
+    if isinstance(payoff, list):
+        evaluate = lambda w: payoff[w.index()]
     elif callable(payoff):
         evaluate = payoff
     else:
@@ -702,12 +697,12 @@ def path_tree_csv(tree):
 
 @st.composite
 def any_claims(draw):
-    """A priced claim whose payoff is an expression, a path table or a callable."""
+    """A priced claim whose payoff is an expression, a maturity level or a callable."""
     crr, expr, maturity = draw(priced_claims())
-    kind = draw(st.sampled_from(["expression", "mapping", "callable"]))
-    if kind == "mapping":
+    kind = draw(st.sampled_from(["expression", "level", "callable"]))
+    if kind == "level":
         values = draw(st.lists(st.floats(-1e3, 1e3), min_size=2**maturity, max_size=2**maturity))
-        return crr, dict(zip(iter_paths(maturity), values)), maturity
+        return crr, values, maturity
     if kind == "callable":
         weight = draw(st.floats(-10.0, 10.0))
         return crr, lambda w: weight * sum(w) - len(w), maturity
@@ -756,14 +751,14 @@ class TestFloatRange:
     def test_price_lattice_names_the_first_node(self):
         crr = CrrMarket(OVERFLOWING, horizon=4)
         # only the D branch is large enough to overflow at time 3
-        payoff = {w: 1e308 if w[:3] == (False,) * 3 else 1.0 for w in iter_paths(4)}
+        payoff = [1e308 if w[:3] == (False,) * 3 else 1.0 for w in iter_paths(4)]
         with pytest.raises(ValueError, match=r"^option value leaves the float range at node \(t=3, DDD\)"):
             price_lattice(crr, payoff, 4)
 
     def test_replicating_portfolio_names_the_holding(self):
         crr = CrrMarket(CrrParams(u=1.2, d=1.0 - 1e-15, v=1.0, r=0.0, p=0.5), horizon=1)
         # the value spread overflows the one-step price spread of 0.2
-        payoff = {path("U"): 1.7e308, path("D"): -1.7e308}
+        payoff = [1.7e308, -1.7e308]  # U, D
         with pytest.raises(ValueError, match=r"^hedge quantity of 'S' leaves the float range at node \(t=0, -\)"):
             replicating_portfolio(crr, payoff, 1)
 
