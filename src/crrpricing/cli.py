@@ -4,8 +4,9 @@ portfolios, and check market viability.
 Exit codes: 0 success; 2 market not viable (price/replicate); 3 malformed input
 (config, payoff, CSV, tolerance, output path), a closed stdout or an internal
 consistency failure; 4 portfolio does not replicate; 5 market not viable
-(check). Identical inputs give byte-identical output: fixed node order, reports
-rounded to 6 significant digits, CSV numbers in shortest round-trip form.
+(check), with the arbitrage portfolio or a note that rounding leaves it no gain.
+Identical inputs give byte-identical output: fixed node order, reports rounded
+to 6 significant digits, CSV numbers in shortest round-trip form.
 """
 from __future__ import annotations
 
@@ -143,6 +144,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK
     portfolio = construct_arbitrage(crr)
     verdict = is_arbitrage_process(crr, crr.measure(), portfolio)
+    if verdict.violated_clause == "no-strict-gain":
+        # 1 + r is within rounding of d or u: every closing value rounds to 0
+        print("not viable: requires d < 1+r < u")
+        print("no arbitrage in floating point: the one-period portfolio closes at 0 on every path")
+        return EXIT_CHECK_INVIABLE
     if not verdict.is_arbitrage:
         raise RuntimeError(
             "internal consistency failure: the constructed arbitrage portfolio "

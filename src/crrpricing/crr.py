@@ -130,19 +130,17 @@ def step_rate_from_annual(annual: float, steps_per_year: int) -> float:
     return (1.0 + annual) ** (1.0 / steps_per_year) - 1.0
 
 
-def filtration_equivalent_bernoulli(p: float, q: float, horizon: int) -> bool:
+def filtration_equivalent_bernoulli(p: float, q: float) -> bool:
     """Whether two Bernoulli toss weights share the same zero-probability
-    events on the lattice of the given horizon.
+    events on the lattice of any horizon.
 
     Any interior pair gives every cylinder positive weight under both
-    measures; degenerate weights agree only with themselves. The condition
-    is therefore independent of the horizon, which is validated but only
-    consulted by exhaustive test oracles.
+    measures; degenerate weights agree only with themselves, whatever the
+    horizon.
     """
     for name, value in (("p", p), ("q", q)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    check_horizon(horizon)
     if 0.0 < p < 1.0 and 0.0 < q < 1.0:
         return True
     return p == q
@@ -155,9 +153,25 @@ class CrrMarket:
     __slots__ = ("params", "horizon", "risky", "riskfree", "extra", "market")
 
     def __init__(self, params: CrrParams, horizon: int):
-        check_horizon(horizon)
-        if horizon < 1:
-            raise ValueError("market horizon must be at least 1")
+        self.params = params
+        self.horizon = horizon
+        self.risky = Asset(RISKY_ID)
+        self.riskfree = Asset(RISKFREE_ID)
+        self.extra = Asset(EXTRA_ID)
+        # built first: the price processes check the horizon against the cap,
+        # and the market checks that it is at least 1
+        self.market = Market(
+            prices={
+                self.risky: LatticeProcess(
+                    horizon, lambda n: toss_products(params.v, params.u, params.d, n)
+                ),
+                self.riskfree: LatticeProcess(
+                    horizon, lambda n: [disc_rfr_proc(params.r, n)] * (1 << n)
+                ),
+                self.extra: LatticeProcess.constant(horizon, 0.0),
+            },
+            stocks=[self.risky, self.riskfree],
+        )
         # The extreme nodes of the running product from v: rounded multiplication
         # is monotone, so every node lies between these two.
         top = math.prod([max(params.u, 1.0)] * horizon, start=params.v)
@@ -185,23 +199,6 @@ class CrrMarket:
                     f"risk-neutral path weights leave the float range within horizon "
                     f"{horizon}: smallest {weight!r} (q={q!r})"
                 )
-        self.params = params
-        self.horizon = horizon
-        self.risky = Asset(RISKY_ID)
-        self.riskfree = Asset(RISKFREE_ID)
-        self.extra = Asset(EXTRA_ID)
-        self.market = Market(
-            prices={
-                self.risky: LatticeProcess(
-                    horizon, lambda n: toss_products(params.v, params.u, params.d, n)
-                ),
-                self.riskfree: LatticeProcess(
-                    horizon, lambda n: [disc_rfr_proc(params.r, n)] * (1 << n)
-                ),
-                self.extra: LatticeProcess.constant(horizon, 0.0),
-            },
-            stocks=[self.risky, self.riskfree],
-        )
 
     def measure(self) -> PathMeasure:
         """The physical toss measure."""

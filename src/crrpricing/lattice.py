@@ -28,14 +28,15 @@ _ONLY_BOOL = frozenset({bool})
 _LETTERS, _BITS = str.maketrans("01", "UD"), str.maketrans("UD", "01")
 
 
-def check_horizon(horizon: int) -> int:
-    """Validate a lattice horizon against the configured cap."""
+def check_horizon(horizon: int, what: str = "horizon") -> int:
+    """Validate a lattice horizon against the configured cap; ``what`` names
+    it in the error, e.g. as a maturity."""
     if not isinstance(horizon, int) or horizon < 0:
-        raise ValueError(f"horizon must be a nonnegative integer, got {horizon!r}")
+        raise ValueError(f"{what} must be a nonnegative integer, got {horizon!r}")
     if horizon > MAX_HORIZON:
         raise ValueError(
-            f"horizon {horizon} exceeds the exhaustive-enumeration cap "
-            f"{MAX_HORIZON} (2**{horizon} paths); reduce the horizon"
+            f"{what} {horizon} exceeds the exhaustive-enumeration cap "
+            f"{MAX_HORIZON} (2**{horizon} paths); reduce the {what}"
         )
     return horizon
 
@@ -100,14 +101,11 @@ class TossPath:
         return self.label()
 
 
-EMPTY_PATH = TossPath()
-
-
 def prefix_labels(length: int) -> Iterator[list[str]]:
     """``label()`` of every toss prefix, one list per time ``0 .. length``,
     each in ``iter_paths`` order; built by appending one toss per level."""
     check_horizon(length)
-    yield [EMPTY_PATH.label()]
+    yield ["-"]
     labels = [""]
     for _ in range(length):
         labels = [w + c for w in labels for c in "UD"]
@@ -138,19 +136,6 @@ def iter_paths(length: int) -> Iterator[TossPath]:
 def enumerate_paths(length: int) -> list[TossPath]:
     """All 2**length toss paths of the given length, in deterministic order."""
     return list(iter_paths(length))
-
-
-@dataclass(frozen=True, slots=True)
-class BinaryLattice:
-    """Carrier of all toss prefixes up to a fixed horizon."""
-
-    horizon: int
-
-    def __post_init__(self) -> None:
-        check_horizon(self.horizon)
-
-    def terminal_paths(self) -> Iterator[TossPath]:
-        return iter_paths(self.horizon)
 
 
 @dataclass(frozen=True, slots=True)
@@ -265,18 +250,18 @@ def conditional_expectation_step(
     return m.p * up + (1.0 - m.p) * down
 
 
-def is_measurable_at(
-    f: Callable[[TossPath], float], lattice: BinaryLattice, n: int
-) -> bool:
-    """Whether a full-path function depends only on the first ``n`` tosses.
+def is_measurable_at(f: Callable[[TossPath], float], horizon: int, n: int) -> bool:
+    """Whether a function of the length-``horizon`` paths depends only on the
+    first ``n`` tosses.
 
     Checked exhaustively: the function must agree on every pair of terminal
     paths sharing a length-``n`` prefix.
     """
-    if not 0 <= n <= lattice.horizon:
-        raise ValueError(f"time {n} outside lattice horizon {lattice.horizon}")
+    check_horizon(horizon)
+    if not 0 <= n <= horizon:
+        raise ValueError(f"time {n} outside lattice horizon {horizon}")
     seen: dict[TossPath, float] = {}
-    for w in lattice.terminal_paths():
+    for w in iter_paths(horizon):
         key = w.truncate(n)
         value = f(w)
         if key in seen:

@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Union, get_args
+from typing import Union, get_args
 
 from .crr import (
     CrrMarket,
@@ -33,7 +33,6 @@ from .lattice import (
     PathMeasure,
     TossPath,
     check_node,
-    iter_paths,
     label_at,
     prefix_labels,
 )
@@ -50,7 +49,7 @@ from .market import (
 )
 from .payoff import PayoffEvalError, PayoffExpr, eval_payoff, payoff_horizon
 
-PayoffLike = Union[PayoffExpr, list[float], Callable[[TossPath], float]]
+PayoffLike = Union[PayoffExpr, list[float]]
 
 ARBITRAGE_CLAUSES = (
     "init-nonzero",
@@ -66,9 +65,9 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
 
     Entry ``k`` belongs to the path with ``TossPath.index() == k`` (``iter_paths``
     order). Accepts a parsed expression, which is evaluated on the price lists
-    of ``price_paths`` (prefixes shared, no ``TossPath``), the maturity level
-    itself (as ``read_path_table`` gives it), or any callable on toss paths
-    (the escape hatch for payoffs outside the expression grammar).
+    of ``price_paths`` (prefixes shared, no ``TossPath``), or the maturity
+    level itself (as ``read_path_table`` gives it); a function ``f`` of toss
+    paths is the level ``[f(w) for w in iter_paths(maturity)]``.
     """
     if not 0 <= maturity <= crr.horizon:
         raise ValueError(f"maturity {maturity} outside market horizon {crr.horizon}")
@@ -84,8 +83,6 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
         if len(payoff) != 1 << maturity:
             raise ValueError(f"payoff level has {len(payoff)} values, expected {1 << maturity}")
         paths, evaluate = payoff, float
-    elif callable(payoff):
-        paths, evaluate = iter_paths(maturity), payoff
     else:
         raise TypeError(f"cannot interpret {type(payoff).__name__} as a payoff")
     values = []
@@ -127,7 +124,10 @@ class PriceLattice:
     ``levels[n][k]`` is the value at ``TossPath.index() == k``."""
 
     levels: list[list[float]]
-    maturity: int
+
+    @property
+    def maturity(self) -> int:
+        return len(self.levels) - 1
 
     def at(self, n: int, prefix: TossPath) -> float:
         """Value at node ``(n, prefix)``."""
@@ -178,7 +178,7 @@ def price_lattice(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> PriceLat
             f"internal consistency failure: backward induction gives {root!r} "
             f"but direct expectation gives {direct!r}"
         )
-    return PriceLattice(levels, maturity)
+    return PriceLattice(levels)
 
 
 def replicating_portfolio(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> QuantityProcess:
@@ -290,15 +290,16 @@ def is_risk_neutral(crr: CrrMarket, m: PathMeasure, tol: float = 1e-9) -> bool:
 class ArbitrageVerdict:
     """Outcome of the arbitrage test: a witness time, or the failed clause."""
 
-    is_arbitrage: bool
     witness_time: int | None
     violated_clause: str
 
     def __post_init__(self) -> None:
         if self.violated_clause not in ARBITRAGE_CLAUSES:
             raise ValueError(f"unknown clause {self.violated_clause!r}")
-        if self.is_arbitrage != (self.violated_clause == "none"):
-            raise ValueError("verdict flag must match the violated clause")
+
+    @property
+    def is_arbitrage(self) -> bool:
+        return self.violated_clause == "none"
 
 
 def is_arbitrage_process(
@@ -321,9 +322,9 @@ def is_arbitrage_process(
     market = mkt.market if isinstance(mkt, CrrMarket) else mkt
     is_trading_strategy(p)  # a TypeError for anything but a QuantityProcess
     if abs(init_value(market, p)) > tol:
-        return ArbitrageVerdict(False, None, "init-nonzero")
+        return ArbitrageVerdict(None, "init-nonzero")
     if not is_self_financing(market, p, tol):
-        return ArbitrageVerdict(False, None, "not-self-financing")
+        return ArbitrageVerdict(None, "not-self-financing")
     saw_nonnegative_time = False
     for witness in range(1, p.horizon + 1):
         values = [
@@ -332,10 +333,10 @@ def is_arbitrage_process(
         ]
         if not any(v < 0.0 for v in values):
             if any(v > 0.0 for v in values):
-                return ArbitrageVerdict(True, witness, "none")
+                return ArbitrageVerdict(witness, "none")
             saw_nonnegative_time = True
     clause = "no-strict-gain" if saw_nonnegative_time else "negative-closing-value"
-    return ArbitrageVerdict(False, None, clause)
+    return ArbitrageVerdict(None, clause)
 
 
 def construct_arbitrage(crr: CrrMarket) -> QuantityProcess:

@@ -14,7 +14,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crrpricing.cli import (
@@ -27,11 +27,16 @@ from crrpricing.cli import (
     read_path_table,
 )
 from crrpricing import cli, market, pricing
-from crrpricing.crr import CrrMarket
+from crrpricing.crr import CrrMarket, is_viable
+from crrpricing.pricing import construct_arbitrage
 from crrpricing.lattice import TossPath, prefix_labels
 from crrpricing.payoff import MAX_PAYOFF_DEPTH
 
 REFERENCE = {"u": 1.2, "d": 0.8, "v": 10.0, "r": 0.03, "p": 0.5, "horizon": 4}
+ROUNDING_ONLY = (
+    "not viable: requires d < 1+r < u\n"
+    "no arbitrage in floating point: the one-period portfolio closes at 0 on every path\n"
+)
 LARGE_SPOT = {"u": 1.15, "d": 0.9, "v": 1e9, "r": 0.02, "p": 0.5, "horizon": 6}
 DATA = Path(__file__).parent / "data"
 
@@ -453,20 +458,63 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--config", cfg)
         assert code == EXIT_BAD_INPUT
 
-    def test_uncertified_arbitrage_is_a_consistency_failure(self, capsys, tmp_path):
+    def test_uncertified_arbitrage_is_a_consistency_failure(self, capsys, tmp_path, monkeypatch):
+        # the certificate never fails these clauses in floats; if it did, the
+        # engine would contradict itself
+        cfg = write_config(tmp_path, r=0.25)
+        for clause in ("init-nonzero", "not-self-financing", "negative-closing-value"):
+            monkeypatch.setattr(cli, "is_arbitrage_process", lambda *a: pricing.ArbitrageVerdict(None, clause))
+            assert run(capsys, "check", "--config", cfg) == (
+                EXIT_BAD_INPUT, "",
+                "error: internal consistency failure: the constructed arbitrage portfolio "
+                f"fails the arbitrage check ({clause})\n",
+            )
+
+    @pytest.mark.parametrize("horizon", [1, 3, 12])
+    def test_inviable_only_by_rounding(self, capsys, tmp_path, horizon):
         # u is one ulp above d and 1 + r rounds to d, so the market is not
         # viable, but the constructed long-stock portfolio closes at exactly
         # 0 on both paths in floats: no strict gain
         cfg = write_config(
             tmp_path, u=0.4051023661596364, d=0.40510236615963635, v=3.0,
-            r=-0.5948976338403636, horizon=1,
+            r=-0.5948976338403636, horizon=horizon,
         )
-        code, out, err = run(capsys, "check", "--config", cfg)
-        assert (code, out) == (EXIT_BAD_INPUT, "")
-        assert err == (
-            "error: internal consistency failure: the constructed arbitrage portfolio "
-            "fails the arbitrage check (no-strict-gain)\n"
-        )
+        assert run(capsys, "check", "--config", cfg) == (EXIT_CHECK_INVIABLE, ROUNDING_ONLY, "")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.5, 1.3), st.none() | st.integers(1, 4), st.sampled_from(["d", "u"]),
+        st.integers(-4, 4), st.sampled_from([1.5, 3.0]) | st.floats(1e-3, 1e3), st.integers(1, 4),
+    )
+    @example(0.40510236615963635, 1, "d", 0, 3.0, 3)  # inviable only by rounding
+    def test_near_the_viability_edges(self, d, gap, edge, ulps, v, horizon):
+        # u a few ulps above d (or 1.5 d), and 1 + r a few ulps from one of them:
+        # viable, an arbitrage, or one lost to rounding, but never an internal failure
+        u = 1.5 * d if gap is None else nudged(d, gap)
+        r = nudged({"d": d, "u": u}[edge], ulps) - 1.0
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp), u=u, d=d, v=v, r=r, horizon=horizon)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(["check", "--config", cfg])
+            crr = CrrMarket.from_json(Path(cfg).read_text())
+        if is_viable(crr.params):
+            assert code == EXIT_OK
+            return
+        assert code == EXIT_CHECK_INVIABLE
+        assert out.getvalue().startswith("not viable: requires d < 1+r < u\n")
+        closing = market.closing_value_level(crr.market, construct_arbitrage(crr), 1)
+        if out.getvalue() == ROUNDING_ONLY:
+            assert closing == [0.0, 0.0]
+        else:
+            assert "arbitrage portfolio (witness time 1):" in out.getvalue()
+            assert min(closing) >= 0.0 < max(closing)
+
+
+def nudged(x, ulps):
+    """``x`` moved ``ulps`` floats up (or down, for a negative count)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
 
 
 class TestCrossCommandConsistency:
@@ -747,6 +795,18 @@ class TestPathTableParsing:
         table.write_text("prefix,value\nUUUUU,1\n")
         result = run(capsys, "price", "--config", config, "--path-table", str(table), "--maturity", "5")
         assert result == (EXIT_BAD_INPUT, "", "error: path table misses 31 of 32 maturity paths, e.g. UUUUD\n")
+
+    @pytest.mark.parametrize("r", [0.03, 0.25])  # viable, and not: the table is read first
+    @pytest.mark.parametrize("maturity, message", [
+        ("-1", "error: maturity must be a nonnegative integer, got -1\n"),
+        ("25", "error: maturity 25 exceeds the exhaustive-enumeration cap 24 (2**25 paths); reduce the maturity\n"),
+    ])
+    def test_maturity_out_of_range_is_worded_as_a_maturity(self, capsys, tmp_path, r, maturity, message):
+        table = tmp_path / "table.csv"
+        table.write_text("prefix,value\n")
+        cfg = write_config(tmp_path, r=r)
+        result = run(capsys, "price", "--config", cfg, "--path-table", str(table), "--maturity", maturity)
+        assert result == (EXIT_BAD_INPUT, "", message)
 
 
 PAYOFF_SOURCES = {"payoff": ["--payoff", "lookback"], "path-table": ["--path-table", "{table}"]}

@@ -20,7 +20,6 @@ from crrpricing.crr import (
     step_rate_from_annual,
 )
 from crrpricing.lattice import (
-    BinaryLattice,
     LatticeProcess,
     PathMeasure,
     TossPath,
@@ -108,10 +107,9 @@ class TestGeomRandWalk:
             CrrParams(u=1.0, d=1.0, v=10.0, r=0.0, p=0.5)
 
     def test_adapted_at_every_time(self):
-        lattice = BinaryLattice(4)
         for n in range(5):
             f = lambda w: price_path(PARAMS, w)[n]
-            assert is_measurable_at(f, lattice, n)
+            assert is_measurable_at(f, 4, n)
 
     def test_price_path_expands_walk(self):
         assert price_path(PARAMS, path("UD")) == pytest.approx([10.0, 12.0, 9.6])
@@ -226,22 +224,28 @@ class TestFiltrationEquivalence:
         "p,q", [(0.575, 0.3), (0.0, 0.5), (1.0, 0.5), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     )
     def test_closed_form_matches_cylinder_oracle(self, p, q):
-        assert filtration_equivalent_bernoulli(p, q, 4) == self.zero_sets_agree(p, q, 4)
+        assert filtration_equivalent_bernoulli(p, q) == self.zero_sets_agree(p, q, 4)
 
     def test_interior_pair_equivalent(self):
-        assert filtration_equivalent_bernoulli(0.575, 0.3, 6)
+        assert filtration_equivalent_bernoulli(0.575, 0.3)
 
     def test_degenerate_mismatch(self):
-        assert not filtration_equivalent_bernoulli(0.0, 0.5, 1)
+        assert not filtration_equivalent_bernoulli(0.0, 0.5)
 
     @given(p=st.floats(0.0, 1.0))
     @settings(max_examples=30)
     def test_reflexive(self, p):
-        assert filtration_equivalent_bernoulli(p, p, 3)
+        assert filtration_equivalent_bernoulli(p, p)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            filtration_equivalent_bernoulli(-0.1, 0.5, 2)
+            filtration_equivalent_bernoulli(-0.1, 0.5)
+
+    @pytest.mark.parametrize("p,q", [(0.3, 0.7), (1.0, 0.7), (0.0, 0.0)])
+    def test_answer_needs_no_horizon(self, p, q):
+        # the zero sets agree at every horizon or at none
+        answers = {self.zero_sets_agree(p, q, T) for T in range(1, 6)}
+        assert answers == {filtration_equivalent_bernoulli(p, q)}
 
 
 class TestCrrMarket:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from crrpricing.lattice import (
     MAX_HORIZON,
-    BinaryLattice,
     LatticeProcess,
     PathMeasure,
     TossPath,
@@ -230,27 +229,30 @@ class TestConditionalExpectationStep:
 
 class TestIsMeasurableAt:
     def test_terminal_price_payoff_measurable_at_maturity(self):
-        lattice = BinaryLattice(2)
         prices = {w: 10 * math.prod(1.2 if o else 0.8 for o in w) for w in enumerate_paths(2)}
         f = lambda w: max(prices[w] - 9.0, 0.0)
-        assert is_measurable_at(f, lattice, 2)
+        assert is_measurable_at(f, 2, 2)
 
     def test_later_toss_breaks_measurability(self):
-        lattice = BinaryLattice(3)
         f = lambda w: 1.0 if w[2] else 0.0
-        assert not is_measurable_at(f, lattice, 2)
-        assert is_measurable_at(f, lattice, 3)
+        assert not is_measurable_at(f, 3, 2)
+        assert is_measurable_at(f, 3, 3)
 
     def test_lookback_payoff_measurable_at_maturity(self):
-        lattice = BinaryLattice(2)
-
         def lookback(w):
             prices = [10.0]
             for o in w:
                 prices.append(prices[-1] * (1.2 if o else 0.8))
             return max(prices) - prices[-1]
 
-        assert is_measurable_at(lookback, lattice, 2)
+        assert is_measurable_at(lookback, 2, 2)
+
+    def test_horizon_is_checked_before_the_time(self):
+        f = lambda w: 0.0
+        with pytest.raises(ValueError, match="^horizon 25 exceeds the exhaustive-enumeration cap 24"):
+            is_measurable_at(f, 25, 30)
+        with pytest.raises(ValueError, match="^time 3 outside lattice horizon 2$"):
+            is_measurable_at(f, 2, 3)
 
 
 class TestLatticeProcessDomain:

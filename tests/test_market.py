@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from crrpricing.crr import CrrMarket, CrrParams
 from crrpricing.lattice import LatticeProcess, TossPath, enumerate_paths, iter_paths, label_at, prefix_labels
 from crrpricing import market
+from crrpricing.payoff import PayoffEvalError
 from crrpricing.pricing import terminal_payoffs
 from crrpricing.market import (
     _collapse_rows,
@@ -525,19 +526,16 @@ def tossed_table_level(table, maturity):
 
 def tossed_payoffs(text, maturity):
     """Reference for ``terminal_payoffs`` of a path table: the former reader and
-    ``Mapping`` branch, which evaluated ``table[w]`` at each maturity path as
-    the callable branch does."""
+    ``Mapping`` branch, which read ``table[w]`` at each maturity path in turn
+    and named the first path whose value is not finite."""
     table = tossed_path_table(text, maturity)
     tossed_table_level(table, maturity)
-    return terminal_payoffs(TABLE_CRR, table.__getitem__, maturity)
-
-
-def outcome(compute):
-    """``repr`` of the result, or the exception's type and message."""
-    try:
-        return repr(compute())
-    except ValueError as exc:
-        return type(exc), str(exc)
+    values = []
+    for w in iter_paths(maturity):
+        if not math.isfinite(table[w]):
+            raise PayoffEvalError(f"payoff is not finite at path {w.label()}")
+        values.append(table[w])
+    return values
 
 
 TABLE_CRR = CrrMarket(CrrParams(u=1.2, d=0.8, v=10.0, r=0.03, p=0.5), horizon=3)
@@ -626,8 +624,10 @@ class TestPathTableLevel:
     def test_maturity_is_checked_after_the_records(self):
         with pytest.raises(ValueError, match=r"^path table line 2: prefix 'U' has length 1, expected 25$"):
             read_path_table(TABLE_HEADER + "U,1\n", 25)
-        with pytest.raises(ValueError, match="^horizon 25 exceeds the exhaustive-enumeration cap 24"):
+        with pytest.raises(ValueError, match=r"^maturity 25 exceeds the exhaustive-enumeration cap 24 \(2\*\*25 paths\); reduce the maturity$"):
             read_path_table(TABLE_HEADER, 25)
+        with pytest.raises(ValueError, match="^maturity must be a nonnegative integer, got -1$"):
+            read_path_table(TABLE_HEADER, -1)
 
 
 def brute_force_collapse(keys, horizon):
@@ -947,15 +947,6 @@ def markets_and_portfolios(draw):
 
 def same_floats(xs, ys):
     return list(map(repr, xs)) == list(map(repr, ys))
-
-
-def tossed_payoffs(text, maturity):
-    """Reference for ``terminal_payoffs`` of a path table: the former reader and
-    ``Mapping`` branch, which evaluated ``table[w]`` at each maturity path as
-    the callable branch does."""
-    table = tossed_path_table(text, maturity)
-    tossed_table_level(table, maturity)
-    return terminal_payoffs(TABLE_CRR, table.__getitem__, maturity)
 
 
 def outcome(compute):

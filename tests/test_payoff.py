@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from crrpricing import payoff as payoff_module
 from crrpricing.crr import CrrMarket, CrrParams, price_path
-from crrpricing.lattice import BinaryLattice, TossPath, is_measurable_at
+from crrpricing.lattice import TossPath, is_measurable_at
 from crrpricing.payoff import (
     MAX_PAYOFF_DEPTH,
     Add,
@@ -280,12 +280,11 @@ class TestMeasurability:
     @pytest.mark.parametrize("maturity", [2, 4, 6])
     def test_payoff_depends_only_on_first_t_tosses(self, text, maturity):
         expr = parse_payoff(text)
-        lattice = BinaryLattice(maturity + 2)
 
         def payoff_of_full_path(w: TossPath) -> float:
             return eval_payoff(expr, price_path(PARAMS, w.truncate(maturity)))
 
-        assert is_measurable_at(payoff_of_full_path, lattice, maturity)
+        assert is_measurable_at(payoff_of_full_path, maturity + 2, maturity)
 
 
 def reference_eval_payoff(e, prices):

@@ -126,7 +126,10 @@ class TestFairPrice:
     def test_callable_payoff(self, crr):
         # depends on raw tosses, not prices: outside the expression grammar
         last_toss_up = lambda w: 1.0 if w[-1] else 0.0
-        got = fair_price(crr, last_toss_up, 1)
+        with pytest.raises(TypeError, match="^cannot interpret function as a payoff$"):
+            fair_price(crr, last_toss_up, 1)
+        # a function of the tosses is priced as its maturity level
+        got = fair_price(crr, [last_toss_up(w) for w in iter_paths(1)], 1)
         assert got == pytest.approx(0.575 / 1.03, abs=1e-12)
 
     def test_incomplete_path_table_rejected(self, crr):
@@ -192,6 +195,12 @@ class TestPriceLattice:
         for n in (-1, 3):
             with pytest.raises(ValueError, match=f"^time {n} outside process horizon 2$"):
                 tree.at(n, TossPath((True,) * max(n, 0)))
+
+    def test_maturity_is_the_last_level(self):
+        tree = PriceLattice([[1.0], [2.0, 3.0]])
+        assert tree.maturity == 1
+        assert tree.at(1, path("D")) == 3.0
+        assert tree.to_csv() == "time,prefix,value\n0,-,1.0\n1,U,2.0\n1,D,3.0\n"
 
     def test_at_rejects_bad_prefix_length(self, crr):
         tree = price_lattice(crr, parse_payoff("lookback"), 2)
@@ -413,7 +422,7 @@ class TestArbitrage:
             verdict = is_arbitrage_process(crr, crr.measure(), p)
             values = closing_value_level(crr.market, p, 1)
             certified.append((p.horizon, sorted((a.id, t) for a, t in p.levels.items()), verdict, values))
-        assert certified[0][:3] == (1, [("S", [[1.0]]), ("rf", [[-10.0]])], ArbitrageVerdict(True, 1, "none"))
+        assert certified[0][:3] == (1, [("S", [[1.0]]), ("rf", [[-10.0]])], ArbitrageVerdict(1, "none"))
         assert repr(certified[1]) == repr(certified[0])
 
     def test_viable_market_has_no_construction(self, crr):
@@ -499,9 +508,10 @@ class TestArbitrage:
 
     def test_verdict_invariant_enforced(self):
         with pytest.raises(ValueError):
-            ArbitrageVerdict(True, 1, "no-strict-gain")
-        with pytest.raises(ValueError):
-            ArbitrageVerdict(False, None, "nonsense")
+            ArbitrageVerdict(None, "nonsense")
+        # the flag is read off the clause, so the two cannot disagree
+        assert ArbitrageVerdict(1, "none").is_arbitrage
+        assert not ArbitrageVerdict(None, "no-strict-gain").is_arbitrage
 
 
 class TestOneStepCheck:
@@ -670,8 +680,6 @@ def path_terminal_payoffs(crr, payoff, maturity):
     """Reference terminal payoffs, one ``TossPath`` at a time."""
     if isinstance(payoff, list):
         evaluate = lambda w: payoff[w.index()]
-    elif callable(payoff):
-        evaluate = payoff
     else:
         evaluate = lambda w: eval_payoff(payoff, price_path(crr.params, w))
     return [float(evaluate(w)) for w in iter_paths(maturity)]
@@ -697,15 +705,16 @@ def path_tree_csv(tree):
 
 @st.composite
 def any_claims(draw):
-    """A priced claim whose payoff is an expression, a maturity level or a callable."""
+    """A priced claim whose payoff is an expression, a drawn maturity level or
+    the level of a function of the tosses."""
     crr, expr, maturity = draw(priced_claims())
-    kind = draw(st.sampled_from(["expression", "level", "callable"]))
+    kind = draw(st.sampled_from(["expression", "level", "tossed"]))
     if kind == "level":
         values = draw(st.lists(st.floats(-1e3, 1e3), min_size=2**maturity, max_size=2**maturity))
         return crr, values, maturity
-    if kind == "callable":
+    if kind == "tossed":
         weight = draw(st.floats(-10.0, 10.0))
-        return crr, lambda w: weight * sum(w) - len(w), maturity
+        return crr, [weight * sum(w) - len(w) for w in iter_paths(maturity)], maturity
     return crr, expr, maturity
 
 
@@ -729,13 +738,13 @@ class TestKernelsMatchPathReferences:
         assert tree.to_csv() == path_tree_csv(tree)
 
     def test_tree_csv_of_maturity_zero(self, crr):
-        assert PriceLattice([[2.5]], 0).to_csv() == "time,prefix,value\n0,-,2.5\n"
+        assert PriceLattice([[2.5]]).to_csv() == "time,prefix,value\n0,-,2.5\n"
 
     def test_error_names_the_path(self, crr):
         with pytest.raises(PayoffEvalError, match=r"^division by zero in '1 / \(S\[1\] - S\[1\]\)' \(at path UU\)$"):
             terminal_payoffs(crr, parse_payoff("1 / (S[1] - S[1])"), 2)
         with pytest.raises(PayoffEvalError, match="not finite at path UD$"):
-            terminal_payoffs(crr, lambda w: math.nan if w == path("UD") else 0.0, 2)
+            terminal_payoffs(crr, [math.nan if w == path("UD") else 0.0 for w in iter_paths(2)], 2)
 
 
 OVERFLOWING = CrrParams(u=1.2, d=0.4, v=10.0, r=-0.5, p=0.5)
@@ -947,7 +956,7 @@ def loop_terminal_payoffs(crr, payoff, maturity):
     if isinstance(payoff, get_args(PayoffExpr)):
         evaluate = lambda w: pricing.eval_payoff(payoff, price_path(crr.params, w))
     else:
-        evaluate = payoff
+        evaluate = lambda w: payoff[w.index()]
     values = []
     for w in iter_paths(maturity):
         try:
@@ -989,16 +998,19 @@ class TestErrorPrecedence:
         )),
         st.sampled_from([math.inf, -math.inf, math.nan]),
         st.sampled_from([PayoffEvalError("boom"), ZeroDivisionError("float division by zero"), "not a number"]),
-        st.sampled_from(["expression", "callable"]),
+        st.sampled_from(["expression", "level"]),
     )
     def test_first_bad_path_wins_as_in_the_per_path_loop(self, where, bad, failure, kind):
         maturity, bad_at, fail_at = where
         crr = CrrMarket(PARAMS, horizon=4)
+        if kind == "level" and failure != "not a number":
+            failure = "not a number"  # a level holds values, not raised errors
 
         def outcome(terminal):
             evaluate = faulty_evaluation(bad_at, bad, fail_at, failure)
-            if kind == "callable":
-                return outcome_of(terminal, crr, evaluate, maturity)
+            if kind == "level":
+                level = [evaluate(w) for w in iter_paths(maturity)]
+                return outcome_of(terminal, crr, level, maturity)
             with mock.patch.object(pricing, "eval_payoff", evaluate):
                 return outcome_of(terminal, crr, parse_payoff("S_T"), maturity)
 
@@ -1035,7 +1047,7 @@ ODD_FLOATS = st.one_of(
 def odd_lattices(draw):
     maturity = draw(st.integers(0, 6))
     levels = [draw(st.lists(ODD_FLOATS, min_size=1 << n, max_size=1 << n)) for n in range(maturity + 1)]
-    return PriceLattice(levels, maturity)
+    return PriceLattice(levels)
 
 
 class TestTreeCsvBytes:
