@@ -113,7 +113,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("replication needs at least one trading period")
     text = _read_text(args.portfolio, "portfolio")
     try:
-        portfolio = read_portfolio_csv(text, args.maturity, crr.market.assets)
+        portfolio = read_portfolio_csv(text, args.maturity, crr.assets)
         report = verify_replication(crr, portfolio, payoff, args.maturity, args.tolerance)
     except PredictabilityError as exc:
         print("trading-strategy: fail (quantities peek at future tosses)")
@@ -159,7 +159,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     print(f"arbitrage portfolio (witness time {witness}):")
     for asset in sorted({crr.risky, crr.riskfree}, key=lambda a: a.id):
         print(f"  {asset.id}: {_fmt(portfolio.levels[asset][0][0])}")
-    for k, value in enumerate(closing_value_level(crr.market, portfolio, witness)):
+    for k, value in enumerate(closing_value_level(crr, portfolio, witness)):
         print(f"  closing value[{label_at(witness, k)}] = {_fmt(value)}")
     return EXIT_CHECK_INVIABLE
 

@@ -146,21 +146,21 @@ def filtration_equivalent_bernoulli(p: float, q: float) -> bool:
     return p == q
 
 
-class CrrMarket:
-    """The binomial market: one risky asset, one risk-free asset, and a free
-    slot for a derivative product."""
+class CrrMarket(Market):
+    """The binomial market, an instance of the generic ``Market``: one risky
+    asset and one risk-free asset, the two stocks, and a free slot for a
+    derivative product."""
 
-    __slots__ = ("params", "horizon", "risky", "riskfree", "extra", "market")
+    __slots__ = ("params", "risky", "riskfree", "extra")
 
     def __init__(self, params: CrrParams, horizon: int):
         self.params = params
-        self.horizon = horizon
         self.risky = Asset(RISKY_ID)
         self.riskfree = Asset(RISKFREE_ID)
         self.extra = Asset(EXTRA_ID)
         # built first: the price processes check the horizon against the cap,
         # and the market checks that it is at least 1
-        self.market = Market(
+        super().__init__(
             prices={
                 self.risky: LatticeProcess(
                     horizon, lambda n: toss_products(params.v, params.u, params.d, n)

@@ -41,17 +41,6 @@ def check_horizon(horizon: int, what: str = "horizon") -> int:
     return horizon
 
 
-def check_node(horizon: int, n: int, prefix: "TossPath") -> None:
-    """Validate ``(n, prefix)`` as a node of a horizon-``horizon`` lattice."""
-    if not 0 <= n <= horizon:
-        raise ValueError(f"time {n} outside process horizon {horizon}")
-    if len(prefix) != n:
-        raise ValueError(
-            f"time-{n} values are keyed by length-{n} prefixes, "
-            f"got length {len(prefix)}"
-        )
-
-
 @dataclass(frozen=True, slots=True)
 class TossPath:
     """An ordered, finite sequence of coin-toss outcomes (True = up)."""
@@ -188,8 +177,12 @@ class LatticeProcess:
         self._level = level
 
     def at(self, n: int, prefix: TossPath) -> float:
-        check_node(self.horizon, n, prefix)
-        return self.level(n)[prefix.index()]
+        level = self.level(n)  # checks the time before the prefix length
+        if len(prefix) != n:
+            raise ValueError(
+                f"time-{n} values are keyed by length-{n} prefixes, got length {len(prefix)}"
+            )
+        return level[prefix.index()]
 
     def level(self, n: int) -> list[float]:
         """The values at every length-``n`` prefix, in ``iter_paths`` order."""

@@ -462,21 +462,17 @@ def eval_payoff(e: PayoffExpr, prices: Sequence[float]) -> float:
     return last[1](prices)
 
 
-def payoff_horizon(e: PayoffExpr) -> int | None:
-    """Smallest maturity the expression needs, or None when it scales with
-    the maturity (terminal price or path aggregates present)."""
+def payoff_horizon(e: PayoffExpr) -> int:
+    """Smallest maturity the expression needs: its largest fixed index
+    ``S[i]``, or 0 when it has none (the terminal price and the path
+    aggregates observe whatever path the maturity gives them)."""
     match e:
-        case Const():
-            return 0
         case PriceAt(index):
             return index
-        case TerminalPrice() | PathMax() | PathMin() | PathAvg():
-            return None
+        case Const() | TerminalPrice() | PathMax() | PathMin() | PathAvg():
+            return 0
         case Neg(operand) | PosPart(operand):
             return payoff_horizon(operand)
         case _Binary(left, right):
-            lh, rh = payoff_horizon(left), payoff_horizon(right)
-            if lh is None or rh is None:
-                return None
-            return max(lh, rh)
+            return max(payoff_horizon(left), payoff_horizon(right))
     raise TypeError(f"not a payoff expression: {e!r}")

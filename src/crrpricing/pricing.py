@@ -28,14 +28,7 @@ from .crr import (
     price_paths,
     risk_neutral_q,
 )
-from .lattice import (
-    LatticeProcess,
-    PathMeasure,
-    TossPath,
-    check_node,
-    label_at,
-    prefix_labels,
-)
+from .lattice import LatticeProcess, PathMeasure, label_at, prefix_labels
 from .market import (
     CSV_BATCH,
     Market,
@@ -73,10 +66,8 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
         raise ValueError(f"maturity {maturity} outside market horizon {crr.horizon}")
     if isinstance(payoff, get_args(PayoffExpr)):
         fixed = payoff_horizon(payoff)
-        if fixed is not None and fixed > maturity:
-            raise PayoffEvalError(
-                f"payoff observes S[{fixed}] but matures at {maturity}"
-            )
+        if fixed > maturity:
+            raise PayoffEvalError(f"payoff observes S[{fixed}] but matures at {maturity}")
         paths = price_paths(crr.params, maturity)
         evaluate = functools.partial(eval_payoff, payoff)
     elif isinstance(payoff, list):
@@ -118,21 +109,18 @@ def _require_finite(what: str, levels: list[list[float]]) -> None:
             )
 
 
-@dataclass(frozen=True)
-class PriceLattice:
-    """Option values at every node, terminal payoff backed into the root:
+class PriceLattice(LatticeProcess):
+    """Option values at every node, terminal payoff backed into the root: the
+    ``LatticeProcess`` of the stored ``levels``, its horizon the maturity;
     ``levels[n][k]`` is the value at ``TossPath.index() == k``."""
 
-    levels: list[list[float]]
+    __slots__ = ("levels",)
 
-    @property
-    def maturity(self) -> int:
-        return len(self.levels) - 1
-
-    def at(self, n: int, prefix: TossPath) -> float:
-        """Value at node ``(n, prefix)``."""
-        check_node(self.maturity, n, prefix)
-        return self.levels[n][prefix.index()]
+    def __init__(self, levels: list[list[float]]):
+        super().__init__(len(levels) - 1, levels.__getitem__)
+        if [len(level) for level in levels] != [1 << n for n in range(len(levels))]:
+            raise ValueError(f"option values need levels of lengths 1, 2, ..., 2^{self.horizon}")
+        self.levels = levels
 
     @property
     def root(self) -> float:
@@ -143,7 +131,7 @@ class PriceLattice:
         time; labels and finite float reprs never need CSV quoting."""
         buf = out if out is not None else io.StringIO()
         buf.write("time,prefix,value\n")
-        for n, (labels, level) in enumerate(zip(prefix_labels(self.maturity), self.levels)):
+        for n, (labels, level) in enumerate(zip(prefix_labels(self.horizon), self.levels)):
             for i in range(0, len(level), CSV_BATCH):
                 buf.write("".join([
                     f"{n},{label},{v!r}\n"
@@ -191,7 +179,7 @@ def replicating_portfolio(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> 
     if maturity < 1:
         raise ValueError("replication needs at least one trading period")
     values = price_lattice(crr, payoff, maturity).levels
-    stock = crr.market.price(crr.risky)
+    stock = crr.price(crr.risky)
     prices = [stock.level(n) for n in range(maturity + 1)]
     delta = [
         list(map(operator.truediv, map(operator.sub, v[0::2], v[1::2]),
@@ -235,7 +223,7 @@ def verify_replication(
 ) -> ReplicationReport:
     """Check a stock-only portfolio against a payoff at every maturity path;
     both clauses allow ``tol * max(1, max|payoff|)``, a relative bound."""
-    offenders = support_set(p) - crr.market.stocks
+    offenders = support_set(p) - crr.stocks
     if offenders:
         names = sorted(a.id for a in offenders)
         raise NotStockPortfolioError(f"not a stock portfolio: support contains {names}")
@@ -245,13 +233,13 @@ def verify_replication(
         )
     kappa = terminal_payoffs(crr, payoff, maturity)
     tol *= max(1.0, max(map(abs, kappa)))
-    errors = list(map(abs, map(operator.sub, closing_value_level(crr.market, p, maturity), kappa)))
+    errors = list(map(abs, map(operator.sub, closing_value_level(crr, p, maturity), kappa)))
     # max() keeps the first of incomparable values, so a NaN error after a number would be lost.
     worst = math.nan if any(map(math.isnan, errors)) else max(errors)
     return ReplicationReport(
-        self_financing=is_self_financing(crr.market, p, tol),
+        self_financing=is_self_financing(crr, p, tol),
         max_terminal_error=worst,
-        init_value=init_value(crr.market, p),
+        init_value=init_value(crr, p),
         tolerance=tol,
     )
 
@@ -281,8 +269,8 @@ def is_risk_neutral(crr: CrrMarket, m: PathMeasure, tol: float = 1e-9) -> bool:
     """Whether every discounted stock price is driftless under ``m``."""
     r = crr.params.r
     return all(
-        is_martingale(m, discounted_value(r, crr.market.price(a)), crr.horizon, tol)
-        for a in sorted(crr.market.stocks, key=lambda a: a.id)
+        is_martingale(m, discounted_value(r, crr.price(a)), crr.horizon, tol)
+        for a in sorted(crr.stocks, key=lambda a: a.id)
     )
 
 
@@ -303,12 +291,10 @@ class ArbitrageVerdict:
 
 
 def is_arbitrage_process(
-    mkt: Market | CrrMarket,
-    m: PathMeasure,
-    p: QuantityProcess,
-    tol: float = 1e-9,
+    mkt: Market, m: PathMeasure, p: QuantityProcess, tol: float = 1e-9
 ) -> ArbitrageVerdict:
-    """Decide whether a portfolio is a free lunch under the given measure.
+    """Decide whether a portfolio is a free lunch on a market (a ``CrrMarket``
+    or any other ``Market``) under the given measure.
 
     The portfolio must be a ``QuantityProcess`` (a trading strategy by
     construction; anything else is a ``TypeError``) that is self-financing,
@@ -319,16 +305,15 @@ def is_arbitrage_process(
     exists the verdict carries 'no-strict-gain' if some time was nonnegative
     throughout and 'negative-closing-value' otherwise.
     """
-    market = mkt.market if isinstance(mkt, CrrMarket) else mkt
     is_trading_strategy(p)  # a TypeError for anything but a QuantityProcess
-    if abs(init_value(market, p)) > tol:
+    if abs(init_value(mkt, p)) > tol:
         return ArbitrageVerdict(None, "init-nonzero")
-    if not is_self_financing(market, p, tol):
+    if not is_self_financing(mkt, p, tol):
         return ArbitrageVerdict(None, "not-self-financing")
     saw_nonnegative_time = False
     for witness in range(1, p.horizon + 1):
         values = [
-            v for v, weight in zip(closing_value_level(market, p, witness), m.weights(witness))
+            v for v, weight in zip(closing_value_level(mkt, p, witness), m.weights(witness))
             if weight > 0.0
         ]
         if not any(v < 0.0 for v in values):
@@ -365,7 +350,7 @@ def one_step_no_arbitrage_check(crr: CrrMarket) -> bool:
     Derived from the realized price tree rather than the parameters, so it
     double-checks the closed-form viability test.
     """
-    stock = crr.market.price(crr.risky)
+    stock = crr.price(crr.risky)
     gross_rf = 1.0 + crr.params.r
     for here, kids in itertools.pairwise(map(stock.level, range(crr.horizon + 1))):
         for s, s_up, s_down in zip(here, kids[0::2], kids[1::2]):

@@ -190,8 +190,8 @@ def test_init_value_is_the_root_value_process():
     # the level kernel's node-0 sum is the node-keyed oracle's, bit for bit
     for case, crr, text, maturity in _replication_grid():
         hedge = replicating_portfolio(crr, parse_payoff(text), maturity)
-        got = init_value(crr.market, hedge)
-        assert got.hex() == value_process(crr.market, hedge, 0, TossPath()).hex(), f"case {case} ({text})"
+        got = init_value(crr, hedge)
+        assert got.hex() == value_process(crr, hedge, 0, TossPath()).hex(), f"case {case} ({text})"
 
 
 def test_criterion_06_martingale_suite():
@@ -200,14 +200,14 @@ def test_criterion_06_martingale_suite():
         q = risk_neutral_q(params)
         horizon = 10
         crr = CrrMarket(params, horizon)
-        deflated_stock = discounted_value(params.r, crr.market.price(crr.risky))
+        deflated_stock = discounted_value(params.r, crr.price(crr.risky))
         assert martingale_residual(PathMeasure(q), deflated_stock, horizon) < 1e-9
 
         hedged_horizon = 8
         hedged_crr = CrrMarket(params, hedged_horizon)
         hedge = replicating_portfolio(hedged_crr, parse_payoff("lookback"), hedged_horizon)
         wealth = LatticeProcess(
-            hedged_horizon, lambda n: closing_value_level(hedged_crr.market, hedge, n)
+            hedged_horizon, lambda n: closing_value_level(hedged_crr, hedge, n)
         )
         deflated_wealth = discounted_value(params.r, wealth)
         assert martingale_residual(PathMeasure(q), deflated_wealth, hedged_horizon) < 1e-9

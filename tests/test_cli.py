@@ -143,6 +143,13 @@ class TestPrice:
         assert result == (EXIT_BAD_INPUT, "", "error: maturity 40 outside market horizon 2\n")
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("payoff, maturity, fixed", [("S[9] + S_T", 5, 9), ("S[3] / (S_T - S_T)", 1, 3)])
+    def test_fixed_index_past_maturity_is_one_fault(self, capsys, tmp_path, payoff, maturity, fixed):
+        # whatever else the expression holds, S[i] past the maturity is named before any path
+        cfg = write_config(tmp_path, horizon=5)
+        result = run(capsys, "price", "--config", cfg, "--payoff", payoff, "--maturity", str(maturity))
+        assert result == (EXIT_BAD_INPUT, "", f"error: payoff observes S[{fixed}] but matures at {maturity}\n")
+
     def test_tree_csv_written(self, capsys, config, tmp_path):
         tree = tmp_path / "tree.csv"
         code, _, _ = run(
@@ -502,7 +509,7 @@ class TestCheck:
             return
         assert code == EXIT_CHECK_INVIABLE
         assert out.getvalue().startswith("not viable: requires d < 1+r < u\n")
-        closing = market.closing_value_level(crr.market, construct_arbitrage(crr), 1)
+        closing = market.closing_value_level(crr, construct_arbitrage(crr), 1)
         if out.getvalue() == ROUNDING_ONLY:
             assert closing == [0.0, 0.0]
         else:

@@ -145,7 +145,7 @@ class TestDiscounting:
 
     def test_discounted_riskfree_price_is_constant_one(self):
         mkt = CrrMarket(PARAMS, horizon=4)
-        deflated = discounted_value(PARAMS.r, mkt.market.price(mkt.riskfree))
+        deflated = discounted_value(PARAMS.r, mkt.price(mkt.riskfree))
         for n in range(5):
             assert deflated.level(n) == pytest.approx([1.0] * 2**n, abs=1e-15)
 
@@ -251,13 +251,19 @@ class TestFiltrationEquivalence:
 class TestCrrMarket:
     def test_stock_set(self):
         mkt = CrrMarket(PARAMS, horizon=3)
-        assert mkt.market.stocks == {mkt.risky, mkt.riskfree}
-        assert mkt.extra in mkt.market.assets
+        assert mkt.stocks == {mkt.risky, mkt.riskfree}
+        assert mkt.extra in mkt.assets
+
+    def test_is_a_market_with_no_inner_market(self):
+        mkt = CrrMarket(PARAMS, horizon=3)
+        assert isinstance(mkt, Market)
+        assert not hasattr(mkt, "market")
+        assert mkt.horizon == 3
 
     def test_price_processes(self):
         mkt = CrrMarket(PARAMS, horizon=3)
-        assert mkt.market.price(mkt.risky).at(2, path("UD")) == pytest.approx(9.6)
-        assert mkt.market.price(mkt.riskfree).at(2, path("DD")) == pytest.approx(1.0609)
+        assert mkt.price(mkt.risky).at(2, path("UD")) == pytest.approx(9.6)
+        assert mkt.price(mkt.riskfree).at(2, path("DD")) == pytest.approx(1.0609)
 
     def test_json_round_trip(self):
         mkt = CrrMarket(PARAMS, horizon=5)
@@ -310,7 +316,7 @@ class TestCrrMarket:
         # d**3 alone underflows, but no price or risk-neutral weight does
         assert d * d * d < sys.float_info.min
         crr = CrrMarket(CrrParams(u=u, d=d, v=v, r=0.01, p=0.5), horizon=3)
-        stock = crr.market.price(crr.risky)
+        stock = crr.price(crr.risky)
         prices = [x for n in range(4) for x in stock.level(n)]
         assert sys.float_info.min <= min(prices) and max(prices) < math.inf
         assert fair_price(crr, parse_payoff("S_T"), 3) == pytest.approx(v, rel=1e-12)
@@ -395,8 +401,8 @@ class TestPriceLevels:
     @settings(max_examples=60, deadline=None)
     @given(wide_markets())
     def test_levels_equal_the_node_formulas(self, crr):
-        stock = crr.market.price(crr.risky)
-        bank = crr.market.price(crr.riskfree)
+        stock = crr.price(crr.risky)
+        bank = crr.price(crr.riskfree)
         for n in range(crr.horizon + 1):
             nodes = list(iter_paths(n))
             assert list(map(repr, stock.level(n))) == [
@@ -408,7 +414,7 @@ class TestPriceLevels:
     @given(wide_markets())
     def test_risky_level_is_the_payoffs_running_product(self, crr):
         # the hedge and the payoff read the same price at every node
-        stock = crr.market.price(crr.risky)
+        stock = crr.price(crr.risky)
         for n in range(crr.horizon + 1):
             assert list(map(float.hex, stock.level(n))) == [
                 prices[-1].hex() for prices in price_paths(crr.params, n)
@@ -416,7 +422,7 @@ class TestPriceLevels:
 
     def test_levels_are_computed_on_demand(self):
         crr = CrrMarket(PARAMS, horizon=3)
-        stock = crr.market.price(crr.risky)
+        stock = crr.price(crr.risky)
         first = stock.level(2)
         first[0] = -1.0
         assert stock.level(2)[0] == pytest.approx(14.4)

@@ -143,7 +143,7 @@ class TestDepthLimit:
         text, _ = nestings(MAX_PAYOFF_DEPTH)[form]
         expr = parse_payoff(text)
         assert parse_payoff(print_payoff(expr)) == expr
-        assert payoff_horizon(expr) in (None, 1)
+        assert payoff_horizon(expr) == (1 if form == "quotient" else 0)
         prices = price_path(PARAMS, TossPath((True, False)))
         assert isinstance(eval_payoff(expr, prices), float)
 
@@ -220,10 +220,13 @@ class TestPayoffHorizon:
         assert payoff_horizon(parse_payoff("S[3] - S[1]")) == 3
 
     def test_terminal_price_is_parametric(self):
-        assert payoff_horizon(parse_payoff("call(98)")) is None
+        assert payoff_horizon(parse_payoff("call(98)")) == 0
 
     def test_aggregates_are_parametric(self):
-        assert payoff_horizon(parse_payoff("lookback")) is None
+        assert payoff_horizon(parse_payoff("lookback")) == 0
+
+    def test_mixed_expression_needs_its_fixed_index(self):
+        assert payoff_horizon(parse_payoff("S[5] + S_T")) == 5
 
     def test_constants_need_no_history(self):
         assert payoff_horizon(parse_payoff("1 + 2")) == 0

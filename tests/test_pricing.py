@@ -198,9 +198,21 @@ class TestPriceLattice:
 
     def test_maturity_is_the_last_level(self):
         tree = PriceLattice([[1.0], [2.0, 3.0]])
-        assert tree.maturity == 1
+        assert tree.horizon == 1
         assert tree.at(1, path("D")) == 3.0
         assert tree.to_csv() == "time,prefix,value\n0,-,1.0\n1,U,2.0\n1,D,3.0\n"
+
+    @pytest.mark.parametrize("levels", [[], [[1.0], [2.0]], [[1.0, 2.0]], [[1.0], [2.0, 3.0], [4.0]]])
+    def test_levels_of_wrong_lengths_rejected(self, levels):
+        with pytest.raises(ValueError):
+            PriceLattice(levels)
+
+    def test_is_a_lattice_process_over_its_levels(self, crr):
+        tree = price_lattice(crr, parse_payoff("lookback"), 3)
+        assert isinstance(tree, LatticeProcess)
+        assert [tree.level(n) for n in range(4)] == tree.levels
+        q = crr.risk_neutral_measure()
+        assert expectation(q, tree, 0) == tree.root
 
     def test_at_rejects_bad_prefix_length(self, crr):
         tree = price_lattice(crr, parse_payoff("lookback"), 2)
@@ -235,7 +247,7 @@ class TestReplicatingPortfolio:
             for w in iter_paths(n - 1):
                 assert p.quantity(crr.risky, n, w) == pytest.approx(1.0, abs=1e-12)
                 assert p.quantity(crr.riskfree, n, w) == pytest.approx(0.0, abs=1e-12)
-        assert init_value(crr.market, p) == pytest.approx(10.0, abs=1e-12)
+        assert init_value(crr, p) == pytest.approx(10.0, abs=1e-12)
 
     def test_inviable_market_rejected(self):
         crr = CrrMarket(INVIABLE, horizon=2)
@@ -329,11 +341,11 @@ class TestVerifyReplication:
 
 class TestMartingale:
     def test_discounted_risky_price_under_q(self, crr):
-        deflated = discounted_value(PARAMS.r, crr.market.price(crr.risky))
+        deflated = discounted_value(PARAMS.r, crr.price(crr.risky))
         assert is_martingale(PathMeasure(0.575), deflated, 4)
 
     def test_discounted_risky_price_under_physical_measure(self, crr):
-        deflated = discounted_value(PARAMS.r, crr.market.price(crr.risky))
+        deflated = discounted_value(PARAMS.r, crr.price(crr.risky))
         assert not is_martingale(PathMeasure(0.5), deflated, 4)
         assert martingale_residual(PathMeasure(0.5), deflated, 4) > 1e-4
 
@@ -348,11 +360,39 @@ class TestMartingale:
 
     def test_one_step_residual_formula(self, crr):
         # residual at the root under p: |v - (p u v + (1-p) d v)/(1+r)|
-        deflated = discounted_value(PARAMS.r, crr.market.price(crr.risky))
+        deflated = discounted_value(PARAMS.r, crr.price(crr.risky))
         p = 0.52
         got = martingale_residual(PathMeasure(p), deflated, 1)
         expected = abs(10.0 - (p * 12.0 + (1 - p) * 8.0) / 1.03)
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+@st.composite
+def viable_claims(draw):
+    d = draw(st.floats(0.5, 1.1))
+    spread = draw(st.floats(0.05, 0.8))
+    r = d + draw(st.floats(0.05, 0.95)) * spread - 1.0
+    params = CrrParams(u=d + spread, d=d, v=draw(st.floats(1.0, 200.0)), r=r, p=draw(st.floats(0.01, 0.99)))
+    maturity = draw(st.integers(0, 10))
+    strike = draw(st.floats(0.5, 1.5)) * params.v
+    text = draw(st.sampled_from([
+        f"call({strike!r})", "lookback", f"avg(S) - {strike!r}", "max(S) - min(S) + pos(avg(S) - S_T)",
+    ]))
+    return CrrMarket(params, max(maturity, 1)), parse_payoff(text), maturity
+
+
+class TestValueTreeIsMartingale:
+    @settings(max_examples=100, deadline=None)
+    @given(viable_claims())
+    def test_discounted_value_tree_driftless_under_q(self, claim):
+        # the paper's pricing argument: the deflated value process is a
+        # q-martingale; deflated values reach max|payoff| / (1 + r)^T when r < 0
+        crr, expr, maturity = claim
+        r = crr.params.r
+        tree = price_lattice(crr, expr, maturity)
+        residual = martingale_residual(crr.risk_neutral_measure(), discounted_value(r, tree), maturity)
+        scale = max(1.0, max(map(abs, tree.levels[-1]))) / min(1.0, disc_rfr_proc(r, maturity))
+        assert residual <= 1e-12 * scale
 
 
 class TestRiskNeutral:
@@ -364,7 +404,7 @@ class TestRiskNeutral:
         assert not is_risk_neutral(crr, PathMeasure(0.575 + shift))
 
     def test_riskfree_asset_alone_is_always_driftless(self, crr):
-        deflated = discounted_value(PARAMS.r, crr.market.price(crr.riskfree))
+        deflated = discounted_value(PARAMS.r, crr.price(crr.riskfree))
         for p in (0.1, 0.5, 0.99):
             assert is_martingale(PathMeasure(p), deflated, 4)
 
@@ -393,13 +433,38 @@ class TestArbitrage:
         assert verdict.is_arbitrage
         assert verdict.witness_time == 1
 
+    def test_crr_market_is_the_market_of_its_prices(self):
+        # the closing values and verdicts of the engine's own market object
+        # are those of a plain Market over the same prices, bit for bit
+        cases = [
+            (CrrMarket(PARAMS, horizon=3), lambda c: replicating_portfolio(c, parse_payoff("lookback"), 3)),
+            (CrrMarket(INVIABLE, horizon=3), construct_arbitrage),
+        ]
+        for crr, hedge in cases:
+            plain, p = Market(crr.prices, crr.stocks), hedge(crr)
+            for n in range(1, p.horizon + 1):
+                assert closing_value_level(crr, p, n) == closing_value_level(plain, p, n)
+            assert is_arbitrage_process(crr, crr.measure(), p) == is_arbitrage_process(plain, crr.measure(), p)
+
+    def test_closing_values_and_verdicts_through_the_crr_market(self):
+        crr = CrrMarket(PARAMS, horizon=3)
+        hedge = replicating_portfolio(crr, parse_payoff("lookback"), 3)
+        assert closing_value_level(crr, hedge, 2) == [
+            1.1883495145631056, 2.0504854368932017, 0.9572815533980572, 3.308737864077668
+        ]
+        assert is_arbitrage_process(crr, crr.measure(), hedge) == ArbitrageVerdict(None, "init-nonzero")
+        crr = CrrMarket(INVIABLE, horizon=3)
+        p = construct_arbitrage(crr)
+        assert closing_value_level(crr, p, 1) == [0.5, 4.5]
+        assert is_arbitrage_process(crr, crr.measure(), p) == ArbitrageVerdict(1, "none")
+
     def test_low_rate_dominated_market(self):
         crr = CrrMarket(CrrParams(u=1.2, d=1.05, v=10, r=0.0, p=0.5), horizon=2)
         p = construct_arbitrage(crr)
         assert p.quantity(crr.risky, 1, TossPath()) == 1.0
         assert p.quantity(crr.riskfree, 1, TossPath()) == -10.0
-        up = closing_value_process(crr.market, p, 1, path("U"))
-        down = closing_value_process(crr.market, p, 1, path("D"))
+        up = closing_value_process(crr, p, 1, path("U"))
+        down = closing_value_process(crr, p, 1, path("D"))
         assert up == pytest.approx(2.0, abs=1e-12)
         assert down == pytest.approx(0.5, abs=1e-12)
         assert is_arbitrage_process(crr, crr.measure(), p).is_arbitrage
@@ -407,8 +472,8 @@ class TestArbitrage:
     def test_high_rate_dominated_market(self):
         crr = CrrMarket(CrrParams(u=1.1, d=0.9, v=10, r=0.2, p=0.5), horizon=2)
         p = construct_arbitrage(crr)
-        up = closing_value_process(crr.market, p, 1, path("U"))
-        down = closing_value_process(crr.market, p, 1, path("D"))
+        up = closing_value_process(crr, p, 1, path("U"))
+        down = closing_value_process(crr, p, 1, path("D"))
         assert up == pytest.approx(1.0, abs=1e-12)
         assert down == pytest.approx(3.0, abs=1e-12)
         assert is_arbitrage_process(crr, crr.measure(), p).is_arbitrage
@@ -420,7 +485,7 @@ class TestArbitrage:
             crr = CrrMarket(params, horizon=horizon)
             p = construct_arbitrage(crr)
             verdict = is_arbitrage_process(crr, crr.measure(), p)
-            values = closing_value_level(crr.market, p, 1)
+            values = closing_value_level(crr, p, 1)
             certified.append((p.horizon, sorted((a.id, t) for a, t in p.levels.items()), verdict, values))
         assert certified[0][:3] == (1, [("S", [[1.0]]), ("rf", [[-10.0]])], ArbitrageVerdict(1, "none"))
         assert repr(certified[1]) == repr(certified[0])
@@ -455,12 +520,12 @@ class TestArbitrage:
         unknown = "0,-,X,1.0\n"
         for rows in (table + unknown, unknown + table):
             with pytest.raises(PortfolioFormatError, match="unknown asset id 'X'"):
-                read_portfolio_csv("time,prefix,asset,quantity\n" + rows, crr.horizon, crr.market.assets)
+                read_portfolio_csv("time,prefix,asset,quantity\n" + rows, crr.horizon, crr.assets)
 
     def test_conflicting_rows_of_known_assets_raise_the_conflict(self, crr):
         text = "time,prefix,asset,quantity\n1,U,S,1.0\n1,U,S,2.0\n"
         with pytest.raises(PortfolioFormatError, match=r"conflicting quantities for asset 'S' at \(t=1, U\)"):
-            read_portfolio_csv(text, crr.horizon, crr.market.assets)
+            read_portfolio_csv(text, crr.horizon, crr.assets)
 
     def test_losing_portfolio_clause(self, crr):
         # short the stock, bank the proceeds: loses whenever the stock rallies
@@ -584,7 +649,7 @@ class TestReplicationSuite:
             expr = random_payoff(rng)
             p = replicating_portfolio(crr, expr, maturity)
             wealth = LatticeProcess(
-                maturity, lambda n: closing_value_level(crr.market, p, n)
+                maturity, lambda n: closing_value_level(crr, p, n)
             )
             deflated = discounted_value(params.r, wealth)
             assert is_martingale(crr.risk_neutral_measure(), deflated, maturity)
@@ -616,7 +681,7 @@ def dict_price_lattice(crr, payoff, maturity):
 def dict_replicating_portfolio(crr, payoff, maturity):
     """Reference hedge: one-step spreads read node by node from the tables."""
     lattice = dict_price_lattice(crr, payoff, maturity)
-    stock = crr.market.price(crr.risky)
+    stock = crr.price(crr.risky)
     r = crr.params.r
     delta, bank = {}, {}
     for n in range(maturity):
@@ -822,7 +887,7 @@ def node_martingale_residual(m, process, horizon):
 
 
 def node_one_step_no_arbitrage_check(crr):
-    stock = crr.market.price(crr.risky)
+    stock = crr.price(crr.risky)
     gross_rf = 1.0 + crr.params.r
     for n in range(crr.horizon):
         for w in iter_paths(n):
@@ -876,7 +941,7 @@ class TestLevelOperatorsMatchNodeByNode:
     @given(any_markets(), st.floats(0.0, 1.0))
     def test_market_operators(self, crr, p):
         assert one_step_no_arbitrage_check(crr) == node_one_step_no_arbitrage_check(crr)
-        deflated = discounted_value(crr.params.r, crr.market.price(crr.risky))
+        deflated = discounted_value(crr.params.r, crr.price(crr.risky))
         m = PathMeasure(p)
         assert repr(martingale_residual(m, deflated, crr.horizon)) == repr(
             node_martingale_residual(m, deflated, crr.horizon)
@@ -916,7 +981,7 @@ class TestHedgeBuildsNoTossPaths:
         hedge = replicating_portfolio(crr, parse_payoff("lookback"), 8)
         text = write_portfolio_csv(hedge)
         built = count_toss_paths(monkeypatch)
-        loaded = read_portfolio_csv(text, 8, crr.market.assets)
+        loaded = read_portfolio_csv(text, 8, crr.assets)
         assert built == []
         assert text.count("\n") == 1 + 2 * (2**8 - 1)
         assert loaded.levels.keys() == hedge.levels.keys()
@@ -1029,7 +1094,7 @@ def csv_writer_tree_csv(tree, out=None):
     buf = out if out is not None else io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["time", "prefix", "value"])
-    for n, (labels, level) in enumerate(zip(prefix_labels(tree.maturity), tree.levels)):
+    for n, (labels, level) in enumerate(zip(prefix_labels(tree.horizon), tree.levels)):
         writer.writerows(zip(itertools.repeat(n), labels, map(repr, level)))
     return buf.getvalue() if out is None else ""
 
