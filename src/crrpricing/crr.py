@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._value import Value
 from .lattice import LatticeProcess, PathMeasure, TossPath, check_horizon, toss_products
 from .market import Asset, Market
 
@@ -31,28 +31,25 @@ class MarketNotViableError(ValueError):
     """The parameters admit an arbitrage, so no risk-neutral measure exists."""
 
 
-@dataclass(frozen=True, slots=True)
-class CrrParams:
+class CrrParams(Value):
     """Model parameters: up/down factors, initial price, rate, up-probability."""
 
-    u: float
-    d: float
-    v: float
-    r: float
-    p: float
+    __slots__ = ("u", "d", "v", "r", "p")
 
-    def __post_init__(self) -> None:
-        if not 0 < self.d < self.u:
-            raise ValueError(f"need 0 < d < u, got d={self.d}, u={self.u}")
-        if not self.v > 0:
-            raise ValueError(f"initial risky price must be positive, got v={self.v}")
-        if not self.r > -1:
-            raise ValueError(f"per-period rate must exceed -1, got r={self.r}")
-        if not 0 < self.p < 1:
-            raise ValueError(f"up-probability must lie strictly in (0, 1), got p={self.p}")
-        for name in ("u", "v", "r"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {name}={getattr(self, name)}")
+    def __init__(self, u: float, d: float, v: float, r: float, p: float):
+        if not 0 < d < u:
+            raise ValueError(f"need 0 < d < u, got d={d}, u={u}")
+        if not v > 0:
+            raise ValueError(f"initial risky price must be positive, got v={v}")
+        if not r > -1:
+            raise ValueError(f"per-period rate must exceed -1, got r={r}")
+        if not 0 < p < 1:
+            raise ValueError(f"up-probability must lie strictly in (0, 1), got p={p}")
+        for name, value in (("u", u), ("v", v), ("r", r)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {name}={value}")
+        for name, value in zip(self.__match_args__, (u, d, v, r, p)):
+            object.__setattr__(self, name, value)
 
 
 def price_path(params: CrrParams, path: TossPath) -> list[float]:

@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
+
+from ._value import Value
 
 # Hard stop for exhaustive lattice scans: 2**MAX_HORIZON terminal paths.
 MAX_HORIZON = 24
@@ -41,17 +42,17 @@ def check_horizon(horizon: int, what: str = "horizon") -> int:
     return horizon
 
 
-@dataclass(frozen=True, slots=True)
-class TossPath:
+class TossPath(Value):
     """An ordered, finite sequence of coin-toss outcomes (True = up)."""
 
-    outcomes: tuple[bool, ...] = ()
+    __slots__ = ("outcomes",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.outcomes, tuple):
-            object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        if not _ONLY_BOOL.issuperset(map(type, self.outcomes)):  # bool cannot be subclassed
+    def __init__(self, outcomes: Iterable[bool] = ()):
+        if not isinstance(outcomes, tuple):
+            outcomes = tuple(outcomes)
+        if not _ONLY_BOOL.issuperset(map(type, outcomes)):  # bool cannot be subclassed
             raise ValueError("toss outcomes must be booleans")
+        object.__setattr__(self, "outcomes", outcomes)
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -127,15 +128,15 @@ def enumerate_paths(length: int) -> list[TossPath]:
     return list(iter_paths(length))
 
 
-@dataclass(frozen=True, slots=True)
-class PathMeasure:
+class PathMeasure(Value):
     """I.i.d. Bernoulli weight on tosses: up with probability ``p``."""
 
-    p: float
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"up-probability must lie in [0, 1], got {self.p!r}")
+    def __init__(self, p: float):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"up-probability must lie in [0, 1], got {p!r}")
+        object.__setattr__(self, "p", p)
 
     def weights(self, n: int) -> list[float]:
         """``path_probability`` of every length-``n`` path, bit for bit."""

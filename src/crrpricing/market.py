@@ -17,9 +17,9 @@ import io
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+from ._value import Value
 from .lattice import LatticeProcess, TossPath, check_horizon, iter_paths
 from .lattice import label_at, parse_label, prefix_labels
 
@@ -34,15 +34,15 @@ class PredictabilityError(ValueError):
     """A portfolio table assigns quantities that peek at future tosses."""
 
 
-@dataclass(frozen=True, slots=True)
-class Asset:
+class Asset(Value):
     """A tradable instrument; a ``Market`` names which ones are stocks."""
 
-    id: str
+    __slots__ = ("id",)
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str):
+        if not id:
             raise ValueError("asset id must be nonempty")
+        object.__setattr__(self, "id", id)
 
 
 class Market:

@@ -24,8 +24,9 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Sequence, Union
+
+from ._value import Value
 
 
 class PayoffSyntaxError(ValueError):
@@ -40,42 +41,44 @@ class PayoffEvalError(ValueError):
     """A payoff could not be evaluated on a given price path."""
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    value: float
+class Const(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class PriceAt:
-    index: int
+class PriceAt(Value):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True, slots=True)
-class TerminalPrice:
-    pass
+class TerminalPrice(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class PathMax:
-    pass
+class PathMax(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class PathMin:
-    pass
+class PathMin(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class PathAvg:
-    pass
+class PathAvg(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class _Binary:
+class _Binary(Value):
     """A node with two operands; each subclass is one operator."""
 
-    left: "PayoffExpr"
-    right: "PayoffExpr"
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: PayoffExpr, right: PayoffExpr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 class Add(_Binary):
@@ -102,14 +105,18 @@ class Min2(_Binary):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    operand: "PayoffExpr"
+class Neg(Value):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: PayoffExpr):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True, slots=True)
-class PosPart:
-    operand: "PayoffExpr"
+class PosPart(Value):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: PayoffExpr):
+        object.__setattr__(self, "operand", operand)
 
 
 PayoffExpr = Union[
@@ -124,11 +131,15 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # number | ident | sym | end
-    text: str
-    pos: int
+class _Token(Value):
+    """One lexeme; ``kind`` is number, ident, sym or end."""
+
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -16,9 +16,9 @@ import io
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Union, get_args
 
+from ._value import Value
 from .crr import (
     CrrMarket,
     disc_rfr_proc,
@@ -196,26 +196,23 @@ def replicating_portfolio(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> 
     return QuantityProcess(maturity, {crr.risky: delta, crr.riskfree: bank})
 
 
+def __getattr__(name: str) -> object:
+    # ReplicationReport is the package's one dataclass: it and ``dataclasses``
+    # load on first use, so the commands that verify no hedge never import them.
+    if name == "ReplicationReport":
+        from ._report import ReplicationReport
+        return ReplicationReport
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class NotStockPortfolioError(ValueError):
     """A portfolio given to ``verify_replication`` trades a non-stock asset."""
 
 
-@dataclass(frozen=True)
-class ReplicationReport:
-    """Clause-by-clause outcome of checking a hedge against a payoff; both the
-    cash gaps and the terminal errors were held to ``tolerance``."""
-
-    self_financing: bool
-    max_terminal_error: float
-    init_value: float
-    tolerance: float
-
-    @property
-    def terminal_match(self) -> bool:
-        return self.max_terminal_error <= self.tolerance
-
-    def is_replicating(self) -> bool:
-        return self.self_financing and self.terminal_match
+def _worst(values: list[float]) -> float:
+    """The largest value, 0 for none, NaN when any is NaN: max() keeps the
+    first of incomparable values, so a NaN after a number would be lost."""
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
 def verify_replication(
@@ -223,6 +220,8 @@ def verify_replication(
 ) -> ReplicationReport:
     """Check a stock-only portfolio against a payoff at every maturity path;
     both clauses allow ``tol * max(1, max|payoff|)``, a relative bound."""
+    from ._report import ReplicationReport
+
     offenders = support_set(p) - crr.stocks
     if offenders:
         names = sorted(a.id for a in offenders)
@@ -234,27 +233,25 @@ def verify_replication(
     kappa = terminal_payoffs(crr, payoff, maturity)
     tol *= max(1.0, max(map(abs, kappa)))
     errors = list(map(abs, map(operator.sub, closing_value_level(crr, p, maturity), kappa)))
-    # max() keeps the first of incomparable values, so a NaN error after a number would be lost.
-    worst = math.nan if any(map(math.isnan, errors)) else max(errors)
     return ReplicationReport(
         self_financing=is_self_financing(crr, p, tol),
-        max_terminal_error=worst,
+        max_terminal_error=_worst(errors),
         init_value=init_value(crr, p),
         tolerance=tol,
     )
 
 
 def martingale_residual(m: PathMeasure, process: LatticeProcess, horizon: int) -> float:
-    """Largest one-step defect |X_n - E[X_{n+1} | first n tosses]|."""
+    """Largest one-step defect |X_n - E[X_{n+1} | first n tosses]|; NaN when
+    any defect is NaN, so ``is_martingale`` fails on a NaN node."""
     if horizon > process.horizon:
         raise ValueError(f"horizon {horizon} outside process horizon {process.horizon}")
-    # max() in node order keeps the first of incomparable values, as a
-    # running max(worst, defect) would.
-    return max(itertools.chain([0.0], (
+    defects = [
         abs(x - (m.p * up + (1.0 - m.p) * down))
         for here, kids in itertools.pairwise(map(process.level, range(horizon + 1)))
         for x, up, down in zip(here, kids[0::2], kids[1::2])
-    )))
+    ]
+    return _worst(defects)
 
 
 def is_martingale(
@@ -274,16 +271,16 @@ def is_risk_neutral(crr: CrrMarket, m: PathMeasure, tol: float = 1e-9) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ArbitrageVerdict:
+class ArbitrageVerdict(Value):
     """Outcome of the arbitrage test: a witness time, or the failed clause."""
 
-    witness_time: int | None
-    violated_clause: str
+    __slots__ = ("witness_time", "violated_clause")
 
-    def __post_init__(self) -> None:
-        if self.violated_clause not in ARBITRAGE_CLAUSES:
-            raise ValueError(f"unknown clause {self.violated_clause!r}")
+    def __init__(self, witness_time: int | None, violated_clause: str):
+        if violated_clause not in ARBITRAGE_CLAUSES:
+            raise ValueError(f"unknown clause {violated_clause!r}")
+        object.__setattr__(self, "witness_time", witness_time)
+        object.__setattr__(self, "violated_clause", violated_clause)
 
     @property
     def is_arbitrage(self) -> bool:

@@ -1047,6 +1047,43 @@ class TestStandardLibraryOnly:
         assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "viable; q = 0.575\n", "")
 
 
+COLD_START_SCRIPT = """
+import contextlib, io, sys
+import crrpricing
+from crrpricing import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["check", "--config", sys.argv[1]]) == 0
+    assert cli.main(["price", "--config", sys.argv[1], "--payoff", "lookback", "--maturity", "2"]) == 0
+assert out.getvalue() == "viable; q = 0.575\\nfair price: 1.25789\\n", out.getvalue()
+assert "dataclasses" not in sys.modules, "import, check or price loaded dataclasses"
+
+import dataclasses
+crr = crrpricing.CrrMarket.from_json(open(sys.argv[1]).read())
+payoff = crrpricing.parse_payoff("lookback")
+report = crrpricing.verify_replication(crr, crrpricing.replicating_portfolio(crr, payoff, 2), payoff, 2)
+moved = dataclasses.replace(report, init_value=report.init_value + 1.0)
+assert (moved.init_value, moved.tolerance) == (report.init_value + 1.0, report.tolerance)
+assert report.is_replicating() and isinstance(report, crrpricing.ReplicationReport)
+assert crrpricing.ReplicationReport is crrpricing.pricing.ReplicationReport
+names = {}
+exec("from crrpricing import *", names)
+assert names["ReplicationReport"] is crrpricing.ReplicationReport
+assert sorted(crrpricing.__all__) == sorted(set(names) - {"__builtins__"})
+"""
+
+
+class TestColdStart:
+    def test_check_and_price_never_load_dataclasses(self, config):
+        # a fresh interpreter without site: nothing but the package can load it
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", COLD_START_SCRIPT, config],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "", "")
+
+
 class BrokenPipeStdout(io.StringIO):
     """A stdout whose reader has gone: writing, or only flushing, fails."""
 

@@ -366,6 +366,16 @@ class TestMartingale:
         expected = abs(10.0 - (p * 12.0 + (1 - p) * 8.0) / 1.03)
         assert got == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("n, k", [(0, 0), (2, 3)], ids=["root", "t=2"])
+    def test_nan_node_is_no_martingale(self, n, k):
+        # max() keeps the first of incomparable values: a NaN defect after the
+        # zero ones must still make the residual NaN
+        levels = [[5.0] * (1 << t) for t in range(4)]
+        levels[n][k] = math.nan
+        proc = LatticeProcess(3, levels.__getitem__)
+        assert math.isnan(martingale_residual(PathMeasure(0.5), proc, 3))
+        assert not is_martingale(PathMeasure(0.5), proc, 3)
+
 
 @st.composite
 def viable_claims(draw):
@@ -882,7 +892,10 @@ def node_martingale_residual(m, process, horizon):
     worst = 0.0
     for n in range(horizon):
         for w in iter_paths(n):
-            worst = max(worst, abs(process.at(n, w) - conditional_expectation_step(m, process, n, w)))
+            defect = abs(process.at(n, w) - conditional_expectation_step(m, process, n, w))
+            if math.isnan(defect):
+                return math.nan
+            worst = max(worst, defect)
     return worst
 
 
