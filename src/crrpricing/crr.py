@@ -48,8 +48,7 @@ class CrrParams(Value):
         for name, value in (("u", u), ("v", v), ("r", r)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {name}={value}")
-        for name, value in zip(self.__match_args__, (u, d, v, r, p)):
-            object.__setattr__(self, name, value)
+        super().__init__(u, d, v, r, p)
 
 
 def price_path(params: CrrParams, path: TossPath) -> list[float]:
@@ -205,12 +204,11 @@ class CrrMarket(Market):
         return PathMeasure(risk_neutral_q(self.params))
 
     def to_dict(self) -> dict:
-        p = self.params
-        return {"u": p.u, "d": p.d, "v": p.v, "r": p.r, "p": p.p, "horizon": self.horizon}
+        return dict(zip(CrrParams.__match_args__, self.params._fields()), horizon=self.horizon)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CrrMarket":
-        required = {"u", "d", "v", "r", "p", "horizon"}
+        required = {*CrrParams.__match_args__, "horizon"}
         missing = required - set(data)
         if missing:
             raise ValueError(f"config missing keys: {sorted(missing)}")
@@ -220,13 +218,16 @@ class CrrMarket(Market):
         horizon = data["horizon"]
         if not isinstance(horizon, int) or isinstance(horizon, bool):
             raise ValueError(f"horizon must be an integer, got {horizon!r}")
-        numbers = {}
-        for key in ("u", "d", "v", "r", "p"):
+        numbers = []
+        for key in CrrParams.__match_args__:
             value = data[key]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"config key {key!r} must be a number, got {value!r}")
-            numbers[key] = float(value)
-        return cls(CrrParams(**numbers), horizon)
+            try:
+                numbers.append(float(value))
+            except OverflowError:  # an int past the float range; its digits are not echoed
+                raise ValueError(f"config key {key!r} is outside the float range") from None
+        return cls(CrrParams(*numbers), horizon)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -136,7 +136,7 @@ class PathMeasure(Value):
     def __init__(self, p: float):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"up-probability must lie in [0, 1], got {p!r}")
-        object.__setattr__(self, "p", p)
+        super().__init__(p)
 
     def weights(self, n: int) -> list[float]:
         """``path_probability`` of every length-``n`` path, bit for bit."""

@@ -42,7 +42,7 @@ class Asset(Value):
     def __init__(self, id: str):
         if not id:
             raise ValueError("asset id must be nonempty")
-        object.__setattr__(self, "id", id)
+        super().__init__(id)
 
 
 class Market:
@@ -354,6 +354,7 @@ def _collapse_rows(keys: Iterable[tuple], horizon: int) -> dict[str, dict[int, l
 # level keeps all its line strings alive at once: at T=12 (4,096 lines) that
 # raised the process's peak RSS by about 0.3 MB, while 512 costs no speed.
 CSV_BATCH = 512
+_PORTFOLIO_FIELDS = ("time", "prefix", "asset", "quantity")
 
 
 def _csv_field(text: str) -> str:
@@ -363,26 +364,32 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
+def _write_csv(out: io.TextIOBase | None, fields: tuple[str, ...], horizon: int,
+               columns: list[tuple[str, list[list[float]]]]) -> str:
+    """Write the header ``fields`` and, per time ``t <= horizon`` and length-``t``
+    prefix in ``iter_paths`` order, one line ``t,prefix,{tag}{value!r}`` per column
+    ``(tag, levels)``, its value read off ``levels[t]``. Lines are joined and written
+    ``CSV_BATCH`` prefixes at a time; labels and finite float reprs need no quoting."""
+    buf = out if out is not None else io.StringIO()
+    buf.write(",".join(fields) + "\n")
+    for t, labels in enumerate(prefix_labels(horizon)):
+        for i in range(0, len(labels), CSV_BATCH):
+            batch = labels[i:i + CSV_BATCH]
+            lines = [""] * (len(batch) * len(columns))
+            for j, (tag, levels) in enumerate(columns):  # column j fills every len(columns)-th line
+                lines[j::len(columns)] = [
+                    f"{t},{label},{tag}{v!r}\n" for label, v in zip(batch, levels[t][i:i + CSV_BATCH])
+                ]
+            buf.write("".join(lines))
+    return buf.getvalue() if out is None else ""
+
+
 def write_portfolio_csv(p: QuantityProcess, out: io.TextIOBase | None = None) -> str:
     """Serialize every asset with levels, zeros and all: times, prefixes and
-    asset ids ascending; numbers use the shortest round-trip representation.
-
-    Lines are joined and written ``CSV_BATCH`` prefixes at a time; labels and
-    finite float reprs never need quoting, and each asset id is quoted once."""
-    buf = out if out is not None else io.StringIO()
-    buf.write("time,prefix,asset,quantity\n")
-    chosen = sorted(p.levels, key=lambda a: a.id)
-    ids = [_csv_field(a.id) for a in chosen]
-    for t, labels in enumerate(prefix_labels(p.horizon - 1)):
-        for i in range(0, len(labels), CSV_BATCH):
-            heads = [f"{t},{label}," for label in labels[i:i + CSV_BATCH]]
-            # one column of lines per asset, interleaved: prefixes outer, assets inner
-            columns = [
-                [f"{head}{qid},{v!r}\n" for head, v in zip(heads, p.levels[a][t][i:i + CSV_BATCH])]
-                for a, qid in zip(chosen, ids)
-            ]
-            buf.write("".join(itertools.chain.from_iterable(zip(*columns))))
-    return buf.getvalue() if out is None else ""
+    asset ids ascending; numbers use the shortest round-trip representation,
+    and each asset id is quoted once, as ``csv.writer`` would."""
+    columns = [(f"{_csv_field(a.id)},", p.levels[a]) for a in sorted(p.levels, key=lambda a: a.id)]
+    return _write_csv(out, _PORTFOLIO_FIELDS, p.horizon - 1, columns)
 
 
 def _read_csv(
@@ -418,8 +425,7 @@ def read_portfolio_csv(text: str, horizon: int, assets: Iterable[Asset]) -> Quan
             raise ValueError(f"quantity {rec[3]!r} is not finite")
         return rec[2].strip(), time, n, k, quantity
 
-    fields = ("time", "prefix", "asset", "quantity")
-    keys = _read_csv(text, fields, "portfolio CSV", "line", PortfolioFormatError, key)
+    keys = _read_csv(text, _PORTFOLIO_FIELDS, "portfolio CSV", "line", PortfolioFormatError, key)
     check_horizon(horizon)
     by_id = {a.id: a for a in assets}
     for asset_id, *_ in keys:

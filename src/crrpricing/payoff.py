@@ -44,15 +44,9 @@ class PayoffEvalError(ValueError):
 class Const(Value):
     __slots__ = ("value",)
 
-    def __init__(self, value: float):
-        object.__setattr__(self, "value", value)
-
 
 class PriceAt(Value):
     __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
 
 
 class TerminalPrice(Value):
@@ -75,10 +69,6 @@ class _Binary(Value):
     """A node with two operands; each subclass is one operator."""
 
     __slots__ = ("left", "right")
-
-    def __init__(self, left: PayoffExpr, right: PayoffExpr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class Add(_Binary):
@@ -105,18 +95,18 @@ class Min2(_Binary):
     __slots__ = ()
 
 
-class Neg(Value):
+class _Unary(Value):
+    """A node with one operand; each subclass is one operator."""
+
     __slots__ = ("operand",)
 
-    def __init__(self, operand: PayoffExpr):
-        object.__setattr__(self, "operand", operand)
+
+class Neg(_Unary):
+    __slots__ = ()
 
 
-class PosPart(Value):
-    __slots__ = ("operand",)
-
-    def __init__(self, operand: PayoffExpr):
-        object.__setattr__(self, "operand", operand)
+class PosPart(_Unary):
+    __slots__ = ()
 
 
 PayoffExpr = Union[
@@ -135,11 +125,6 @@ class _Token(Value):
     """One lexeme; ``kind`` is number, ident, sym or end."""
 
     __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "pos", pos)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -482,7 +467,7 @@ def payoff_horizon(e: PayoffExpr) -> int:
             return index
         case Const() | TerminalPrice() | PathMax() | PathMin() | PathAvg():
             return 0
-        case Neg(operand) | PosPart(operand):
+        case _Unary(operand):
             return payoff_horizon(operand)
         case _Binary(left, right):
             return max(payoff_horizon(left), payoff_horizon(right))

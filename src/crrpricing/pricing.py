@@ -28,9 +28,8 @@ from .crr import (
     price_paths,
     risk_neutral_q,
 )
-from .lattice import LatticeProcess, PathMeasure, label_at, prefix_labels
+from .lattice import LatticeProcess, PathMeasure, label_at
 from .market import (
-    CSV_BATCH,
     Market,
     QuantityProcess,
     closing_value_level,
@@ -39,6 +38,7 @@ from .market import (
     is_self_financing,
     is_trading_strategy,
     support_set,
+    _write_csv,
 )
 from .payoff import PayoffEvalError, PayoffExpr, eval_payoff, payoff_horizon
 
@@ -127,17 +127,9 @@ class PriceLattice(LatticeProcess):
         return self.levels[0][0]
 
     def to_csv(self, out: io.TextIOBase | None = None) -> str:
-        """Write ``time,prefix,value`` lines, joined ``CSV_BATCH`` nodes at a
-        time; labels and finite float reprs never need CSV quoting."""
-        buf = out if out is not None else io.StringIO()
-        buf.write("time,prefix,value\n")
-        for n, (labels, level) in enumerate(zip(prefix_labels(self.horizon), self.levels)):
-            for i in range(0, len(level), CSV_BATCH):
-                buf.write("".join([
-                    f"{n},{label},{v!r}\n"
-                    for label, v in zip(labels[i:i + CSV_BATCH], level[i:i + CSV_BATCH])
-                ]))
-        return buf.getvalue() if out is None else ""
+        """Write ``time,prefix,value`` lines, one per node, times and then
+        prefixes in ``iter_paths`` order; values in shortest round-trip form."""
+        return _write_csv(out, ("time", "prefix", "value"), self.horizon, [("", self.levels)])
 
 
 def price_lattice(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> PriceLattice:
@@ -279,8 +271,7 @@ class ArbitrageVerdict(Value):
     def __init__(self, witness_time: int | None, violated_clause: str):
         if violated_clause not in ARBITRAGE_CLAUSES:
             raise ValueError(f"unknown clause {violated_clause!r}")
-        object.__setattr__(self, "witness_time", witness_time)
-        object.__setattr__(self, "violated_clause", violated_clause)
+        super().__init__(witness_time, violated_clause)
 
     @property
     def is_arbitrage(self) -> bool:

@@ -783,6 +783,14 @@ class TestConfigJson:
         with pytest.raises(ValueError):
             CrrMarket.from_json(json.dumps(dict(REFERENCE, horizon=99)))
 
+    @pytest.mark.parametrize("argv", [("check",), ("price", "--payoff", "S_T", "--maturity", "1")])
+    @pytest.mark.parametrize("key", ["u", "d", "v", "r", "p"])
+    def test_integer_outside_the_float_range_is_bad_input(self, capsys, tmp_path, argv, key):
+        # float() of a 401-digit integer raises OverflowError, not ValueError
+        cfg = write_config(tmp_path, **{key: 10**400})
+        code, out, err = run(capsys, argv[0], "--config", cfg, *argv[1:])
+        assert (code, out, err) == (EXIT_BAD_INPUT, "", f"error: config key {key!r} is outside the float range\n")
+
 
 class TestPathTableParsing:
     def test_reads_values(self):

@@ -1,4 +1,5 @@
 """Binomial market parameters, discounting, viability, risk-neutral weight."""
+import json
 import math
 import sys
 
@@ -208,6 +209,14 @@ class TestStepRate:
         r = step_rate_from_annual(0.07, 52)
         assert (1 + r) ** 52 == pytest.approx(1.07, abs=1e-12)
 
+    def test_annual_rate_must_exceed_minus_one(self):
+        with pytest.raises(ValueError, match=r"^annual rate must exceed -1, got -1\.0$"):
+            step_rate_from_annual(-1.0, 12)
+
+    def test_at_least_one_step_per_year(self):
+        with pytest.raises(ValueError, match="^steps per year must be at least 1, got 0$"):
+            step_rate_from_annual(0.05, 0)
+
 
 class TestFiltrationEquivalence:
     @staticmethod
@@ -294,6 +303,15 @@ class TestCrrMarket:
     def test_config_errors(self, text, fragment):
         with pytest.raises(ValueError, match=fragment):
             CrrMarket.from_json(text)
+
+    @pytest.mark.parametrize("number", [10**400, -10**400])
+    @pytest.mark.parametrize("key", ["u", "d", "v", "r", "p"])
+    def test_integer_outside_the_float_range(self, key, number):
+        data = dict(CrrMarket(PARAMS, horizon=2).to_dict(), **{key: number})
+        with pytest.raises(ValueError) as caught:
+            CrrMarket.from_json(json.dumps(data))
+        # named by its key; the 401 digits are not echoed
+        assert str(caught.value) == f"config key {key!r} is outside the float range"
 
     @pytest.mark.parametrize(
         "u,d,v",

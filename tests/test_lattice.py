@@ -67,6 +67,10 @@ class TestTossPath:
         assert TossPath([True, False]).outcomes == (True, False)
         assert TossPath(()).outcomes == ()
 
+    def test_str_is_the_label(self):
+        assert str(TossPath((True, False))) == "UD"
+        assert str(TossPath()) == "-"
+
 
 class TestIndex:
     @pytest.mark.parametrize("n", range(9))
@@ -299,6 +303,10 @@ class TestLatticeProcessDomain:
     def test_level_rejects_times_outside_horizon(self, n):
         with pytest.raises(ValueError, match=f"^time {n} outside process horizon 2$"):
             LatticeProcess.constant(2, 0.0).level(n)
+
+    def test_deterministic_needs_the_time_zero_value(self):
+        with pytest.raises(ValueError, match="^need at least the time-0 value$"):
+            LatticeProcess.deterministic([])
 
 
 class TestLatticeLaws:

@@ -1,5 +1,6 @@
 """Payoff language: parsing, printing, evaluation, maturity inference."""
 import functools
+import math
 import operator
 import pickle
 import random
@@ -118,6 +119,12 @@ class TestSyntaxErrors:
             assert parse_payoff(print_payoff(expr)) == expr
         assert parse_payoff("1e308") == Const(1e308)
 
+    @pytest.mark.parametrize("text", ["S[1.5]", "S[-1]", "S[1e3]", "S[x]"])
+    def test_time_index_must_be_a_whole_number(self, text):
+        with pytest.raises(PayoffSyntaxError) as info:
+            parse_payoff(text)
+        assert str(info.value) == "expected a whole-number time index at offset 2"
+
 
 PARAMS = CrrParams(u=1.2, d=0.8, v=10.0, r=0.03, p=0.5)
 
@@ -232,6 +239,26 @@ class TestPayoffHorizon:
         assert payoff_horizon(parse_payoff("1 + 2")) == 0
 
 
+NOT_EXPRESSIONS = ["S_T", None, 1.0, Add(Const(1.0), "S_T"), Neg(PosPart(["S_T"]))]
+
+
+class TestNotAnExpression:
+    @pytest.mark.parametrize("node", NOT_EXPRESSIONS, ids=repr)
+    def test_evaluating_raises_type_error(self, node):
+        with pytest.raises(TypeError, match="^not a payoff expression: "):
+            eval_payoff(node, [1.0, 2.0])
+
+    @pytest.mark.parametrize("node", NOT_EXPRESSIONS, ids=repr)
+    def test_horizon_raises_type_error(self, node):
+        with pytest.raises(TypeError, match="^not a payoff expression: "):
+            payoff_horizon(node)
+
+    def test_the_message_names_the_foreign_node(self):
+        with pytest.raises(TypeError) as info:
+            payoff_horizon(Add(Const(1.0), "S_T"))
+        assert str(info.value) == "not a payoff expression: 'S_T'"
+
+
 def random_expr(rng: random.Random, depth: int):
     """Sample an expression shaped by the grammar's own productions."""
     atoms = [
@@ -276,6 +303,12 @@ class TestPrinterRoundTrip:
         assert print_payoff(parse_payoff("(1 + 2) * 3")) == "(1 + 2) * 3"
         assert print_payoff(parse_payoff("1 - (2 - 3)")) == "1 - (2 - 3)"
         assert print_payoff(parse_payoff("-(1 + 2)")) == "-(1 + 2)"
+
+    @pytest.mark.parametrize("value, text", [(math.inf, "inf"), (-math.inf, "inf"), (math.nan, "nan")])
+    def test_non_finite_constant_cannot_be_printed(self, value, text):
+        with pytest.raises(ValueError) as info:
+            print_payoff(Const(value))
+        assert str(info.value) == f"cannot print non-finite constant {text}"
 
 
 class TestMeasurability:

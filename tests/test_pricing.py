@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crrpricing
-from crrpricing import cli, pricing
+from crrpricing import cli, market, pricing
 from crrpricing import crr as crr_module
 from crrpricing.crr import (
     CrrMarket,
@@ -1133,7 +1133,7 @@ class TestTreeCsvBytes:
     @given(odd_lattices(), st.integers(1, 9))
     def test_joined_lines_equal_the_csv_writer(self, tree, batch):
         # small batches put batch boundaries inside and at the ends of levels
-        with mock.patch.object(pricing, "CSV_BATCH", batch):
+        with mock.patch.object(market, "CSV_BATCH", batch):
             assert tree.to_csv() == csv_writer_tree_csv(tree)
             stream, reference = io.StringIO(), io.StringIO()
             assert tree.to_csv(stream) == csv_writer_tree_csv(tree, reference) == ""

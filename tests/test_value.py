@@ -97,6 +97,32 @@ class TestValueContract:
             assert type(twin) is type(value)
             assert twin == value and repr(twin) == text
 
+    def test_repr_builds_the_value_by_field_name(self, value, text, names):
+        assert eval(repr(value)) == value
+
+    def test_one_field_too_few_is_a_type_error(self, value, text, names):
+        if not names:
+            pytest.skip("a class without fields cannot be given one too few")
+        if type(value) is TossPath:
+            assert TossPath() == TossPath(outcomes=())  # the one field with a default
+            return
+        with pytest.raises(TypeError):
+            type(value)(*fields(value)[:-1])
+
+    def test_one_field_too_many_is_a_type_error(self, value, text, names):
+        with pytest.raises(TypeError):
+            type(value)(*fields(value), fields(value)[-1] if names else None)
+
+    def test_a_field_given_twice_is_a_type_error(self, value, text, names):
+        if not names:
+            pytest.skip("a class without fields has no field to repeat")
+        with pytest.raises(TypeError):
+            type(value)(*fields(value), **{names[0]: fields(value)[0]})
+
+    def test_an_unknown_keyword_is_a_type_error(self, value, text, names):
+        with pytest.raises(TypeError):
+            type(value)(*fields(value), foo=1)
+
     @pytest.mark.parametrize("name", ["field", "foo"])
     def test_assigning_or_deleting_raises_attribute_error(self, value, text, names, name):
         name = names[0] if name == "field" and names else name
