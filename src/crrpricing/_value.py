@@ -9,8 +9,25 @@ equality, hash and pickling of a frozen dataclass: equal when the classes
 are the same and the field tuples are equal, hashed as the field tuple,
 rebuilt through ``__init__``. Assigning or deleting any attribute raises
 ``AttributeError``.
+
+``echo`` is how every error message quotes its input, bounded in length.
 """
 from __future__ import annotations
+
+from typing import Callable
+
+_SHOWN = 60  # characters of an input an error message shows
+
+
+def echo(value: object, show: Callable[[str], str] = repr) -> str:
+    """``show(value)`` for a string, the repr of any other value, as an error
+    message quotes it: past 60 characters, the first 60, an ellipsis and the
+    length, as ``'xxxx…' (100000 characters)``."""
+    if not isinstance(value, str):
+        value, show = repr(value), str
+    if len(value) <= _SHOWN:
+        return show(value)
+    return f"{show(value[:_SHOWN] + '…')} ({len(value)} characters)"
 
 
 class Value:

@@ -16,6 +16,7 @@ import os
 import sys
 from typing import Callable, TextIO
 
+from ._value import echo
 from .crr import CrrMarket, MarketNotViableError, is_viable, risk_neutral_q
 from .lattice import label_at
 from .market import (
@@ -167,7 +168,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def _tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {echo(text)}")
     return value
 
 

@@ -18,7 +18,7 @@ import math
 import sys
 from typing import Iterator
 
-from ._value import Value
+from ._value import Value, echo
 from .lattice import LatticeProcess, PathMeasure, TossPath, check_horizon, toss_products
 from .market import Asset, Market
 
@@ -214,15 +214,15 @@ class CrrMarket(Market):
             raise ValueError(f"config missing keys: {sorted(missing)}")
         unknown = set(data) - required
         if unknown:
-            raise ValueError(f"config has unknown keys: {sorted(unknown)}")
+            raise ValueError(f"config has unknown keys: {echo(sorted(unknown))}")
         horizon = data["horizon"]
         if not isinstance(horizon, int) or isinstance(horizon, bool):
-            raise ValueError(f"horizon must be an integer, got {horizon!r}")
+            raise ValueError(f"horizon must be an integer, got {echo(horizon)}")
         numbers = []
         for key in CrrParams.__match_args__:
             value = data[key]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"config key {key!r} must be a number, got {value!r}")
+                raise ValueError(f"config key {key!r} must be a number, got {echo(value)}")
             try:
                 numbers.append(float(value))
             except OverflowError:  # an int past the float range; its digits are not echoed
@@ -238,6 +238,8 @@ class CrrMarket(Market):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config is not valid JSON: {exc}") from None
+        except ValueError:  # an integer past the interpreter's digit limit, worded by version
+            raise ValueError("config has an integer with too many digits") from None
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
         return cls.from_dict(data)

@@ -17,7 +17,7 @@ import math
 import operator
 from typing import Callable, Iterable, Iterator, Mapping
 
-from ._value import Value
+from ._value import Value, echo
 
 # Hard stop for exhaustive lattice scans: 2**MAX_HORIZON terminal paths.
 MAX_HORIZON = 24
@@ -33,11 +33,11 @@ def check_horizon(horizon: int, what: str = "horizon") -> int:
     """Validate a lattice horizon against the configured cap; ``what`` names
     it in the error, e.g. as a maturity."""
     if not isinstance(horizon, int) or horizon < 0:
-        raise ValueError(f"{what} must be a nonnegative integer, got {horizon!r}")
+        raise ValueError(f"{what} must be a nonnegative integer, got {echo(horizon)}")
     if horizon > MAX_HORIZON:
         raise ValueError(
-            f"{what} {horizon} exceeds the exhaustive-enumeration cap "
-            f"{MAX_HORIZON} (2**{horizon} paths); reduce the {what}"
+            f"{what} {echo(horizon)} exceeds the exhaustive-enumeration cap "
+            f"{MAX_HORIZON} (2**{echo(horizon)} paths); reduce the {what}"
         )
     return horizon
 
@@ -113,7 +113,7 @@ def parse_label(text: str) -> tuple[int, int]:
         return 0, 0
     # checked first: int(..., 2) would also take '_', signs and blanks
     if text.strip("UD"):
-        raise ValueError(f"invalid toss label {text!r}: characters must be U or D")
+        raise ValueError(f"invalid toss label {echo(text)}: characters must be U or D")
     return len(text), int(text.translate(_BITS), 2)
 
 

@@ -17,9 +17,10 @@ import io
 import itertools
 import math
 import operator
+import re
 from typing import Callable, Iterable, Mapping
 
-from ._value import Value
+from ._value import Value, echo
 from .lattice import LatticeProcess, TossPath, check_horizon, iter_paths
 from .lattice import label_at, parse_label, prefix_labels
 
@@ -314,13 +315,13 @@ def _collapse_rows(keys: Iterable[tuple], horizon: int) -> dict[str, dict[int, l
     slots: dict[tuple[str, int], dict[tuple[int, int], float]] = {}
     for asset_id, t, n, k, q in keys:
         if not 0 <= t < horizon:
-            raise PortfolioFormatError(f"decision time {t} outside 0..{horizon - 1}")
+            raise PortfolioFormatError(f"decision time {echo(t)} outside 0..{horizon - 1}")
         if n > horizon:
-            raise PortfolioFormatError(f"prefix {label_at(n, k)!r} longer than the horizon {horizon}")
+            raise PortfolioFormatError(f"prefix {echo(label_at(n, k))} longer than the horizon {horizon}")
         slot = slots.setdefault((asset_id, t), {})
         if (n, k) in slot and slot[n, k] != q:
             raise PortfolioFormatError(
-                f"conflicting quantities for asset {asset_id!r} at (t={t}, {label_at(n, k)})"
+                f"conflicting quantities for asset {echo(asset_id)} at (t={t}, {label_at(n, k)})"
             )
         slot[n, k] = q  # a repeated key keeps its first place and takes the last value
 
@@ -336,14 +337,14 @@ def _collapse_rows(keys: Iterable[tuple], horizon: int) -> dict[str, dict[int, l
                      for i in range(lo, hi) if cells[i] is not q and cells[i] != q]
         if conflicts:
             raise PortfolioFormatError(
-                f"conflicting quantities for asset {asset_id!r} at (t={t}, {label_at(depth, min(conflicts))})"
+                f"conflicting quantities for asset {echo(asset_id)} at (t={t}, {label_at(depth, min(conflicts))})"
             )
         width = 1 << (depth - t)
         level = cells[::width]
         if list(_held_at(level, depth - t)) != cells:
             j = next(j for j, v in enumerate(level) if cells[j * width:(j + 1) * width].count(v) != width)
             raise PredictabilityError(
-                f"asset {asset_id!r}: quantity chosen at time {t} varies with "
+                f"asset {echo(asset_id)}: quantity chosen at time {t} varies with "
                 f"tosses after {label_at(t, j)}"
             )
         collapsed.setdefault(asset_id, {})[t] = level
@@ -355,6 +356,7 @@ def _collapse_rows(keys: Iterable[tuple], horizon: int) -> dict[str, dict[int, l
 # raised the process's peak RSS by about 0.3 MB, while 512 costs no speed.
 CSV_BATCH = 512
 _PORTFOLIO_FIELDS = ("time", "prefix", "asset", "quantity")
+_WHOLE = r"\s*[+-]?\d+(?:_\d+)*\s*"  # what int() reads as a whole number; compiled on first failure
 
 
 def _csv_field(text: str) -> str:
@@ -418,11 +420,21 @@ def _read_csv(
 def read_portfolio_csv(text: str, horizon: int, assets: Iterable[Asset]) -> QuantityProcess:
     """Load a portfolio from CSV; the table must be predictable."""
     def key(rec: list[str]) -> tuple:
-        time = int(rec[0])
+        # worded here, not by the interpreter: its words echo the whole field,
+        # and past its digit limit differ between versions
+        try:
+            time = int(rec[0])
+        except ValueError:
+            if re.fullmatch(_WHOLE, rec[0]):
+                raise ValueError(f"decision time {echo(rec[0].strip(), str)} outside 0..{horizon - 1}") from None
+            raise ValueError(f"invalid literal for int() with base 10: {echo(rec[0])}") from None
         n, k = parse_label(rec[1].strip())
-        quantity = float(rec[3])
+        try:
+            quantity = float(rec[3])
+        except ValueError:
+            raise ValueError(f"could not convert string to float: {echo(rec[3])}") from None
         if not math.isfinite(quantity):
-            raise ValueError(f"quantity {rec[3]!r} is not finite")
+            raise ValueError(f"quantity {echo(rec[3])} is not finite")
         return rec[2].strip(), time, n, k, quantity
 
     keys = _read_csv(text, _PORTFOLIO_FIELDS, "portfolio CSV", "line", PortfolioFormatError, key)
@@ -430,7 +442,7 @@ def read_portfolio_csv(text: str, horizon: int, assets: Iterable[Asset]) -> Quan
     by_id = {a.id: a for a in assets}
     for asset_id, *_ in keys:
         if asset_id not in by_id:
-            raise PortfolioFormatError(f"unknown asset id {asset_id!r}")
+            raise PortfolioFormatError(f"unknown asset id {echo(asset_id)}")
     return QuantityProcess(horizon, {
         by_id[asset_id]: [levels.get(t) or [0.0] * (1 << t) for t in range(horizon)]
         for asset_id, levels in _collapse_rows(keys, horizon).items()
@@ -444,9 +456,12 @@ def read_path_table(text: str, maturity: int) -> list[float]:
 
     def entry(rec: list[str]) -> None:
         n, k = parse_label(rec[0].strip())
-        value = float(rec[1])
+        try:
+            value = float(rec[1])
+        except ValueError:  # the interpreter's words echo the whole field
+            raise ValueError(f"could not convert string to float: {echo(rec[1])}") from None
         if n != maturity:
-            raise ValueError(f"prefix {label_at(n, k)!r} has length {n}, expected {maturity}")
+            raise ValueError(f"prefix {echo(label_at(n, k))} has length {n}, expected {maturity}")
         if k in table:
             raise ValueError("duplicate prefix")
         table[k] = value

@@ -26,7 +26,7 @@ import operator
 import re
 from typing import Callable, Sequence, Union
 
-from ._value import Value
+from ._value import Value, echo
 
 
 class PayoffSyntaxError(ValueError):
@@ -212,7 +212,7 @@ class _Parser:
         expr, _ = self.expr()
         tok = self.peek()
         if tok.kind != "end":
-            raise PayoffSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
+            raise PayoffSyntaxError(f"unexpected trailing input {echo(tok.text)}", tok.pos)
         return expr
 
     def infix(self, ops: dict[str, type[_Binary]], operand: Callable) -> tuple[PayoffExpr, int]:
@@ -236,7 +236,7 @@ class _Parser:
         if tok.kind != "number":
             raise self.fail("expected a number")
         if math.isinf(float(tok.text)):
-            raise self.fail(f"number {tok.text} is outside the float range")
+            raise self.fail(f"number {echo(tok.text, str)} is outside the float range")
         self.advance()
         return float(tok.text)
 
@@ -244,8 +244,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "number" or not tok.text.isdigit():
             raise self.fail("expected a whole-number time index")
+        try:
+            index = int(tok.text)
+        except ValueError:  # past the interpreter's digit limit, worded by version
+            raise self.fail(f"time index {echo(tok.text, str)} has too many digits") from None
         self.advance()
-        return int(tok.text)
+        return index
 
     def factor(self) -> tuple[PayoffExpr, int]:
         tok = self.peek()
@@ -315,7 +319,7 @@ class _Parser:
             if name == "put":
                 return PosPart(Sub(strike, TerminalPrice())), 1
             return Sub(TerminalPrice(), strike), 1
-        raise PayoffSyntaxError(f"unknown identifier {name!r}", tok.pos)
+        raise PayoffSyntaxError(f"unknown identifier {echo(name)}", tok.pos)
 
 
 def parse_payoff(text: str) -> PayoffExpr:
@@ -428,7 +432,7 @@ def _compile(e: PayoffExpr) -> Callable[[Sequence[float]], float]:
             def divide(prices):
                 divisor = g(prices)
                 if divisor == 0.0:
-                    raise PayoffEvalError(f"division by zero in {print_payoff(e)!r}")
+                    raise PayoffEvalError(f"division by zero in {echo(print_payoff(e))}")
                 return f(prices) / divisor
             return divide
         case _Binary(left, right):

@@ -18,7 +18,7 @@ import math
 import operator
 from typing import Union, get_args
 
-from ._value import Value
+from ._value import Value, echo
 from .crr import (
     CrrMarket,
     disc_rfr_proc,
@@ -67,7 +67,7 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
     if isinstance(payoff, get_args(PayoffExpr)):
         fixed = payoff_horizon(payoff)
         if fixed > maturity:
-            raise PayoffEvalError(f"payoff observes S[{fixed}] but matures at {maturity}")
+            raise PayoffEvalError(f"payoff observes S[{echo(fixed)}] but matures at {maturity}")
         paths = price_paths(crr.params, maturity)
         evaluate = functools.partial(eval_payoff, payoff)
     elif isinstance(payoff, list):

@@ -38,7 +38,6 @@ ROUNDING_ONLY = (
     "no arbitrage in floating point: the one-period portfolio closes at 0 on every path\n"
 )
 LARGE_SPOT = {"u": 1.15, "d": 0.9, "v": 1e9, "r": 0.02, "p": 0.5, "horizon": 6}
-DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -705,70 +704,43 @@ class TestFloatRangeAndTolerance:
         assert "self-financing: pass\nterminal-match: pass (max error = 1.19209e-07)\n" in out
 
 
-class TestGoldenBytes:
-    """CSV bytes pinned from the path-keyed engine: market REFERENCE at horizon 5."""
-
-    @pytest.mark.parametrize("payoff, tag", [
-        ("lookback", "lookback"),
-        ("avg(S) - 10", "avg"),
-        ("call(10)", "call"),
-        ("max(S[2], S_T) / 3 - min(S)", "mixed"),
-    ])
-    def test_tree_and_hedge_csv(self, capsys, tmp_path, payoff, tag):
-        cfg = write_config(tmp_path, horizon=5)
-        argv = ["--config", cfg, "--payoff", payoff, "--maturity", "5"]
-        tree, hedge = tmp_path / "tree.csv", tmp_path / "hedge.csv"
-        assert run(capsys, "price", *argv, "--tree", str(tree))[0] == EXIT_OK
-        assert run(capsys, "replicate", *argv, "--out", str(hedge))[0] == EXIT_OK
-        assert tree.read_bytes() == (DATA / f"tree_{tag}_T5.csv").read_bytes()
-        assert hedge.read_bytes() == (DATA / f"hedge_{tag}_T5.csv").read_bytes()
-
-
-GOLDEN_PAYOFFS = {
-    "lookback": "lookback",
-    "avg": "avg(S) - 10",
-    "call": "call(10)",
-    "mixed": "max(S[2], S_T) / 3 - min(S)",
+HORIZON_2 = '{"u":1.2,"d":0.8,"v":10,"r":0.03,"p":0.5,"horizon":2}'
+PORTFOLIO, TABLE = "time,prefix,asset,quantity\n", "<table>"
+PRICE = ["price", "--maturity", "1", "--payoff"]
+VERIFY = ["verify", "--maturity", "1", "--payoff", "S_T", "--portfolio", TABLE]
+# Each site: the command, config and table that echo one long text `w` or number `n`.
+OVERSIZED = {
+    "config value": lambda w, n: (["check"], HORIZON_2.replace("1.2", json.dumps(w)), ""),
+    "config horizon": lambda w, n: (["check"], HORIZON_2.replace(":2}", f":{n}}}"), ""),
+    "config key": lambda w, n: (["check"], HORIZON_2.replace("}", f",{json.dumps(w)}:1}}"), ""),
+    "path-table label": lambda w, n: ([*PRICE[:3], "--path-table", TABLE], HORIZON_2, f"prefix,value\n{w},1\n"),
+    "path-table value": lambda w, n: ([*PRICE[:3], "--path-table", TABLE], HORIZON_2, f"prefix,value\nU,{w}\nD,0\n"),
+    "portfolio asset": lambda w, n: (VERIFY, HORIZON_2, f"{PORTFOLIO}0,-,{w},1\n"),
+    "portfolio quantity": lambda w, n: (VERIFY, HORIZON_2, f"{PORTFOLIO}0,-,S,{w}\n"),
+    "portfolio time": lambda w, n: (VERIFY, HORIZON_2, f"{PORTFOLIO}{n},-,S,1\n"),
+    "portfolio prefix": lambda w, n: (VERIFY, HORIZON_2, f"{PORTFOLIO}0,{w},S,1\n"),
+    "payoff identifier": lambda w, n: ([*PRICE, w], HORIZON_2, ""),
+    "payoff trailing input": lambda w, n: ([*PRICE, f"S_T {w}"], HORIZON_2, ""),
+    "payoff number": lambda w, n: ([*PRICE, "9" * 309 + n], HORIZON_2, ""),
+    "payoff index": lambda w, n: ([*PRICE, f"S[{n}]"], HORIZON_2, ""),
 }
 
 
-def golden_stdout_commands(tmp_path: Path) -> dict[str, list[str]]:
-    """The commands whose stdout and exit code ``tests/data/stdout_T5.json``
-    pins: market REFERENCE at horizon 5, the hedges read from the pinned CSVs."""
-    cfg = write_config(tmp_path, horizon=5)
-    commands = {}
-    for tag, payoff in GOLDEN_PAYOFFS.items():
-        argv = ["--config", cfg, "--payoff", payoff, "--maturity", "5"]
-        commands[f"replicate-{tag}"] = ["replicate", *argv, "--out", str(tmp_path / f"{tag}.csv")]
-        commands[f"verify-{tag}"] = ["verify", *argv, "--portfolio", str(DATA / f"hedge_{tag}_T5.csv")]
-    # one risky holding moved by 0.01: in the last period both clauses fail,
-    # earlier only the self-financing one
-    for tag, key in (("perturbed", "4,DUDU,S,"), ("perturbed-early", "2,DU,S,")):
-        rows = (DATA / "hedge_lookback_T5.csv").read_text().splitlines(keepends=True)
-        [i] = [i for i, row in enumerate(rows) if row.startswith(key)]
-        rows[i] = f"{key}{float(rows[i].split(',')[3]) + 0.01!r}\n"
-        perturbed = tmp_path / f"{tag}.csv"
-        perturbed.write_text("".join(rows))
-        commands[f"verify-{tag}"] = [
-            "verify", "--config", cfg, "--payoff", "lookback", "--maturity", "5",
-            "--portfolio", str(perturbed),
-        ]
-    for tag, rate in (("rich-bank", 0.25), ("rich-stock", -0.3)):
-        path = tmp_path / f"{tag}.json"
-        path.write_text(json.dumps(dict(REFERENCE, r=rate, horizon=5)))
-        commands[f"check-{tag}"] = ["check", "--config", str(path)]
-    return commands
-
-
-class TestGoldenStdout:
-    """Stdout and exit codes pinned from the node-by-node portfolio engine."""
-
-    GOLDEN = json.loads((DATA / "stdout_T5.json").read_text())
-
-    @pytest.mark.parametrize("case", sorted(GOLDEN))
-    def test_stdout_and_exit_code(self, capsys, tmp_path, case):
-        code, out, err = run(capsys, *golden_stdout_commands(tmp_path)[case])
-        assert (code, out, err) == (self.GOLDEN[case]["exit"], self.GOLDEN[case]["stdout"], "")
+class TestOversizedInput:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(OVERSIZED)), st.sampled_from(["x", "U", "UD", "ab1", "é"]), st.integers(61, 100_000))
+    def test_exit_three_with_one_short_error_line(self, site, unit, length):
+        # an error line quotes a bounded part of the input, past the interpreter's digit limit too
+        argv, config, table = OVERSIZED[site]((unit * length)[:length], "1" * length)
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            Path(tmp, "market.json").write_text(config, encoding="utf-8")
+            Path(tmp, "table.csv").write_text(table, encoding="utf-8")
+            argv = [str(Path(tmp, "table.csv")) if arg == TABLE else arg for arg in argv]
+            code = main([*argv, "--config", str(Path(tmp, "market.json"))])
+        assert (code, out.getvalue()) == (EXIT_BAD_INPUT, "")
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("error: ") and len(line.encode("utf-8")) < 300, line[:400]
 
 
 class TestConfigJson:

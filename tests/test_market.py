@@ -772,7 +772,8 @@ class TestCollapseRows:
         label = "UD" * 50_000
         with pytest.raises(PortfolioFormatError) as info:
             read_portfolio_csv(f"{PORTFOLIO_HEADER}1,{label},S,1.5\n", 2, [Asset("S")])
-        assert str(info.value) == f"prefix {label!r} longer than the horizon 2"
+        # the label is echoed bounded: its first 60 characters and its length
+        assert str(info.value) == f"prefix {label[:60] + '…'!r} (100000 characters) longer than the horizon 2"
 
     def test_csv_round_trip_at_horizon_twelve(self):
         risky, bank = Asset("S"), Asset("rf")

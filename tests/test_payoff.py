@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crrpricing import payoff as payoff_module
+from crrpricing._value import echo
 from crrpricing.crr import CrrMarket, CrrParams, price_path
 from crrpricing.lattice import TossPath, is_measurable_at
 from crrpricing.payoff import (
@@ -357,7 +358,7 @@ def reference_eval_payoff(e, prices):
             divisor = reference_eval_payoff(right, prices)
             if divisor == 0.0:
                 raise PayoffEvalError(
-                    f"division by zero in {print_payoff(e)!r}"
+                    f"division by zero in {echo(print_payoff(e))}"
                 )
             return reference_eval_payoff(left, prices) / divisor
         case Neg(operand):
