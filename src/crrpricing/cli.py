@@ -11,12 +11,13 @@ to 6 significant digits, CSV numbers in shortest round-trip form.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
 from typing import Callable, TextIO
 
-from ._value import echo
+from ._value import _SHOWN, echo
 from .crr import CrrMarket, MarketNotViableError, is_viable, risk_neutral_q
 from .lattice import label_at
 from .market import (
@@ -27,6 +28,7 @@ from .market import (
     read_portfolio_csv,
     write_portfolio_csv,
 )
+from . import pricing  # terminal_payoffs through the module: perfbench/spans.py rebinds it there only
 from .payoff import parse_payoff
 from .pricing import (
     NotStockPortfolioError,
@@ -52,7 +54,7 @@ def _read_text(path: str, what: str) -> str:
         with open(path, "r", encoding="utf-8") as f:
             return f.read()
     except OSError as exc:
-        raise ValueError(f"cannot read {what} {path!r}: {exc}") from None
+        raise ValueError(f"cannot read {what} {echo(path)}: {exc.strerror or exc}") from None
 
 
 def _write_text(path: str, what: str, write: Callable[[TextIO], object]) -> None:
@@ -61,7 +63,7 @@ def _write_text(path: str, what: str, write: Callable[[TextIO], object]) -> None
         with open(path, "w", encoding="utf-8") as f:
             write(f)
     except OSError as exc:
-        raise ValueError(f"cannot write {what} {path!r}: {exc}") from None
+        raise ValueError(f"cannot write {what} {echo(path)}: {exc.strerror or exc}") from None
 
 
 def _read_market(path: str) -> CrrMarket:
@@ -73,15 +75,24 @@ def _fmt(x: float) -> str:
     return format(x, ".6g")
 
 
-def _load_payoff(args: argparse.Namespace, maturity: int) -> PayoffLike:
-    if args.payoff is not None:
-        return parse_payoff(args.payoff)
-    return read_path_table(_read_text(args.path_table, "path table"), maturity)
+def _load_payoff(args: argparse.Namespace, hedge: bool = False) -> PayoffLike:
+    payoff = (parse_payoff(args.payoff) if args.payoff is not None
+              else read_path_table(_read_text(args.path_table, "path table"), args.maturity))
+    if hedge and args.maturity < 1:  # before the market's viability or the portfolio's decision times
+        raise ValueError("replication needs at least one trading period")
+    return payoff
+
+
+def _maturity_level(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[float]:
+    risk_neutral_q(crr.params)  # an inviable market fails before the payoff is evaluated, as in fair_price
+    return pricing.terminal_payoffs(crr, payoff, maturity)  # once, for every result of the command
 
 
 def cmd_price(args: argparse.Namespace) -> int:
     crr = _read_market(args.config)
-    payoff = _load_payoff(args, args.maturity)
+    payoff = _load_payoff(args)
+    if args.tree:  # the price and the tree share one evaluation; a price alone needs no copy of it
+        payoff = _maturity_level(crr, payoff, args.maturity)
     price = fair_price(crr, payoff, args.maturity)
     if args.tree:
         _write_text(args.tree, "tree", price_lattice(crr, payoff, args.maturity).to_csv)
@@ -91,7 +102,7 @@ def cmd_price(args: argparse.Namespace) -> int:
 
 def cmd_replicate(args: argparse.Namespace) -> int:
     crr = _read_market(args.config)
-    payoff = _load_payoff(args, args.maturity)
+    payoff = _maturity_level(crr, _load_payoff(args, hedge=True), args.maturity)
     portfolio = replicating_portfolio(crr, payoff, args.maturity)
     report = verify_replication(crr, portfolio, payoff, args.maturity, args.tolerance)
     if args.out:
@@ -109,9 +120,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     crr = _read_market(args.config)
-    payoff = _load_payoff(args, args.maturity)
-    if args.maturity < 1:  # before the portfolio's decision times are checked against it
-        raise ValueError("replication needs at least one trading period")
+    payoff = _load_payoff(args, hedge=True)
     text = _read_text(args.portfolio, "portfolio")
     try:
         portfolio = read_portfolio_csv(text, args.maturity, crr.assets)
@@ -165,8 +174,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_CHECK_INVIABLE
 
 
+def _maturity(text: str) -> int:
+    """``type=int`` quoting through ``echo``; longer than it quotes whole, refused on every Python alike."""
+    if len(text) <= _SHOWN:  # no maturity in range is longer; 3.10 reads an int of any length
+        with contextlib.suppress(ValueError):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}")
+
+
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {echo(text)}") from None
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {echo(text)}")
     return value
@@ -179,7 +199,7 @@ def _add_payoff_arguments(sub: argparse.ArgumentParser) -> None:
         "--path-table", help="CSV of per-terminal-path payoffs (prefix,value)"
     )
     sub.add_argument(
-        "--maturity", type=int, required=True, help="payoff maturity in periods"
+        "--maturity", type=_maturity, required=True, help="payoff maturity in periods"
     )
 
 

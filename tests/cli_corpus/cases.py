@@ -136,6 +136,16 @@ for tag, payoff in {"identifier": X, "trailing": f"S_T {X}", "number": "1" + "0"
                     "index-5000-digits": f"S[{LONG[:5000]}]", "index-4000-digits": f"S[{LONG[:4000]}]",
                     "division": "1 / (" + " + ".join(["S_T - S_T"] * 20) + ")"}.items():
     case(f"oversized/payoff-{tag}", ["price", "--config", "market.json", "--payoff", payoff, "--maturity", "1"])
+for tag, command in {
+    "maturity-5000-digits": f"price {on('market.json', 'S_T', LONG[:5000])}",
+    "tolerance": f"replicate {on('market.json', 'S_T', 1)} --tolerance {X}",
+    "path-config": f"check --config {X}",
+    "path-path-table": f"price --config market.json --path-table {X} --maturity 1",
+    "path-portfolio": f"verify {on('market.json', 'S_T', 1)} --portfolio {X}",
+    "path-tree": f"price {on('market.json', 'S_T', 1)} --tree {X}",
+    "path-out": f"replicate {on('market.json', 'S_T', 1)} --out {X}",
+}.items():
+    case(f"oversized/{tag}", command)
 
 # the argument parser
 for tag, argv in {

@@ -27,6 +27,7 @@ from crrpricing.cli import (
     read_path_table,
 )
 from crrpricing import cli, market, pricing
+from crrpricing._value import echo
 from crrpricing.crr import CrrMarket, is_viable
 from crrpricing.pricing import construct_arbitrage
 from crrpricing.lattice import TossPath, prefix_labels
@@ -705,10 +706,12 @@ class TestFloatRangeAndTolerance:
 
 
 HORIZON_2 = '{"u":1.2,"d":0.8,"v":10,"r":0.03,"p":0.5,"horizon":2}'
-PORTFOLIO, TABLE = "time,prefix,asset,quantity\n", "<table>"
+PORTFOLIO, TABLE, MISSING = "time,prefix,asset,quantity\n", "<tmp>/table.csv", "<tmp>/no-such-dir/"
 PRICE = ["price", "--maturity", "1", "--payoff"]
 VERIFY = ["verify", "--maturity", "1", "--payoff", "S_T", "--portfolio", TABLE]
-# Each site: the command, config and table that echo one long text `w` or number `n`.
+REPLICATE = ["replicate", "--maturity", "1", "--payoff", "S_T"]
+# Each site: the command, config and table that echo one long text `w` or number `n`;
+# `<tmp>` in an argument is the run's own directory, which has no `no-such-dir`.
 OVERSIZED = {
     "config value": lambda w, n: (["check"], HORIZON_2.replace("1.2", json.dumps(w)), ""),
     "config horizon": lambda w, n: (["check"], HORIZON_2.replace(":2}", f":{n}}}"), ""),
@@ -723,6 +726,14 @@ OVERSIZED = {
     "payoff trailing input": lambda w, n: ([*PRICE, f"S_T {w}"], HORIZON_2, ""),
     "payoff number": lambda w, n: ([*PRICE, "9" * 309 + n], HORIZON_2, ""),
     "payoff index": lambda w, n: ([*PRICE, f"S[{n}]"], HORIZON_2, ""),
+    "maturity text": lambda w, n: ([*PRICE[:2], w, "--payoff", "S_T"], HORIZON_2, ""),
+    "maturity digits": lambda w, n: ([*PRICE[:2], n, "--payoff", "S_T"], HORIZON_2, ""),
+    "tolerance": lambda w, n: ([*REPLICATE, "--tolerance", w], HORIZON_2, ""),
+    "config path": lambda w, n: (["check", "--config", MISSING + w], HORIZON_2, ""),
+    "path-table path": lambda w, n: ([*PRICE[:3], "--path-table", MISSING + w], HORIZON_2, ""),
+    "portfolio path": lambda w, n: ([*VERIFY[:-1], MISSING + w], HORIZON_2, ""),
+    "tree path": lambda w, n: ([*PRICE, "S_T", "--tree", MISSING + w], HORIZON_2, ""),
+    "out path": lambda w, n: ([*REPLICATE, "--out", MISSING + w], HORIZON_2, ""),
 }
 
 
@@ -730,17 +741,21 @@ class TestOversizedInput:
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(sorted(OVERSIZED)), st.sampled_from(["x", "U", "UD", "ab1", "é"]), st.integers(61, 100_000))
     def test_exit_three_with_one_short_error_line(self, site, unit, length):
-        # an error line quotes a bounded part of the input, past the interpreter's digit limit too
+        # an error line quotes a bounded part of the input, past the interpreter's digit limit too;
+        # argparse's own error follows its usage text
         argv, config, table = OVERSIZED[site]((unit * length)[:length], "1" * length)
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             Path(tmp, "market.json").write_text(config, encoding="utf-8")
             Path(tmp, "table.csv").write_text(table, encoding="utf-8")
-            argv = [str(Path(tmp, "table.csv")) if arg == TABLE else arg for arg in argv]
-            code = main([*argv, "--config", str(Path(tmp, "market.json"))])
+            argv = [arg.replace("<tmp>", tmp) for arg in argv]
+            config_path = [] if "--config" in argv else ["--config", str(Path(tmp, "market.json"))]
+            code = main([*argv, *config_path])
+            assert sorted(os.listdir(tmp)) == ["market.json", "table.csv"]  # no file written
         assert (code, out.getvalue()) == (EXIT_BAD_INPUT, "")
-        [line] = err.getvalue().splitlines()
-        assert line.startswith("error: ") and len(line.encode("utf-8")) < 300, line[:400]
+        *usage, line = err.getvalue().splitlines()
+        assert (line.startswith("error: ") and not usage) or (": error: argument --" in line and usage), line[:400]
+        assert all(len(text.encode("utf-8")) < 300 for text in [*usage, line]), line[:400]
 
 
 class TestConfigJson:
@@ -999,7 +1014,7 @@ class TestUnwritableOutput:
             flag, str(target),
         )
         assert (code, out) == (EXIT_BAD_INPUT, "")
-        assert err.startswith(f"error: cannot write {what} {str(target)!r}: ")
+        assert err.startswith(f"error: cannot write {what} {echo(str(target))}: ")
         assert err.count("\n") == 1
 
     def test_python_m_crrpricing_exits_three(self, config, tmp_path):
@@ -1011,7 +1026,7 @@ class TestUnwritableOutput:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert (proc.returncode, proc.stdout) == (EXIT_BAD_INPUT, "")
-        assert proc.stderr.startswith(f"error: cannot write portfolio {str(tmp_path)!r}: ")
+        assert proc.stderr.startswith(f"error: cannot write portfolio {echo(str(tmp_path))}: ")
 
 
 class TestStandardLibraryOnly:

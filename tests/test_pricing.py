@@ -1004,8 +1004,13 @@ class TestHedgeBuildsNoTossPaths:
 class TestWorkPerCommand:
     """Counted by wrapping the names the engine calls through."""
 
-    @pytest.mark.parametrize("command", ["price", "replicate"])
+    @pytest.mark.parametrize("command", ["price", "price --tree", "replicate --out", "verify"])
     def test_average_payoff_at_horizon_eight(self, command, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "market.json"
+        config.write_text(json.dumps({"u": 1.15, "d": 0.9, "v": 100.0, "r": 0.02, "p": 0.45, "horizon": 8}))
+        argv = ["--config", str(config), "--payoff", "avg(S) - 100", "--maturity", "8"]
+        hedge = tmp_path / "hedge.csv"
+        assert cli.main(["replicate", *argv, "--out", str(hedge)]) == 0  # the hedge verify reads, not counted
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -1017,14 +1022,12 @@ class TestWorkPerCommand:
         monkeypatch.setattr(crr_module, "price_path", counted("price_path", crr_module.price_path))
         monkeypatch.setattr(pricing, "price_path", counted("price_path", pricing.price_path))
         monkeypatch.setattr(pricing, "eval_payoff", counted("eval_payoff", pricing.eval_payoff))
-        config = tmp_path / "market.json"
-        config.write_text(json.dumps({"u": 1.15, "d": 0.9, "v": 100.0, "r": 0.02, "p": 0.45, "horizon": 8}))
-        out = ["--tree", str(tmp_path / "tree.csv")] if command == "price" else ["--out", str(tmp_path / "hedge.csv")]
-        argv = [command, "--config", str(config), "--payoff", "avg(S) - 100", "--maturity", "8", *out]
-        assert cli.main(argv) == 0
+        extra = {"price": [], "price --tree": ["--tree", str(tmp_path / "tree.csv")],
+                 "replicate --out": ["--out", str(tmp_path / "out.csv")], "verify": ["--portfolio", str(hedge)]}
+        assert cli.main([command.split()[0], *argv, *extra[command]]) == 0
         capsys.readouterr()
-        # three terminal_payoffs calls per command, one evaluation per path each
-        assert calls == {"eval_payoff": 3 * 2**8}
+        # one terminal_payoffs evaluation per command, one eval_payoff per path
+        assert calls == {"eval_payoff": 2**8}
 
 
 def loop_terminal_payoffs(crr, payoff, maturity):
