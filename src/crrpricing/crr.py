@@ -3,16 +3,17 @@ discounting, the viability condition, and the risk-neutral toss probability.
 
 The risky price multiplies by ``u`` on an up toss and ``d`` on a down toss
 from initial value ``v``, one running product: a node holding ``s`` has
-children ``s * u`` and ``s * d``. The market's risky level, ``price_paths``
-and ``price_path`` all multiply in that order, so the payoff and the hedge
-read the same price at every node. The risk-free asset compounds at a
-constant per-period rate ``r``. The market admits no arbitrage among
-stock-only portfolios exactly when ``d < 1 + r < u``, in which case the
-unique Bernoulli up-probability making the discounted risky price driftless
-is ``q = (1 + r - d) / (u - d)``.
+children ``s * u`` and ``s * d``. The market's risky level, ``price_paths``,
+``price_path`` and the terminal-price chunks of ``terminal_prices`` all
+multiply in that order, so the payoff and the hedge read the same price at
+every node. The risk-free asset compounds at a constant per-period rate
+``r``. The market admits no arbitrage among stock-only portfolios exactly
+when ``d < 1 + r < u``, in which case the unique Bernoulli up-probability
+making the discounted risky price driftless is ``q = (1 + r - d) / (u - d)``.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -84,6 +85,22 @@ def price_paths(params: CrrParams, n: int) -> Iterator[list[float]]:
         else:
             stack.append(prices + [last * d])
             stack.append(prices + [last * u])
+
+
+def terminal_prices(params: CrrParams, n: int) -> Iterator[tuple[float]]:
+    """``(prices[-1],)`` for each list of ``price_paths(params, n)``, bit for
+    bit and in the same order, without building the lists.
+
+    The prices come in chunks: ``toss_products`` of the last ``n // 2``
+    tosses under each node ``n - n // 2`` tosses deep, one chunk at a time,
+    so about ``2 * 2**(n / 2)`` prices are alive at once.
+    """
+    check_horizon(n)
+    u, d = params.u, params.d
+    k = n // 2
+    return itertools.chain.from_iterable(
+        zip(toss_products(s, u, d, k)) for s in toss_products(params.v, u, d, n - k)
+    )
 
 
 def disc_rfr_proc(r: float, n: int) -> float:

@@ -145,8 +145,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # Deepest accepted expression. Parsing recurses up to four times per level,
-# and compiling, evaluating and printing up to twice, so every accepted
-# expression stays far inside Python's default recursion limit of 1000.
+# printing up to twice and compiling once (the compiled function does not
+# recurse), so every accepted expression stays far inside Python's default
+# recursion limit of 1000.
 MAX_PAYOFF_DEPTH = 100
 
 
@@ -386,65 +387,88 @@ def print_payoff(e: PayoffExpr) -> str:
     raise TypeError(f"not a payoff expression: {e!r}")
 
 
-# Closure factories for the binary nodes but ``Div``, each operator written inline.
-_COMBINE: dict[type[_Binary], Callable[[Callable, Callable], Callable]] = {
-    Add: lambda f, g: lambda prices: f(prices) + g(prices),
-    Sub: lambda f, g: lambda prices: f(prices) - g(prices),
-    Mul: lambda f, g: lambda prices: f(prices) * g(prices),
-    Max2: lambda f, g: lambda prices: max(f(prices), g(prices)),
-    Min2: lambda f, g: lambda prices: min(f(prices), g(prices)),
+# Each binary node's value from its operands' locals ``a`` and ``b``: the
+# operator inline, and ``max``/``min`` as the one comparison the builtins make
+# (the second operand wins only when strictly greater or less), without a call.
+_STATEMENT: dict[type[_Binary], str] = {
+    Add: "{a} + {b}", Sub: "{a} - {b}", Mul: "{a} * {b}", Div: "{a} / {b}",
+    Max2: "{b} if {b} > {a} else {a}", Min2: "{b} if {b} < {a} else {a}",
 }
 
 
+def _outside(index: object, prices: Sequence[float]) -> PayoffEvalError:
+    return PayoffEvalError(f"price index S[{index}] outside observed path S[0..{len(prices) - 1}]")
+
+
+def _division_by_zero(e: PayoffExpr) -> PayoffEvalError:
+    return PayoffEvalError(f"division by zero in {echo(print_payoff(e))}")
+
+
+def _not_an_expression(e: object) -> float:
+    raise TypeError(f"not a payoff expression: {e!r}")
+
+
 def _compile(e: PayoffExpr) -> Callable[[Sequence[float]], float]:
-    """Closure evaluating ``e`` on a nonempty price sequence; a node that is
-    not an expression compiles to a closure raising ``TypeError`` when reached."""
-    match e:
-        case Const(value):
-            return lambda prices: value
-        case PriceAt(index):
-            def price_at(prices):
-                last = len(prices) - 1
-                if not 0 <= index <= last:
-                    raise PayoffEvalError(
-                        f"price index S[{index}] outside observed path S[0..{last}]"
-                    )
-                return prices[index]
-            return price_at
-        case TerminalPrice():
-            return lambda prices: prices[-1]
-        case PathMax():
-            return max
-        case PathMin():
-            return min
-        case PathAvg():
-            # Left to right from 0 on every Python: sum() compensates from 3.12
-            # on, which would move prices in the last digit.
-            return lambda prices: functools.reduce(operator.add, prices, 0) / len(prices)
-        case Neg(operand):
-            f = _compile(operand)
-            return lambda prices: -f(prices)
-        case PosPart(operand):
-            f = _compile(operand)
-            return lambda prices: max(0.0, f(prices))
-        case Div(left, right):
-            f, g = _compile(left), _compile(right)
-            def divide(prices):
-                divisor = g(prices)
-                if divisor == 0.0:
-                    raise PayoffEvalError(f"division by zero in {echo(print_payoff(e))}")
-                return f(prices) / divisor
-            return divide
-        case _Binary(left, right):
-            return _COMBINE[type(e)](_compile(left), _compile(right))
+    """One straight-line function evaluating ``e`` on a nonempty price
+    sequence ``p``: one statement per node, into its own local, in the order
+    a tree walk evaluates them (a divisor before its numerator). Every
+    constant, index and node the statements use is a global of the function,
+    never source text. A node that is not an expression compiles to a
+    statement raising ``TypeError`` when reached."""
+    names: dict[str, object] = {
+        "_reduce": functools.reduce, "_add": operator.add, "_outside": _outside,
+        "_division_by_zero": _division_by_zero, "_not_an_expression": _not_an_expression,
+    }
+    lines: list[str] = []
 
-    def not_an_expression(prices):
-        raise TypeError(f"not a payoff expression: {e!r}")
-    return not_an_expression
+    def bind(obj: object) -> str:
+        name = f"g{len(names)}"
+        names[name] = obj
+        return name
+
+    def emit(node: PayoffExpr) -> str:
+        """Append the statements computing ``node``; the local holding it."""
+        match node:
+            case Const(value):
+                code = bind(value)
+            case PriceAt(index):
+                i = bind(index)
+                lines.append(f"if not 0 <= {i} <= len(p) - 1: raise _outside({i}, p)")
+                code = f"p[{i}]"
+            case TerminalPrice():
+                code = "p[-1]"
+            case PathMax():
+                code = "max(p)"
+            case PathMin():
+                code = "min(p)"
+            case PathAvg():
+                # Left to right from 0 on every Python: sum() compensates from
+                # 3.12 on, which would move prices in the last digit.
+                code = "_reduce(_add, p, 0) / len(p)"
+            case Neg(operand):
+                code = f"-{emit(operand)}"
+            case PosPart(operand):
+                code = _STATEMENT[Max2].format(a="0.0", b=emit(operand))
+            case Div(left, right):
+                divisor = emit(right)
+                lines.append(f"if {divisor} == 0.0: raise _division_by_zero({bind(node)})")
+                code = _STATEMENT[Div].format(a=emit(left), b=divisor)
+            case _Binary(left, right):
+                code = _STATEMENT[type(node)].format(a=emit(left), b=emit(right))
+            case _:
+                code = f"_not_an_expression({bind(node)})"
+        local = f"v{len(lines)}"
+        lines.append(f"{local} = {code}")
+        return local
+
+    result = emit(e)
+    exec("def evaluate(p):\n" + "".join(f"    {line}\n" for line in lines)
+         + f"    return {result}\n", names)
+    return names["evaluate"]
 
 
-# The last expression evaluated and its closure, matched by identity: equal
-# expressions can evaluate differently (``Const(0.0) == Const(-0.0)``).
+# The last expression evaluated and its compiled function, matched by identity:
+# equal expressions can evaluate differently (``Const(0.0) == Const(-0.0)``).
 _last: tuple[object, Callable[[Sequence[float]], float]] = (None, _compile(None))
 
 
@@ -475,4 +499,20 @@ def payoff_horizon(e: PayoffExpr) -> int:
             return payoff_horizon(operand)
         case _Binary(left, right):
             return max(payoff_horizon(left), payoff_horizon(right))
+    raise TypeError(f"not a payoff expression: {e!r}")
+
+
+def terminal_only(e: PayoffExpr) -> bool:
+    """Whether the expression reads no price but ``S_T``: no ``S[i]`` and no
+    path aggregate. Such a payoff has the recombining form of Cox, Ross and
+    Rubinstein (1979), and it evaluates on ``(S_T,)`` as on the whole path."""
+    match e:
+        case Const() | TerminalPrice():
+            return True
+        case PriceAt() | PathMax() | PathMin() | PathAvg():
+            return False
+        case _Unary(operand):
+            return terminal_only(operand)
+        case _Binary(left, right):
+            return terminal_only(left) and terminal_only(right)
     raise TypeError(f"not a payoff expression: {e!r}")

@@ -27,6 +27,7 @@ from .crr import (
     price_path,  # noqa: F401  (kept importable: perfbench/spans.py rebinds it here)
     price_paths,
     risk_neutral_q,
+    terminal_prices,
 )
 from .lattice import LatticeProcess, PathMeasure, label_at
 from .market import (
@@ -40,7 +41,7 @@ from .market import (
     support_set,
     _write_csv,
 )
-from .payoff import PayoffEvalError, PayoffExpr, eval_payoff, payoff_horizon
+from .payoff import PayoffEvalError, PayoffExpr, eval_payoff, payoff_horizon, terminal_only
 
 PayoffLike = Union[PayoffExpr, list[float]]
 
@@ -57,10 +58,13 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
     """Evaluate the payoff at every maturity path and check it is finite.
 
     Entry ``k`` belongs to the path with ``TossPath.index() == k`` (``iter_paths``
-    order). Accepts a parsed expression, which is evaluated on the price lists
-    of ``price_paths`` (prefixes shared, no ``TossPath``), or the maturity
-    level itself (as ``read_path_table`` gives it); a function ``f`` of toss
-    paths is the level ``[f(w) for w in iter_paths(maturity)]``.
+    order). Accepts a parsed expression or the maturity level itself (as
+    ``read_path_table`` gives it); a function ``f`` of toss paths is the level
+    ``[f(w) for w in iter_paths(maturity)]``. An expression that reads only
+    ``S_T`` is evaluated on the 1-tuples of ``terminal_prices``, any other on
+    the price lists of ``price_paths`` (prefixes shared, no ``TossPath``).
+    The first path whose value is not finite or whose evaluation raises names
+    the error.
     """
     if not 0 <= maturity <= crr.horizon:
         raise ValueError(f"maturity {maturity} outside market horizon {crr.horizon}")
@@ -68,24 +72,31 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
         fixed = payoff_horizon(payoff)
         if fixed > maturity:
             raise PayoffEvalError(f"payoff observes S[{echo(fixed)}] but matures at {maturity}")
-        paths = price_paths(crr.params, maturity)
-        evaluate = functools.partial(eval_payoff, payoff)
+        paths = (terminal_prices if terminal_only(payoff) else price_paths)(crr.params, maturity)
+        source = map(functools.partial(eval_payoff, payoff), paths)
     elif isinstance(payoff, list):
         if len(payoff) != 1 << maturity:
             raise ValueError(f"payoff level has {len(payoff)} values, expected {1 << maturity}")
-        paths, evaluate = payoff, float
+        source = payoff
     else:
         raise TypeError(f"cannot interpret {type(payoff).__name__} as a payoff")
-    values = []
-    for s in paths:
-        try:
-            value = float(evaluate(s))
-        except PayoffEvalError as exc:
+    values: list[float] = []
+    try:
+        values.extend(map(float, source))  # on a raise, keeps the values before it
+    except Exception as exc:  # whatever it is, a value before it that is not finite wins
+        _require_finite_payoffs(values, maturity)
+        if isinstance(exc, PayoffEvalError):
             raise PayoffEvalError(f"{exc} (at path {label_at(maturity, len(values))})") from None
-        if not math.isfinite(value):
-            raise PayoffEvalError(f"payoff is not finite at path {label_at(maturity, len(values))}")
-        values.append(value)
+        raise
+    _require_finite_payoffs(values, maturity)
     return values
+
+
+def _require_finite_payoffs(values: list[float], maturity: int) -> None:
+    """Raise ``PayoffEvalError`` naming the first path whose value is not finite."""
+    if not all(map(math.isfinite, values)):
+        k = next(k for k, x in enumerate(values) if not math.isfinite(x))
+        raise PayoffEvalError(f"payoff is not finite at path {label_at(maturity, k)}") from None
 
 
 def fair_price(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> float:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from crrpricing import crr as crr_module
 from crrpricing.crr import (
     CrrMarket,
     CrrParams,
@@ -19,6 +20,7 @@ from crrpricing.crr import (
     price_paths,
     risk_neutral_q,
     step_rate_from_annual,
+    terminal_prices,
 )
 from crrpricing.lattice import (
     LatticeProcess,
@@ -522,7 +524,8 @@ class TestFloatRangeCheck:
 
 
 class TestPricePaths:
-    """``price_paths`` against ``price_path`` per toss tuple, bit for bit."""
+    """``price_paths`` against ``price_path`` per toss tuple, and the
+    terminal-price chunks against the last entry of each list, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(edge_walks())
@@ -530,6 +533,9 @@ class TestPricePaths:
         params, n = walk
         expected = [list(map(float.hex, price_path(params, w))) for w in iter_paths(n)]
         assert [list(map(float.hex, prices)) for prices in price_paths(params, n)] == expected
+        assert [list(map(float.hex, last)) for last in terminal_prices(params, n)] == [
+            prices[-1:] for prices in expected
+        ]
 
     def test_yields_fresh_lists_lazily(self):
         # the first path of the largest horizon comes without building the
@@ -539,6 +545,24 @@ class TestPricePaths:
         lists = list(price_paths(PARAMS, 3))
         assert len({id(prices) for prices in lists}) == 8
 
+    def test_terminal_prices_come_in_chunks(self, monkeypatch):
+        depths = []
+        products = crr_module.toss_products
+        monkeypatch.setattr(
+            crr_module, "toss_products", lambda *args: depths.append(args[3]) or products(*args)
+        )
+        # the first price of the largest horizon comes from two 2^12 levels
+        assert next(terminal_prices(PARAMS, 24)) == (price_path(PARAMS, (True,) * 24)[-1],)
+        assert depths == [12, 12]
+        for n, chunks in ((0, [0, 0]), (1, [1, 0, 0]), (7, [4] + [3] * 16)):
+            depths.clear()
+            assert list(terminal_prices(PARAMS, n)) == [
+                (prices[-1],) for prices in price_paths(PARAMS, n)
+            ]
+            assert depths == chunks
+
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
             next(price_paths(PARAMS, -1))
+        with pytest.raises(ValueError):
+            terminal_prices(PARAMS, -1)

@@ -35,6 +35,7 @@ from crrpricing.payoff import (
     parse_payoff,
     payoff_horizon,
     print_payoff,
+    terminal_only,
 )
 from crrpricing.pricing import terminal_payoffs
 
@@ -402,6 +403,40 @@ price_lists = st.lists(
 )
 
 
+# Nodes a parser never builds. The index and the string constant read as code
+# if spliced into source text.
+CRAFTED = [
+    PriceAt("0]; import os; p[0"), PriceAt(-1), PriceAt(1.0), Const(object()),
+    Const("__import__('os').getpid()"), Add(Const(1.0), None), Div(Const(1.0), NOT_AN_EXPRESSION),
+    Div(None, Const(0.0)), Div(Const(1.0), PriceAt(9)), Add(Div(Const(1.0), Const(0.0)), None),
+    Add(None, Div(Const(1.0), Const(0.0))), Mul(PosPart(Const(object())), Const(2.0)),
+    Max2(Const(1.0), Const("a")), Min2(Const(math.nan), Const(1.0)), Neg(Const(-0.0)),
+]
+
+
+class LoggedIndex(int):
+    """A price index that logs itself each time an evaluator checks it."""
+
+    def __new__(cls, value, log):
+        index = super().__new__(cls, value)
+        index.log = log
+        return index
+
+    def __ge__(self, other):  # ``0 <= index`` asks the index first
+        self.log.append(self)
+        return int(self) >= other
+
+
+# Expressions over a price-index constructor; evaluated on four prices, the
+# divisor S[1] is zero, so some of them stop at a division by zero.
+ORDERED = [
+    lambda s: Div(Add(s(0), s(3)), Sub(s(2), Max2(s(3), Neg(s(0))))),
+    lambda s: Add(Div(s(3), s(1)), s(2)),
+    lambda s: Mul(Min2(PosPart(s(2)), s(0)), Div(Div(s(3), s(2)), Sub(s(0), s(2)))),
+    lambda s: Sub(Max2(s(1), s(2)), Div(s(0), Div(s(2), s(3)))),
+]
+
+
 class TestCompiledMatchesInterpreter:
     @settings(max_examples=600, deadline=None)
     @given(expressions, price_lists)
@@ -411,15 +446,48 @@ class TestCompiledMatchesInterpreter:
     def test_equal_expressions_keep_their_own_values(self):
         """Equal expressions can evaluate differently, so no compiled form is
         shared between them."""
-        for pair in ((Const(0.0), Const(-0.0)), (Neg(Const(-0.0)), Neg(Const(0.0))), (Const(1), Const(1.0))):
+        for pair in ((Const(0.0), Const(-0.0)), (Neg(Const(-0.0)), Neg(Const(0.0))), (Const(1), Const(1.0)),
+                     (Add(Const(-0.0), Const(-0.0)), Add(Const(0.0), Const(-0.0)))):
             assert pair[0] == pair[1]
-            for e in pair:
+            for e in pair * 2:
                 assert outcome(eval_payoff, e, [1.0]) == outcome(reference_eval_payoff, e, [1.0])
 
     def test_non_expression_rejected(self):
         for bad in (NOT_AN_EXPRESSION, [1.0], Neg(NOT_AN_EXPRESSION)):
             with pytest.raises(TypeError, match="not a payoff expression"):
                 eval_payoff(bad, [1.0])
+
+    @pytest.mark.parametrize("e", CRAFTED, ids=repr)
+    def test_crafted_nodes_are_data(self, e):
+        """Indices, constants and stray nodes are values of the compiled
+        function, never its source: each gives the interpreter's value or
+        exception."""
+        for prices in ([1.0], [10.0, 12.0, 9.6], (7.0, 0.0)):
+            assert outcome(eval_payoff, e, prices) == outcome(reference_eval_payoff, e, prices)
+
+    @pytest.mark.parametrize("shape", ORDERED, ids=lambda shape: print_payoff(shape(PriceAt)))
+    def test_nodes_evaluate_in_the_interpreter_order(self, shape):
+        def evaluated(evaluate):
+            log = []
+            e = shape(lambda i: PriceAt(LoggedIndex(i, log)))
+            outcome(evaluate, e, [3.0, 0.0, 2.0, 5.0])
+            return [int(i) for i in log]
+
+        assert evaluated(eval_payoff) == evaluated(reference_eval_payoff)
+
+
+class TestTerminalOnly:
+    @pytest.mark.parametrize("text, expected", [
+        ("call(98)", True), ("put(98)", True), ("forward(98)", True), ("S_T / (S_T - 1)", True),
+        ("pos(-max(S_T, 2) * 3)", True), ("7", True), ("lookback", False), ("avg(S) - 1", False),
+        ("min(S)", False), ("S_T - S[0]", False), ("max(S_T, pos(S[2]))", False),
+    ])
+    def test_reads_only_the_terminal_price(self, text, expected):
+        assert terminal_only(parse_payoff(text)) is expected
+
+    def test_non_expression_rejected(self):
+        with pytest.raises(TypeError, match="not a payoff expression"):
+            terminal_only(Add(TerminalPrice(), NOT_AN_EXPRESSION))
 
 
 BINARY_NODES = [Add, Sub, Mul, Div, Max2, Min2]

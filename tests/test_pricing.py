@@ -1105,6 +1105,51 @@ def outcome_of(fn, *args):
         return type(exc), str(exc)
 
 
+# Payoffs of S_T alone; with a strike at a terminal price the quotient
+# divides by zero at a named path, and the product overflows where S_T > 1.8.
+TERMINAL_ONLY = ["call({K})", "put({K})", "forward({K})", "S_T / (S_T - {K})", "S_T * 1e308"]
+PATH_READING = ["lookback", "avg(S) - {K}", "S[1]"]
+
+
+class TestTerminalOnlyPass:
+    @pytest.mark.parametrize("text", TERMINAL_ONLY)
+    @pytest.mark.parametrize("v", [10.0, 1.0])
+    def test_same_level_or_error_as_the_per_path_loop(self, text, v):
+        crr = CrrMarket(CrrParams(u=1.2, d=0.8, v=v, r=0.03, p=0.5), horizon=6)
+        for maturity in range(7):
+            strikes = {9.5, *(price_path(crr.params, w)[-1] for w in iter_paths(maturity))}
+            for strike in sorted(strikes):
+                expr = parse_payoff(text.format(K=repr(strike)))
+                assert outcome_of(terminal_payoffs, crr, expr, maturity) == outcome_of(
+                    loop_terminal_payoffs, crr, expr, maturity
+                )
+
+    def test_errors_name_the_first_bad_path(self):
+        crr = CrrMarket(CrrParams(u=1.2, d=0.8, v=1.0, r=0.03, p=0.5), horizon=6)
+        strike = price_path(crr.params, path("UDD"))[-1]
+        with pytest.raises(PayoffEvalError, match=r"^division by zero in .* \(at path UDD\)$"):
+            terminal_payoffs(crr, parse_payoff(f"S_T / (S_T - {strike!r})"), 3)
+        top = price_path(crr.params, path("UUU"))[-1]
+        assert max(terminal_payoffs(crr, parse_payoff("S_T * 1e308"), 3)) == top * 1e308
+        with pytest.raises(PayoffEvalError, match="^payoff is not finite at path UUUU$"):
+            terminal_payoffs(crr, parse_payoff("S_T * 1e308"), 4)
+
+    @pytest.mark.parametrize("text", TERMINAL_ONLY + PATH_READING)
+    def test_only_payoffs_reading_the_path_build_price_lists(self, text, monkeypatch):
+        built = []
+        lists = pricing.price_paths
+
+        def counted(*args):
+            for prices in lists(*args):
+                built.append(prices)
+                yield prices
+
+        monkeypatch.setattr(pricing, "price_paths", counted)
+        crr = CrrMarket(CrrParams(u=1.2, d=0.8, v=1.0, r=0.03, p=0.5), horizon=6)
+        outcome_of(terminal_payoffs, crr, parse_payoff(text.format(K="1.5")), 6)
+        assert len(built) == (0 if text in TERMINAL_ONLY else 2**6)
+
+
 def csv_writer_tree_csv(tree, out=None):
     """``PriceLattice.to_csv`` as it was, through ``csv.writer`` row by row."""
     buf = out if out is not None else io.StringIO()
