@@ -351,9 +351,12 @@ def _collapse_rows(keys: Iterable[tuple], horizon: int) -> dict[str, dict[int, l
     return collapsed
 
 
-# Nodes whose CSV lines are formatted and joined per write. Joining a whole
-# level keeps all its line strings alive at once: at T=12 (4,096 lines) that
-# raised the process's peak RSS by about 0.3 MB, while 512 costs no speed.
+# Nodes whose CSV lines are joined per write. Joining a whole level keeps all
+# its line pieces alive at once: at T=12 (4,096 lines) that raised the
+# process's peak RSS by about 0.3 MB, while 512 costs no speed. The time text
+# is formatted once per level, and a batch of repeated floats formats each
+# distinct nonzero value once, through a table of at most CSV_BATCH // 2
+# entries that lives for that batch only (see _repeated_reprs for its guards).
 CSV_BATCH = 512
 _PORTFOLIO_FIELDS = ("time", "prefix", "asset", "quantity")
 _WHOLE = r"\s*[+-]?\d+(?:_\d+)*\s*"  # what int() reads as a whole number; compiled on first failure
@@ -366,23 +369,50 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
+def _repeated_reprs(values: list) -> list[str] | None:
+    """``repr`` of each of ``values``, each distinct value formatted once, if
+    they are all exact floats and at most half of them are distinct; else None.
+
+    Equal values of other types (``1``, ``True``, a float subclass) print
+    differently, and so do ``0.0`` and ``-0.0``: zeros are never table keys."""
+    if set(map(type, values)) != {float}:
+        return None
+    distinct = set(values)
+    if 2 * len(distinct) > len(values):
+        return None
+    table = {x: repr(x) for x in distinct if x}
+    return [table[v] if v else repr(v) for v in values]
+
+
 def _write_csv(out: io.TextIOBase | None, fields: tuple[str, ...], horizon: int,
                columns: list[tuple[str, list[list[float]]]]) -> str:
     """Write the header ``fields`` and, per time ``t <= horizon`` and length-``t``
     prefix in ``iter_paths`` order, one line ``t,prefix,{tag}{value!r}`` per column
-    ``(tag, levels)``, its value read off ``levels[t]``. Lines are joined and written
-    ``CSV_BATCH`` prefixes at a time; labels and finite float reprs need no quoting."""
+    ``(tag, levels)``, its value read off ``levels[t]``; labels and finite float
+    reprs need no quoting.
+
+    Lines are joined from their pieces and written ``CSV_BATCH`` prefixes at a
+    time; the time text is formatted once per level. A column's batch of exact
+    floats, at most half of them distinct, formats each distinct nonzero value
+    once (``_repeated_reprs``: zeros and values of other types keep their own
+    ``repr``). From a level's first batch that does not repeat, the rest of the
+    column's level takes ``repr`` per value."""
     buf = out if out is not None else io.StringIO()
     buf.write(",".join(fields) + "\n")
+    width = 5 * len(columns)  # pieces per prefix: time, label, ",tag", value, newline per column
     for t, labels in enumerate(prefix_labels(horizon)):
+        template = [piece for tag, _ in columns for piece in (f"{t},", "", f",{tag}", "", "\n")]
+        repeating = [True] * len(columns)  # per column: every batch of the level so far repeated
         for i in range(0, len(labels), CSV_BATCH):
             batch = labels[i:i + CSV_BATCH]
-            lines = [""] * (len(batch) * len(columns))
-            for j, (tag, levels) in enumerate(columns):  # column j fills every len(columns)-th line
-                lines[j::len(columns)] = [
-                    f"{t},{label},{tag}{v!r}\n" for label, v in zip(batch, levels[t][i:i + CSV_BATCH])
-                ]
-            buf.write("".join(lines))
+            pieces = template * len(batch)
+            for j, (_, levels) in enumerate(columns):
+                values = levels[t][i:i + CSV_BATCH]
+                texts = _repeated_reprs(values) if repeating[j] else None
+                repeating[j] = texts is not None
+                pieces[5 * j + 1::width] = batch
+                pieces[5 * j + 3::width] = map(repr, values) if texts is None else texts
+            buf.write("".join(pieces))
     return buf.getvalue() if out is None else ""
 
 

@@ -61,6 +61,9 @@ for tag, payoff in {"lookback": "lookback", "avg": "avg(S) - 10", "call": "call(
     argv = on("ref5.json", payoff, 5)
     case(f"golden/{tag}", f"price {argv} --tree tree.csv", f"replicate {argv} --out hedge.csv",
          f"verify {argv} --portfolio hedge_{tag}_T5.csv")
+# a payoff of signed zeros: -0.0 below the strike, 0.0 above it, in the tree and the hedge
+argv = on("ref5.json", "(S_T - 10) * 0", 5)
+case("golden/signed-zeros", f"price {argv} --tree tree.csv", f"replicate {argv}")
 for tag in ("perturbed", "perturbed-early"):
     case(f"golden/verify-{tag}", f"verify {on('ref5.json', 'lookback', 5)} --portfolio hedge_lookback_{tag}_T5.csv")
 for config in ("rich-bank", "rich-stock"):

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from crrpricing.crr import CrrMarket, CrrParams
 from crrpricing.lattice import LatticeProcess, TossPath, enumerate_paths, iter_paths, label_at, prefix_labels
 from crrpricing import market
-from crrpricing.payoff import PayoffEvalError
-from crrpricing.pricing import terminal_payoffs
+from crrpricing.payoff import PayoffEvalError, parse_payoff
+from crrpricing.pricing import replicating_portfolio, terminal_payoffs
 from crrpricing.market import (
     _collapse_rows,
     Asset,
@@ -1124,7 +1125,113 @@ class TestPortfolioCsvBytes:
             Asset("rf"): [[-0.0] * (1 << t) for t in range(12)],
         })
         assert write_portfolio_csv(p) == csv_writer_portfolio_csv(p)
+        # the engine's hedges: their stock holdings repeat, the avg(S) - 10 bank holdings do not
+        crr = CrrMarket(CrrParams(u=1.2, d=0.8, v=10.0, r=0.03, p=0.5), horizon=12)
+        for payoff in ("avg(S) - 10", "lookback"):
+            hedge = replicating_portfolio(crr, parse_payoff(payoff), 12)
+            assert write_portfolio_csv(hedge) == csv_writer_portfolio_csv(hedge)
 
     def test_awkward_ids_read_back(self):
         p = QuantityProcess(2, {Asset('a,"b"\nc'): [[1.5], [-0.0, 2.0]], Asset("é S"): [[0.0], [1.0, 5e-324]]})
         assert levels_repr(read_portfolio_csv(write_portfolio_csv(p), 2, list(p.levels))) == levels_repr(p)
+
+
+class Tagged(float):
+    """A float that prints otherwise than the float it equals."""
+
+    def __repr__(self):
+        return f"Tagged({float(self)!r})"
+
+
+# What a batch of repeated values may hold: both zeros, distinct NaN objects,
+# infinities, subnormals, and values equal to 1.0 that print otherwise.
+POOL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), float("nan"), -float("nan"), math.inf, -math.inf,
+                     5e-324, -5e-324, 1.0, 1, True, Fraction(1), Tagged(1.0)]),
+    st.floats(),
+)
+
+
+# Pools of at most three values; often both zeros, or 1.0 beside an equal value
+# of another type.
+POOLS = st.one_of(
+    st.lists(POOL_VALUES, min_size=1, max_size=3),
+    st.tuples(st.just(0.0), st.just(-0.0), POOL_VALUES),
+    st.tuples(st.just(1.0), st.sampled_from([1, True, Fraction(1), Tagged(1.0)]), POOL_VALUES),
+)
+
+
+def repeating_level(size: int):
+    """A level of ``size`` values drawn from one of ``POOLS``."""
+    return POOLS.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+
+
+def repr_lines_portfolio_csv(p):
+    """``write_portfolio_csv`` for values of any type: ``csv.writer`` writes
+    time, prefix and asset id, and each value follows as its bare ``repr``."""
+    lines = ["time,prefix,asset,quantity\n"]
+    chosen = sorted(p.levels, key=lambda a: a.id)
+    for t, labels in enumerate(prefix_labels(p.horizon - 1)):
+        for k, label in enumerate(labels):
+            for a in chosen:
+                row = io.StringIO()
+                csv.writer(row, lineterminator="\n").writerow([t, label, a.id])
+                lines.append(f"{row.getvalue()[:-1]},{p.levels[a][t][k]!r}\n")
+    return "".join(lines)
+
+
+# Two ids that csv.writer quotes.
+QUOTED_IDS = ('S,"1"', "bank\nrf")
+
+
+@st.composite
+def repeating_portfolios(draw):
+    horizon = draw(st.integers(1, 6))
+    return QuantityProcess(horizon, {
+        Asset(i): [draw(repeating_level(1 << t)) for t in range(horizon)] for i in QUOTED_IDS
+    })
+
+
+def counted_tables(monkeypatch):
+    """Per ``market._repeated_reprs`` call, whether it returned a table."""
+    took, tables = [], market._repeated_reprs
+
+    def counted(values):
+        texts = tables(values)
+        took.append(texts is not None)
+        return texts
+
+    monkeypatch.setattr(market, "_repeated_reprs", counted)
+    return took
+
+
+class TestRepeatedValueBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(repeating_portfolios(), st.integers(1, 9))
+    def test_repeated_values_print_as_each_does_alone(self, p, batch):
+        with mock.patch.object(market, "CSV_BATCH", batch):
+            assert write_portfolio_csv(p) == repr_lines_portfolio_csv(p)
+
+    @pytest.mark.parametrize("level", [
+        # the first batch repeats, later batches do not, and then one does again
+        [-0.0, 0.0, 0.0, -0.0, 1.5, 2.5, 3.5, 4.5, 0.0, -0.0, 0.0, -0.0, 7.0, 7.0, 7.0, 7.0],
+        # only later batches repeat
+        [1.5, 2.5, 3.5, 4.5, 1.0, 1, True, Fraction(1), Tagged(1.0), 1.0, 1.0, 1.0, -0.0, 0.0, 0.0, 0.0],
+    ])
+    def test_a_level_leaves_the_table_at_its_first_unrepeated_batch(self, level, monkeypatch):
+        took = counted_tables(monkeypatch)
+        p = QuantityProcess(5, {Asset(QUOTED_IDS[0]): [[0.5] * (1 << t) for t in range(4)] + [level]})
+        with mock.patch.object(market, "CSV_BATCH", 4):
+            assert write_portfolio_csv(p) == repr_lines_portfolio_csv(p)
+        # levels 0-3 take 5 batches: the lone root fails and the rest repeat; level 4
+        # stops asking after its first batch that does not repeat
+        assert took == [False, True, True, True, True] + ([True, False] if level[0] == -0.0 else [False])
+
+    def test_zeros_and_equal_values_of_other_types_keep_their_own_text(self):
+        level = [0.0, -0.0, 1.0, 1, True, Fraction(1), Tagged(1.0), 1.0]
+        p = QuantityProcess(4, {Asset("S"): [[0.0], [-0.0, -0.0], [0.0, -0.0, 0.0, 0.0], level]})
+        text = write_portfolio_csv(p)
+        assert text == repr_lines_portfolio_csv(p)
+        assert [line.split(",", 3)[3] for line in text.splitlines()[-12:]] == [
+            "0.0", "-0.0", "0.0", "0.0", "0.0", "-0.0", "1.0", "1", "True", "Fraction(1, 1)", "Tagged(1.0)", "1.0"
+        ]

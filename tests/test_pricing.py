@@ -67,6 +67,7 @@ from crrpricing.pricing import (
     terminal_payoffs,
     verify_replication,
 )
+from test_market import repeating_level
 
 PARAMS = CrrParams(u=1.2, d=0.8, v=10.0, r=0.03, p=0.5)
 INVIABLE = CrrParams(u=1.2, d=0.8, v=10.0, r=0.25, p=0.5)
@@ -1160,6 +1161,18 @@ def csv_writer_tree_csv(tree, out=None):
     return buf.getvalue() if out is None else ""
 
 
+def repr_lines_tree_csv(tree):
+    """``PriceLattice.to_csv`` for values of any type: ``csv.writer`` writes
+    time and prefix, and each value follows as its bare ``repr``."""
+    lines = ["time,prefix,value\n"]
+    for n, (labels, level) in enumerate(zip(prefix_labels(tree.horizon), tree.levels)):
+        for label, v in zip(labels, level):
+            row = io.StringIO()
+            csv.writer(row, lineterminator="\n").writerow([n, label])
+            lines.append(f"{row.getvalue()[:-1]},{v!r}\n")
+    return "".join(lines)
+
+
 # Signed zeros, subnormals, the extremes of the float range, and the rest.
 ODD_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308,
@@ -1188,5 +1201,18 @@ class TestTreeCsvBytes:
             assert stream.getvalue() == reference.getvalue()
 
     def test_horizon_twelve_in_default_batches(self):
-        tree = price_lattice(CrrMarket(PARAMS, horizon=12), parse_payoff("avg(S) - 10"), 12)
-        assert tree.to_csv() == csv_writer_tree_csv(tree)
+        # the call and lookback trees repeat their values, avg(S) - 10 does not
+        for payoff in ("avg(S) - 10", "call(10)", "lookback"):
+            tree = price_lattice(CrrMarket(PARAMS, horizon=12), parse_payoff(payoff), 12)
+            assert tree.to_csv() == csv_writer_tree_csv(tree)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda m: st.tuples(*(repeating_level(1 << n) for n in range(m + 1)))),
+           st.integers(1, 9))
+    def test_repeated_values_print_as_each_does_alone(self, levels, batch):
+        tree = PriceLattice(list(levels))
+        with mock.patch.object(market, "CSV_BATCH", batch):
+            assert tree.to_csv() == repr_lines_tree_csv(tree)
+            stream = io.StringIO()
+            assert tree.to_csv(stream) == ""
+            assert stream.getvalue() == repr_lines_tree_csv(tree)
