@@ -1,15 +1,16 @@
 """Horizon sweep of the CSV I/O layer: the value-tree and hedge writers.
 
-    python3 bench/sweep.py --src . --label after --out bench/BENCH_after.json
-    python3 bench/sweep.py --src path/to/other/checkout --label before --out bench/BENCH_before.json
+    python3 bench/sweep.py --label after
+    python3 bench/sweep.py --src path/to/other/checkout --label before
 
-Each record times one writer on one payoff's value tree or hedge at one
-horizon, in a fresh process that imports ``crrpricing`` from ``<src>/src``,
-so one copy of this script times any checkout. A record holds the median
-wall time of ``--repeat`` writes to a string, the child's ``ru_maxrss``
-after them (the tree or hedge it writes included), the ``tracemalloc`` peak
-of one more write, the length and SHA-256 of the text, and how many of the
-values it prints are distinct, per column.
+writes ``bench/BENCH_<label>.json``. Each record times one writer on one
+payoff's value tree or hedge at one horizon of ``HORIZONS``, in a fresh
+process that imports ``crrpricing`` from ``<src>/src``, so one copy of this
+script times any checkout. A record holds the median wall time of
+``REPEAT`` writes to a string, the child's ``ru_maxrss`` after them (the
+tree or hedge it writes included), the ``tracemalloc`` peak of one more
+write, the length and SHA-256 of the text, and how many of the values it
+prints are distinct, per column.
 
 Layers are named as the benchmark's traced run names its spans
 (``perfbench.spans.SPAN_BINDINGS``), and each writer is called through the
@@ -32,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PARAMS = {"u": 1.1, "d": 0.9, "v": 10.0, "r": 0.02, "p": 0.5}
+HORIZONS = (8, 12, 16)
+REPEAT = 5  # timed writes per record
 # layer -> the payoffs whose tree (pricing.tree_csv) or hedge (market.write_csv) it writes
 LAYERS = {
     "pricing.tree_csv": ("call(10)", "lookback", "avg(S) - 10"),
@@ -52,7 +55,7 @@ def writer(layer: str):
 
 
 def record(src: str, layer: str, horizon: int, payoff: str, repeat: int) -> dict:
-    """One record, measured in this process."""
+    """One record, measured in this process: the median of ``repeat`` writes."""
     sys.path.insert(0, str(Path(src, "src").resolve()))
     from crrpricing.crr import CrrMarket, CrrParams
     from crrpricing.payoff import parse_payoff
@@ -90,40 +93,32 @@ def record(src: str, layer: str, horizon: int, payoff: str, repeat: int) -> dict
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT), help="checkout whose src/crrpricing is timed")
-    parser.add_argument("--label", default="sweep", help="name stored in the output")
-    parser.add_argument("--out", help="JSON file to write; stdout if omitted")
-    parser.add_argument("--horizons", type=int, nargs="+", default=[8, 12, 16])
-    parser.add_argument("--repeat", type=int, default=5, help="timed writes per record")
+    parser.add_argument("--label", required=True, help="names the output, bench/BENCH_<label>.json")
     parser.add_argument("--record", nargs=3, metavar=("LAYER", "HORIZON", "PAYOFF"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
 
     if args.record:  # a child: one record as a JSON line
         layer, horizon, payoff = args.record
-        print(json.dumps(record(args.src, layer, int(horizon), payoff, args.repeat)))
+        print(json.dumps(record(args.src, layer, int(horizon), payoff, REPEAT)))
         return 0
 
     records = []
-    for horizon in args.horizons:
+    for horizon in HORIZONS:
         for layer, payoffs in LAYERS.items():
             for payoff in payoffs:
                 child = subprocess.run(
-                    [sys.executable, __file__, "--src", args.src, "--repeat", str(args.repeat),
+                    [sys.executable, __file__, "--src", args.src, "--label", args.label,
                      "--record", layer, str(horizon), payoff],
                     capture_output=True, text=True, check=True,
                 )
                 records.append(json.loads(child.stdout))
                 print(f"{layer} T={horizon} {payoff}: {records[-1]['median_s']:.4f} s", file=sys.stderr)
     result = {
-        "label": args.label, "python": platform.python_version(), "machine": platform.machine(),
-        "params": PARAMS, "repeat": args.repeat, "records": records,
+        "python": platform.python_version(), "machine": platform.machine(),
+        "params": PARAMS, "repeat": REPEAT, "records": records,
     }
-    text = json.dumps(result, indent=1) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    out = ROOT / "bench" / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0
 
 

@@ -357,6 +357,10 @@ def _collapse_rows(keys: Iterable[tuple], horizon: int) -> dict[str, dict[int, l
 # is formatted once per level, and a batch of repeated floats formats each
 # distinct nonzero value once, through a table of at most CSV_BATCH // 2
 # entries that lives for that batch only (see _repeated_reprs for its guards).
+# A column's level stops testing at its first batch that does not repeat: on
+# the avg(S) - 10 tree and hedge (u=1.1, d=0.9), testing every batch wrote
+# 4-11 % slower at T=12 and 16, while a threshold of a quarter or three
+# quarters distinct instead of half moved no writer beyond noise.
 CSV_BATCH = 512
 _PORTFOLIO_FIELDS = ("time", "prefix", "asset", "quantity")
 _WHOLE = r"\s*[+-]?\d+(?:_\d+)*\s*"  # what int() reads as a whole number; compiled on first failure

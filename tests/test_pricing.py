@@ -67,7 +67,6 @@ from crrpricing.pricing import (
     terminal_payoffs,
     verify_replication,
 )
-from test_market import repeating_level
 
 PARAMS = CrrParams(u=1.2, d=0.8, v=10.0, r=0.03, p=0.5)
 INVIABLE = CrrParams(u=1.2, d=0.8, v=10.0, r=0.25, p=0.5)
@@ -1161,16 +1160,30 @@ def csv_writer_tree_csv(tree, out=None):
     return buf.getvalue() if out is None else ""
 
 
-def repr_lines_tree_csv(tree):
-    """``PriceLattice.to_csv`` for values of any type: ``csv.writer`` writes
-    time and prefix, and each value follows as its bare ``repr``."""
-    lines = ["time,prefix,value\n"]
-    for n, (labels, level) in enumerate(zip(prefix_labels(tree.horizon), tree.levels)):
-        for label, v in zip(labels, level):
-            row = io.StringIO()
-            csv.writer(row, lineterminator="\n").writerow([n, label])
-            lines.append(f"{row.getvalue()[:-1]},{v!r}\n")
-    return "".join(lines)
+class Tagged(float):
+    """A float that prints otherwise than the float it equals."""
+
+    def __repr__(self):
+        return f"Tagged({float(self)!r})"
+
+
+# Pools of at most three values, so that batches repeat: both zeros, distinct
+# NaN objects, infinities, subnormals, and values equal to 1.0 that print otherwise.
+POOL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), float("nan"), -float("nan"), math.inf, -math.inf,
+                     5e-324, -5e-324, 1.0, 1, True, Tagged(1.0)]),
+    st.floats(),
+)
+POOLS = st.one_of(
+    st.lists(POOL_VALUES, min_size=1, max_size=3),
+    st.tuples(st.just(0.0), st.just(-0.0), POOL_VALUES),
+    st.tuples(st.just(1.0), st.sampled_from([1, True, Tagged(1.0)]), POOL_VALUES),
+)
+
+
+def repeating_level(size: int):
+    """A level of ``size`` values drawn from one of ``POOLS``."""
+    return POOLS.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=size, max_size=size))
 
 
 # Signed zeros, subnormals, the extremes of the float range, and the rest.
@@ -1212,7 +1225,7 @@ class TestTreeCsvBytes:
     def test_repeated_values_print_as_each_does_alone(self, levels, batch):
         tree = PriceLattice(list(levels))
         with mock.patch.object(market, "CSV_BATCH", batch):
-            assert tree.to_csv() == repr_lines_tree_csv(tree)
+            assert tree.to_csv() == csv_writer_tree_csv(tree)
             stream = io.StringIO()
             assert tree.to_csv(stream) == ""
-            assert stream.getvalue() == repr_lines_tree_csv(tree)
+            assert stream.getvalue() == csv_writer_tree_csv(tree)

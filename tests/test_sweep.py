@@ -1,7 +1,7 @@
-"""Smoke run of the CSV I/O sweep, ``bench/sweep.py``: T=4, one write per record."""
+"""Smoke run of the CSV I/O sweep, ``bench/sweep.py``: one record per writer
+and payoff at T=4, one write each, measured in this process."""
 import hashlib
-import json
-import subprocess
+import runpy
 import sys
 from pathlib import Path
 
@@ -13,28 +13,23 @@ from crrpricing.pricing import price_lattice, replicating_portfolio
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_one_record_per_writer_and_payoff_with_the_writers_bytes(tmp_path):
-    out = tmp_path / "BENCH_smoke.json"
-    subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "sweep.py"), "--src", str(ROOT), "--label", "smoke",
-         "--horizons", "4", "--repeat", "1", "--out", str(out)],
-        check=True, capture_output=True, timeout=120,
-    )
-    result = json.loads(out.read_text(encoding="utf-8"))
-    assert result["label"] == "smoke"
-    records = result["records"]
-    assert [(r["layer"], r["horizon"], r["payoff"]) for r in records] == [
-        ("pricing.tree_csv", 4, "call(10)"), ("pricing.tree_csv", 4, "lookback"),
-        ("pricing.tree_csv", 4, "avg(S) - 10"),
-        ("market.write_csv", 4, "lookback"), ("market.write_csv", 4, "avg(S) - 10"),
+def test_one_record_per_writer_and_payoff_with_the_writers_bytes(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # record() puts the checkout on it
+    sweep = runpy.run_path(str(ROOT / "bench" / "sweep.py"))
+    records = [sweep["record"](str(ROOT), layer, 4, payoff, 1)
+               for layer, payoffs in sweep["LAYERS"].items() for payoff in payoffs]
+    assert [(r["layer"], r["payoff"]) for r in records] == [
+        ("pricing.tree_csv", "call(10)"), ("pricing.tree_csv", "lookback"), ("pricing.tree_csv", "avg(S) - 10"),
+        ("market.write_csv", "lookback"), ("market.write_csv", "avg(S) - 10"),
     ]
-    crr = CrrMarket(CrrParams(**result["params"]), horizon=4)
+    crr = CrrMarket(CrrParams(**sweep["PARAMS"]), horizon=4)
     for r in records:
         payoff = parse_payoff(r["payoff"])
         if r["layer"] == "pricing.tree_csv":
             text, values = price_lattice(crr, payoff, 4).to_csv(), {"value": 31}
         else:
             text, values = write_portfolio_csv(replicating_portfolio(crr, payoff, 4)), {"S": 15, "rf": 15}
+        assert r["horizon"] == 4
         assert r["sha256"] == hashlib.sha256(text.encode()).hexdigest()
         assert r["bytes"] == len(text.encode())
         assert r["values"] == values
