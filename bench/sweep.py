@@ -1,20 +1,23 @@
-"""Horizon sweep of the CSV I/O layer: the value-tree and hedge writers.
+"""Horizon sweep of the payoff pass and of the CSV I/O layer: the level of
+payoffs at maturity, and the value-tree and hedge writers.
 
     python3 bench/sweep.py --label after
     python3 bench/sweep.py --src path/to/other/checkout --label before
 
-writes ``bench/BENCH_<label>.json``. Each record times one writer on one
-payoff's value tree or hedge at one horizon of ``HORIZONS``, in a fresh
-process that imports ``crrpricing`` from ``<src>/src``, so one copy of this
-script times any checkout. A record holds the median wall time of
-``REPEAT`` writes to a string, the child's ``ru_maxrss`` after them (the
-tree or hedge it writes included), the ``tracemalloc`` peak of one more
-write, the length and SHA-256 of the text, and how many of the values it
-prints are distinct, per column.
+writes ``bench/BENCH_<label>.json``. Each record times one layer on one
+payoff at one horizon of ``HORIZONS``, in a fresh process that imports
+``crrpricing`` from ``<src>/src``, so one copy of this script times any
+checkout. The payoff pass evaluates the payoff on every maturity path; a
+writer writes the payoff's value tree or hedge to a string. A record holds
+the median wall time of ``REPEAT`` calls, the child's ``ru_maxrss`` after
+them (the tree or hedge written included), the ``tracemalloc`` peak of one
+more call, the length and SHA-256 of the text (for the payoff pass, the
+level's ``float.hex`` values one a line), and how many of the values are
+distinct, per column.
 
 Layers are named as the benchmark's traced run names its spans
-(``perfbench.spans.SPAN_BINDINGS``), and each writer is called through the
-first binding of its span there, read-only. Stdlib only.
+(``perfbench.spans.SPAN_BINDINGS``), and each is called through the first
+binding of its span there, read-only. Stdlib only.
 """
 from __future__ import annotations
 
@@ -34,15 +37,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PARAMS = {"u": 1.1, "d": 0.9, "v": 10.0, "r": 0.02, "p": 0.5}
 HORIZONS = (8, 12, 16)
-REPEAT = 5  # timed writes per record
-# layer -> the payoffs whose tree (pricing.tree_csv) or hedge (market.write_csv) it writes
+REPEAT = 5  # timed calls per record
+# layer -> the payoffs whose maturity level (pricing.terminal_payoffs), tree
+# (pricing.tree_csv) or hedge (market.write_csv) it makes
 LAYERS = {
+    "pricing.terminal_payoffs": ("call(10)", "lookback", "avg(S) - 10"),
     "pricing.tree_csv": ("call(10)", "lookback", "avg(S) - 10"),
     "market.write_csv": ("lookback", "avg(S) - 10"),
 }
 
 
-def writer(layer: str):
+def layer_function(layer: str):
     """The function the span ``layer`` times, through its first binding."""
     sys.path.insert(0, str(ROOT))
     from perfbench.spans import SPAN_BINDINGS
@@ -55,30 +60,35 @@ def writer(layer: str):
 
 
 def record(src: str, layer: str, horizon: int, payoff: str, repeat: int) -> dict:
-    """One record, measured in this process: the median of ``repeat`` writes."""
+    """One record, measured in this process: the median of ``repeat`` calls."""
     sys.path.insert(0, str(Path(src, "src").resolve()))
     from crrpricing.crr import CrrMarket, CrrParams
     from crrpricing.payoff import parse_payoff
     from crrpricing.pricing import price_lattice, replicating_portfolio
 
     crr = CrrMarket(CrrParams(**PARAMS), horizon=horizon)
-    if layer == "pricing.tree_csv":
-        subject = price_lattice(crr, parse_payoff(payoff), horizon)
-        columns = {"value": subject.levels}
+    expr = parse_payoff(payoff)
+    if layer == "pricing.terminal_payoffs":
+        args = (crr, expr, horizon)
+    elif layer == "pricing.tree_csv":
+        tree = price_lattice(crr, expr, horizon)
+        args, columns = (tree,), {"value": tree.levels}
     else:
-        subject = replicating_portfolio(crr, parse_payoff(payoff), horizon)
-        columns = {a.id: subject.levels[a] for a in sorted(subject.levels, key=lambda a: a.id)}
-    write = writer(layer)
+        hedge = replicating_portfolio(crr, expr, horizon)
+        args, columns = (hedge,), {a.id: hedge.levels[a] for a in sorted(hedge.levels, key=lambda a: a.id)}
+    fn = layer_function(layer)
     runs = []
     for _ in range(repeat):
         start = time.perf_counter()
-        text = write(subject)
+        text = fn(*args)
         runs.append(time.perf_counter() - start)
     maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     tracemalloc.start()
-    write(subject)
+    fn(*args)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    if layer == "pricing.terminal_payoffs":  # the level, one float.hex a line
+        columns, text = {"payoff": [text]}, "".join(f"{x.hex()}\n" for x in text)
     data = text.encode("utf-8")
     return {
         "layer": layer, "horizon": horizon, "payoff": payoff,

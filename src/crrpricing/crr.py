@@ -3,8 +3,9 @@ discounting, the viability condition, and the risk-neutral toss probability.
 
 The risky price multiplies by ``u`` on an up toss and ``d`` on a down toss
 from initial value ``v``, one running product: a node holding ``s`` has
-children ``s * u`` and ``s * d``. The market's risky level, ``price_paths``,
-``price_path`` and the terminal-price chunks of ``terminal_prices`` all
+children ``s * u`` and ``s * d``. The market's risky level, ``price_path``,
+the in-place walk ``price_walk`` (one list of ``S_0 .. S_n`` rewritten from
+path to path) and the terminal-price chunks of ``terminal_prices`` all
 multiply in that order, so the payoff and the hedge read the same price at
 every node. The risk-free asset compounds at a constant per-period rate
 ``r``. The market admits no arbitrage among stock-only portfolios exactly
@@ -62,38 +63,58 @@ def price_path(params: CrrParams, path: TossPath) -> list[float]:
     return prices
 
 
-def price_paths(params: CrrParams, n: int) -> Iterator[list[float]]:
+def price_walk(params: CrrParams, n: int) -> Iterator[list[float]]:
     """``price_path(params, s)`` for every length-``n`` toss path ``s``, in
-    ``iter_paths`` order.
+    ``iter_paths`` order, as one list of ``n + 1`` prices rewritten in place
+    between yields: copy a list to keep it.
 
-    Each list is its parent prefix's list plus ``parent[-1] * u`` (or ``* d``),
-    the same running product, so prefixes are shared instead of remultiplied.
-    A depth-first stack keeps at most about ``n`` lists alive at a time.
+    Each price is its parent's times ``u`` or ``d``, the running product of
+    ``price_path``. A depth-first walk over the first ``n - 2`` tosses writes
+    only the entries that change from one prefix to the next, and the last
+    two tosses are unrolled, four paths per prefix.
     """
     check_horizon(n)
     u, d = params.u, params.d
-    if n == 0:
-        yield [params.v]
+    p = [params.v] * (n + 1)
+    if n < 2:
+        if n:
+            p[1] = p[0] * u
+            yield p
+            p[1] = p[0] * d
+        yield p
         return
-    stack = [[params.v]]
-    while stack:
-        prices = stack.pop()
-        last = prices[-1]
-        if len(prices) == n:
-            yield prices + [last * u]
-            yield prices + [last * d]
-        else:
-            stack.append(prices + [last * d])
-            stack.append(prices + [last * u])
+    m = n - 2
+    i = 0  # the depth that has just changed; up tosses follow it to depth m
+    pending = []  # depths whose down toss is still to come, deepest last
+    while True:
+        for j in range(i + 1, m + 1):
+            p[j] = p[j - 1] * u
+            pending.append(j)
+        s = p[m]
+        a = p[-2] = s * u
+        p[-1] = a * u
+        yield p
+        p[-1] = a * d
+        yield p
+        b = p[-2] = s * d
+        p[-1] = b * u
+        yield p
+        p[-1] = b * d
+        yield p
+        if not pending:
+            return
+        i = pending.pop()
+        p[i] = p[i - 1] * d
 
 
 def terminal_prices(params: CrrParams, n: int) -> Iterator[tuple[float]]:
-    """``(prices[-1],)`` for each list of ``price_paths(params, n)``, bit for
-    bit and in the same order, without building the lists.
+    """``(prices[-1],)`` for each list ``prices`` that ``price_walk(params, n)``
+    yields, bit for bit and in the same order, without walking the paths.
 
     The prices come in chunks: ``toss_products`` of the last ``n // 2``
     tosses under each node ``n - n // 2`` tosses deep, one chunk at a time,
-    so about ``2 * 2**(n / 2)`` prices are alive at once.
+    each level built by two slice assignments, so about ``2 * 2**(n / 2)``
+    prices are alive at once.
     """
     check_horizon(n)
     u, d = params.u, params.d

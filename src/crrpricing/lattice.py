@@ -146,12 +146,16 @@ class PathMeasure(Value):
 def toss_products(start: float, up: float, down: float, n: int) -> list[float]:
     """The running product from ``start``, one factor per toss, ``up`` or
     ``down``, at every length-``n`` path in ``iter_paths`` order: node ``k``
-    holding ``f`` has children ``f * up`` and ``f * down``. From ``v`` with
-    factors ``u`` and ``d`` this is the last price of each ``crr.price_paths``
-    list, bit for bit."""
+    holding ``f`` has children ``f * up`` at ``2k`` and ``f * down`` at
+    ``2k + 1``, each half of a level written by one slice assignment. From
+    ``v`` with factors ``u`` and ``d`` this is the last price of each list
+    ``crr.price_walk`` yields, bit for bit."""
     level = [start]
     for _ in range(n):
-        level = [x for f in level for x in (f * up, f * down)]
+        children = level * 2
+        children[0::2] = [f * up for f in level]
+        children[1::2] = [f * down for f in level]
+        level = children
     return level
 
 

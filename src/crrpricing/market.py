@@ -357,30 +357,37 @@ def _collapse_rows(keys: Iterable[tuple], horizon: int) -> dict[str, dict[int, l
 # is formatted once per level, and a batch of repeated floats formats each
 # distinct nonzero value once, through a table of at most CSV_BATCH // 2
 # entries that lives for that batch only (see _repeated_reprs for its guards).
-# A column's level stops testing at its first batch that does not repeat: on
-# the avg(S) - 10 tree and hedge (u=1.1, d=0.9), testing every batch wrote
-# 4-11 % slower at T=12 and 16, while a threshold of a quarter or three
+# A column's level stops testing for repeats at its first batch that does not
+# repeat: on the avg(S) - 10 tree and hedge (u=1.1, d=0.9), testing every batch
+# wrote 4-11 % slower at T=12 and 16, while a threshold of a quarter or three
 # quarters distinct instead of half moved no writer beyond noise.
 CSV_BATCH = 512
 _PORTFOLIO_FIELDS = ("time", "prefix", "asset", "quantity")
 _WHOLE = r"\s*[+-]?\d+(?:_\d+)*\s*"  # what int() reads as a whole number; compiled on first failure
 
 
+def _csv_special(text: str) -> bool:
+    """Whether ``text`` holds a comma, a quote or a line break: without one,
+    ``csv.writer`` writes a field of a row of several as it is."""
+    return any(map(text.__contains__, ',"\r\n'))
+
+
 def _csv_field(text: str) -> str:
-    """A nonempty ``text`` as ``csv.writer`` writes it: quoted when needed."""
+    """``text`` as ``csv.writer`` writes it in a row of several fields: quoted
+    when needed."""
+    if not _csv_special(text):
+        return text
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([text])
     return buf.getvalue()[:-1]
 
 
-def _repeated_reprs(values: list) -> list[str] | None:
-    """``repr`` of each of ``values``, each distinct value formatted once, if
-    they are all exact floats and at most half of them are distinct; else None.
+def _repeated_reprs(values: list[float]) -> list[str] | None:
+    """``repr`` of each of ``values``, exact floats all, each distinct value
+    formatted once, if at most half of them are distinct; else None.
 
-    Equal values of other types (``1``, ``True``, a float subclass) print
-    differently, and so do ``0.0`` and ``-0.0``: zeros are never table keys."""
-    if set(map(type, values)) != {float}:
-        return None
+    ``0.0`` and ``-0.0`` are equal but print differently: zeros are never
+    table keys."""
     distinct = set(values)
     if 2 * len(distinct) > len(values):
         return None
@@ -396,11 +403,14 @@ def _write_csv(out: io.TextIOBase | None, fields: tuple[str, ...], horizon: int,
     reprs need no quoting.
 
     Lines are joined from their pieces and written ``CSV_BATCH`` prefixes at a
-    time; the time text is formatted once per level. A column's batch of exact
-    floats, at most half of them distinct, formats each distinct nonzero value
-    once (``_repeated_reprs``: zeros and values of other types keep their own
-    ``repr``). From a level's first batch that does not repeat, the rest of the
-    column's level takes ``repr`` per value."""
+    time; the time text is formatted once per level. One type test per batch
+    and column: a batch of values that are not all exact floats (an ``int``,
+    a float subclass, a ``Fraction``) writes each ``repr`` quoted as
+    ``csv.writer`` would when the batch's reprs hold a comma, a quote or a
+    line break. A batch of exact floats, at most half of them distinct,
+    formats each distinct nonzero value once (``_repeated_reprs``; zeros keep
+    their own ``repr``). From a level's first batch that does not repeat, the
+    rest of the column's level takes ``repr`` per value."""
     buf = out if out is not None else io.StringIO()
     buf.write(",".join(fields) + "\n")
     width = 5 * len(columns)  # pieces per prefix: time, label, ",tag", value, newline per column
@@ -412,8 +422,16 @@ def _write_csv(out: io.TextIOBase | None, fields: tuple[str, ...], horizon: int,
             pieces = template * len(batch)
             for j, (_, levels) in enumerate(columns):
                 values = levels[t][i:i + CSV_BATCH]
-                texts = _repeated_reprs(values) if repeating[j] else None
-                repeating[j] = texts is not None
+                if set(map(type, values)) != {float}:  # a repr may hold a comma
+                    texts = list(map(repr, values))
+                    if _csv_special("".join(texts)):
+                        texts = list(map(_csv_field, texts))
+                    repeating[j] = False
+                elif repeating[j]:
+                    texts = _repeated_reprs(values)
+                    repeating[j] = texts is not None
+                else:
+                    texts = None
                 pieces[5 * j + 1::width] = batch
                 pieces[5 * j + 3::width] = map(repr, values) if texts is None else texts
             buf.write("".join(pieces))

@@ -476,7 +476,9 @@ def eval_payoff(e: PayoffExpr, prices: Sequence[float]) -> float:
     """Evaluate on the observed prices ``S_0 .. S_T``; aggregates range over
     the whole sequence including the initial price. The last expression
     evaluated stays compiled in one slot, so evaluating one expression on
-    path after path compiles it once."""
+    path after path compiles it once. Neither this nor the compiled function
+    keeps ``prices``, so a caller may rewrite the list between calls (as
+    ``crr.price_walk`` does); copy a list to keep it."""
     global _last
     if not prices:
         raise PayoffEvalError("price path must contain at least the initial price")

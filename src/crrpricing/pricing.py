@@ -25,7 +25,7 @@ from .crr import (
     discounted_value,
     is_viable,
     price_path,  # noqa: F401  (kept importable: perfbench/spans.py rebinds it here)
-    price_paths,
+    price_walk,
     risk_neutral_q,
     terminal_prices,
 )
@@ -62,9 +62,10 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
     ``read_path_table`` gives it); a function ``f`` of toss paths is the level
     ``[f(w) for w in iter_paths(maturity)]``. An expression that reads only
     ``S_T`` is evaluated on the 1-tuples of ``terminal_prices``, any other on
-    the price lists of ``price_paths`` (prefixes shared, no ``TossPath``).
-    The first path whose value is not finite or whose evaluation raises names
-    the error.
+    the one list that ``price_walk`` rewrites from path to path (no
+    ``TossPath``): each evaluation ends before the walk moves on, and neither
+    ``eval_payoff`` nor its compiled function keeps the list. The first path
+    whose value is not finite or whose evaluation raises names the error.
     """
     if not 0 <= maturity <= crr.horizon:
         raise ValueError(f"maturity {maturity} outside market horizon {crr.horizon}")
@@ -72,7 +73,7 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
         fixed = payoff_horizon(payoff)
         if fixed > maturity:
             raise PayoffEvalError(f"payoff observes S[{echo(fixed)}] but matures at {maturity}")
-        paths = (terminal_prices if terminal_only(payoff) else price_paths)(crr.params, maturity)
+        paths = (terminal_prices if terminal_only(payoff) else price_walk)(crr.params, maturity)
         source = map(functools.partial(eval_payoff, payoff), paths)
     elif isinstance(payoff, list):
         if len(payoff) != 1 << maturity:

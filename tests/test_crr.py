@@ -17,7 +17,7 @@ from crrpricing.crr import (
     filtration_equivalent_bernoulli,
     is_viable,
     price_path,
-    price_paths,
+    price_walk,
     risk_neutral_q,
     step_rate_from_annual,
     terminal_prices,
@@ -437,7 +437,7 @@ class TestPriceLevels:
         stock = crr.price(crr.risky)
         for n in range(crr.horizon + 1):
             assert list(map(float.hex, stock.level(n))) == [
-                prices[-1].hex() for prices in price_paths(crr.params, n)
+                prices[-1].hex() for prices in price_walk(crr.params, n)
             ]
 
     def test_levels_are_computed_on_demand(self):
@@ -524,26 +524,57 @@ class TestFloatRangeCheck:
 
 
 class TestPricePaths:
-    """``price_paths`` against ``price_path`` per toss tuple, and the
-    terminal-price chunks against the last entry of each list, bit for bit."""
+    """``price_walk`` against ``price_path`` per toss tuple, the terminal-price
+    chunks against the last entry of each list, and ``toss_products`` against
+    the last price and the path probability of each path, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(edge_walks())
+    @example((PARAMS, 0))
+    @example((PARAMS, 1))
+    @example((PARAMS, 2))
     def test_equals_price_path_at_every_entry(self, walk):
         params, n = walk
         expected = [list(map(float.hex, price_path(params, w))) for w in iter_paths(n)]
-        assert [list(map(float.hex, prices)) for prices in price_paths(params, n)] == expected
+        assert [list(map(float.hex, prices)) for prices in price_walk(params, n)] == expected
         assert [list(map(float.hex, last)) for last in terminal_prices(params, n)] == [
             prices[-1:] for prices in expected
         ]
 
-    def test_yields_fresh_lists_lazily(self):
-        # the first path of the largest horizon comes without building the
+    @settings(max_examples=300, deadline=None)
+    @given(edge_walks())
+    @example((PARAMS, 0))
+    @example((PARAMS, 1))
+    def test_toss_products_are_the_last_prices(self, walk):
+        params, n = walk
+        assert list(map(float.hex, toss_products(params.v, params.u, params.d, n))) == [
+            price_path(params, w)[-1].hex() for w in iter_paths(n)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 5e-324, 1 - 2**-53, 2**-53, 0.5, 1e-300]),
+            st.floats(0.0, 1.0),
+        ),
+        st.integers(0, 10),
+    )
+    def test_weights_are_the_path_probabilities(self, p, n):
+        m = PathMeasure(p)
+        assert list(map(float.hex, m.weights(n))) == [
+            float(path_probability(m, w)).hex() for w in iter_paths(n)  # the empty product is int 1
+        ]
+
+    def test_yields_one_list_rewritten_in_place_lazily(self):
+        # the first path of the largest horizon comes without walking the
         # other 2^24 - 1
-        first = next(price_paths(PARAMS, 24))
+        walk = price_walk(PARAMS, 24)
+        first = next(walk)
         assert first == price_path(PARAMS, (True,) * 24)
-        lists = list(price_paths(PARAMS, 3))
-        assert len({id(prices) for prices in lists}) == 8
+        assert next(walk) is first
+        assert first == price_path(PARAMS, (True,) * 23 + (False,))
+        for n in range(5):
+            assert len({id(prices) for prices in price_walk(PARAMS, n)}) == 1
 
     def test_terminal_prices_come_in_chunks(self, monkeypatch):
         depths = []
@@ -557,12 +588,12 @@ class TestPricePaths:
         for n, chunks in ((0, [0, 0]), (1, [1, 0, 0]), (7, [4] + [3] * 16)):
             depths.clear()
             assert list(terminal_prices(PARAMS, n)) == [
-                (prices[-1],) for prices in price_paths(PARAMS, n)
+                (prices[-1],) for prices in price_walk(PARAMS, n)
             ]
             assert depths == chunks
 
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
-            next(price_paths(PARAMS, -1))
+            next(price_walk(PARAMS, -1))
         with pytest.raises(ValueError):
             terminal_prices(PARAMS, -1)

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -1143,10 +1144,11 @@ class Tagged(float):
 
 
 # What a batch of repeated values may hold: both zeros, distinct NaN objects,
-# infinities, subnormals, and values equal to 1.0 that print otherwise.
+# infinities, subnormals, and values equal to 1.0 that print otherwise, one of
+# them with a comma in its repr.
 POOL_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, float("nan"), float("nan"), -float("nan"), math.inf, -math.inf,
-                     5e-324, -5e-324, 1.0, 1, True, Tagged(1.0)]),
+                     5e-324, -5e-324, 1.0, 1, True, Tagged(1.0), Fraction(1)]),
     st.floats(),
 )
 
@@ -1156,7 +1158,7 @@ POOL_VALUES = st.one_of(
 POOLS = st.one_of(
     st.lists(POOL_VALUES, min_size=1, max_size=3),
     st.tuples(st.just(0.0), st.just(-0.0), POOL_VALUES),
-    st.tuples(st.just(1.0), st.sampled_from([1, True, Tagged(1.0)]), POOL_VALUES),
+    st.tuples(st.just(1.0), st.sampled_from([1, True, Tagged(1.0), Fraction(1)]), POOL_VALUES),
 )
 
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 from typing import get_args
 from unittest import mock
 
@@ -1136,18 +1137,35 @@ class TestTerminalOnlyPass:
 
     @pytest.mark.parametrize("text", TERMINAL_ONLY + PATH_READING)
     def test_only_payoffs_reading_the_path_build_price_lists(self, text, monkeypatch):
-        built = []
-        lists = pricing.price_paths
+        walked = 0
+        walk = pricing.price_walk
 
         def counted(*args):
-            for prices in lists(*args):
-                built.append(prices)
+            nonlocal walked
+            for prices in walk(*args):
+                walked += 1
                 yield prices
 
-        monkeypatch.setattr(pricing, "price_paths", counted)
+        monkeypatch.setattr(pricing, "price_walk", counted)
         crr = CrrMarket(CrrParams(u=1.2, d=0.8, v=1.0, r=0.03, p=0.5), horizon=6)
         outcome_of(terminal_payoffs, crr, parse_payoff(text.format(K="1.5")), 6)
-        assert len(built) == (0 if text in TERMINAL_ONLY else 2**6)
+        assert walked == (0 if text in TERMINAL_ONLY else 2**6)
+
+    def test_path_reading_errors_name_the_path_the_walk_stopped_at(self):
+        # the walk rewrites one list in place; the path named is the one it
+        # stopped at, as in the per-path loop
+        crr = CrrMarket(CrrParams(u=1.2, d=0.8, v=1.0, r=0.03, p=0.5), horizon=6)
+        strike = price_path(crr.params, path("UDD"))[-1]
+        expr = parse_payoff(f"max(S) / (S_T - {strike!r})")
+        with pytest.raises(PayoffEvalError, match=r"^division by zero in .* \(at path UDD\)$"):
+            terminal_payoffs(crr, expr, 3)
+        for maturity in range(7):
+            strikes = {9.5, *(price_path(crr.params, w)[-1] for w in iter_paths(maturity))}
+            for strike in sorted(strikes):
+                expr = parse_payoff(f"max(S) / (S_T - {strike!r})")
+                assert outcome_of(terminal_payoffs, crr, expr, maturity) == outcome_of(
+                    loop_terminal_payoffs, crr, expr, maturity
+                )
 
 
 def csv_writer_tree_csv(tree, out=None):
@@ -1168,16 +1186,17 @@ class Tagged(float):
 
 
 # Pools of at most three values, so that batches repeat: both zeros, distinct
-# NaN objects, infinities, subnormals, and values equal to 1.0 that print otherwise.
+# NaN objects, infinities, subnormals, and values equal to 1.0 that print
+# otherwise, one of them with a comma in its repr.
 POOL_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, float("nan"), float("nan"), -float("nan"), math.inf, -math.inf,
-                     5e-324, -5e-324, 1.0, 1, True, Tagged(1.0)]),
+                     5e-324, -5e-324, 1.0, 1, True, Tagged(1.0), Fraction(1)]),
     st.floats(),
 )
 POOLS = st.one_of(
     st.lists(POOL_VALUES, min_size=1, max_size=3),
     st.tuples(st.just(0.0), st.just(-0.0), POOL_VALUES),
-    st.tuples(st.just(1.0), st.sampled_from([1, True, Tagged(1.0)]), POOL_VALUES),
+    st.tuples(st.just(1.0), st.sampled_from([1, True, Tagged(1.0), Fraction(1)]), POOL_VALUES),
 )
 
 

@@ -1,5 +1,6 @@
-"""Smoke run of the CSV I/O sweep, ``bench/sweep.py``: one record per writer
-and payoff at T=4, one write each, measured in this process."""
+"""Smoke run of the sweep, ``bench/sweep.py``: one record per layer (the
+payoff pass and the CSV writers) and payoff at T=4, one call each, measured
+in this process."""
 import hashlib
 import runpy
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 from crrpricing.crr import CrrMarket, CrrParams
 from crrpricing.market import write_portfolio_csv
 from crrpricing.payoff import parse_payoff
-from crrpricing.pricing import price_lattice, replicating_portfolio
+from crrpricing.pricing import price_lattice, replicating_portfolio, terminal_payoffs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,13 +20,18 @@ def test_one_record_per_writer_and_payoff_with_the_writers_bytes(monkeypatch):
     records = [sweep["record"](str(ROOT), layer, 4, payoff, 1)
                for layer, payoffs in sweep["LAYERS"].items() for payoff in payoffs]
     assert [(r["layer"], r["payoff"]) for r in records] == [
+        ("pricing.terminal_payoffs", "call(10)"), ("pricing.terminal_payoffs", "lookback"),
+        ("pricing.terminal_payoffs", "avg(S) - 10"),
         ("pricing.tree_csv", "call(10)"), ("pricing.tree_csv", "lookback"), ("pricing.tree_csv", "avg(S) - 10"),
         ("market.write_csv", "lookback"), ("market.write_csv", "avg(S) - 10"),
     ]
     crr = CrrMarket(CrrParams(**sweep["PARAMS"]), horizon=4)
     for r in records:
         payoff = parse_payoff(r["payoff"])
-        if r["layer"] == "pricing.tree_csv":
+        if r["layer"] == "pricing.terminal_payoffs":
+            level = terminal_payoffs(crr, payoff, 4)
+            text, values = "".join(f"{x.hex()}\n" for x in level), {"payoff": 16}
+        elif r["layer"] == "pricing.tree_csv":
             text, values = price_lattice(crr, payoff, 4).to_csv(), {"value": 31}
         else:
             text, values = write_portfolio_csv(replicating_portfolio(crr, payoff, 4)), {"S": 15, "rf": 15}
