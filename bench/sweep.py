@@ -3,6 +3,7 @@ payoffs at maturity, and the value-tree and hedge writers.
 
     python3 bench/sweep.py --label after
     python3 bench/sweep.py --src path/to/other/checkout --label before
+    python3 bench/sweep.py --against path/to/parent/checkout --label change
 
 writes ``bench/BENCH_<label>.json``. Each record times one layer on one
 payoff at one horizon of ``HORIZONS``, in a fresh process that imports
@@ -14,6 +15,16 @@ them (the tree or hedge written included), the ``tracemalloc`` peak of one
 more call, the length and SHA-256 of the text (for the payoff pass, the
 level's ``float.hex`` values one a line), and how many of the values are
 distinct, per column.
+
+With ``--against``, each record is taken ``PAIRS`` times from each of the
+two checkouts, one child at a time, alternating which checkout goes first
+(A B, B A, A B, ...), so both sides see the same load. The record then holds
+both sides, each with the median of its children's medians; their ratio
+(``--src`` over ``--against``); the pairs that ``--src`` won; whether every
+child's SHA-256 is the same; and whether ``--src`` may claim to be faster:
+it won at least nine pairs in ten, the medians differ by more than the
+interquartile range of the ``--against`` children, and the two checkouts'
+``src/crrpricing`` sources differ.
 
 Layers are named as the benchmark's traced run names its spans
 (``perfbench.spans.SPAN_BINDINGS``), and each is called through the first
@@ -38,10 +49,13 @@ ROOT = Path(__file__).resolve().parent.parent
 PARAMS = {"u": 1.1, "d": 0.9, "v": 10.0, "r": 0.02, "p": 0.5}
 HORIZONS = (8, 12, 16)
 REPEAT = 5  # timed calls per record
+PAIRS = 10  # pairs of children per record under --against
 # layer -> the payoffs whose maturity level (pricing.terminal_payoffs), tree
-# (pricing.tree_csv) or hedge (market.write_csv) it makes
+# (pricing.tree_csv) or hedge (market.write_csv) it makes; the payoff pass
+# covers the terminal prices (call), the bare walk (S[1] - S_T), and walks
+# that keep the maximum, the sum, and the maximum and minimum folds
 LAYERS = {
-    "pricing.terminal_payoffs": ("call(10)", "lookback", "avg(S) - 10"),
+    "pricing.terminal_payoffs": ("call(10)", "lookback", "avg(S) - 10", "S[1] - S_T", "max(S) - min(S)"),
     "pricing.tree_csv": ("call(10)", "lookback", "avg(S) - 10"),
     "market.write_csv": ("lookback", "avg(S) - 10"),
 }
@@ -100,9 +114,64 @@ def record(src: str, layer: str, horizon: int, payoff: str, repeat: int) -> dict
     }
 
 
+def child(src: str, layer: str, horizon: int, payoff: str) -> dict:
+    """One record, measured in a fresh process that imports ``src``'s package."""
+    done = subprocess.run(
+        [sys.executable, __file__, "--src", src, "--label", "child",
+         "--record", layer, str(horizon), payoff],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def source_digest(checkout: str) -> str:
+    """SHA-256 over the names and bytes of ``checkout``'s package sources."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(checkout, "src", "crrpricing").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def faster(this: list[float], other: list[float]) -> bool:
+    """Whether the times ``this`` beat the paired times ``other``: in at
+    least nine pairs of ten, and by a median gap wider than the interquartile
+    range of ``other``."""
+    wins = sum(a < b for a, b in zip(this, other))
+    q1, _, q3 = statistics.quantiles(other, n=4)
+    return wins >= 0.9 * len(other) and statistics.median(other) - statistics.median(this) > q3 - q1
+
+
+def paired(src: str, against: str, layer: str, horizon: int, payoff: str) -> dict:
+    """One record of each checkout from ``PAIRS`` alternating pairs of
+    children, run one at a time, and how the two compare."""
+    sides: tuple[list[dict], list[dict]] = ([], [])
+    for k in range(PAIRS):
+        for side in (0, 1) if k % 2 == 0 else (1, 0):
+            sides[side].append(child((src, against)[side], layer, horizon, payoff))
+    this, other = ([r["median_s"] for r in runs] for runs in sides)
+
+    def summary(runs: list[dict]) -> dict:
+        first = {k: v for k, v in runs[0].items() if k not in ("layer", "horizon", "payoff", "runs_s")}
+        return {**first, "median_s": statistics.median(r["median_s"] for r in runs),
+                "medians_s": [r["median_s"] for r in runs],
+                "ru_maxrss_kb": statistics.median(r["ru_maxrss_kb"] for r in runs),
+                "tracemalloc_peak_bytes": statistics.median(r["tracemalloc_peak_bytes"] for r in runs)}
+
+    same_source = source_digest(src) == source_digest(against)
+    return {
+        "layer": layer, "horizon": horizon, "payoff": payoff,
+        "src": summary(sides[0]), "against": summary(sides[1]),
+        "ratio": statistics.median(this) / statistics.median(other),
+        "wins": sum(a < b for a, b in zip(this, other)), "pairs": PAIRS,
+        "sha256_equal": len({r["sha256"] for runs in sides for r in runs}) == 1,
+        "same_source": same_source, "claim": not same_source and faster(this, other),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT), help="checkout whose src/crrpricing is timed")
+    parser.add_argument("--against", help="a second checkout, timed in alternation with --src")
     parser.add_argument("--label", required=True, help="names the output, bench/BENCH_<label>.json")
     parser.add_argument("--record", nargs=3, metavar=("LAYER", "HORIZON", "PAYOFF"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -116,17 +185,21 @@ def main(argv: list[str] | None = None) -> int:
     for horizon in HORIZONS:
         for layer, payoffs in LAYERS.items():
             for payoff in payoffs:
-                child = subprocess.run(
-                    [sys.executable, __file__, "--src", args.src, "--label", args.label,
-                     "--record", layer, str(horizon), payoff],
-                    capture_output=True, text=True, check=True,
-                )
-                records.append(json.loads(child.stdout))
-                print(f"{layer} T={horizon} {payoff}: {records[-1]['median_s']:.4f} s", file=sys.stderr)
+                if args.against is None:
+                    records.append(child(args.src, layer, horizon, payoff))
+                    print(f"{layer} T={horizon} {payoff}: {records[-1]['median_s']:.4f} s", file=sys.stderr)
+                    continue
+                r = paired(args.src, args.against, layer, horizon, payoff)
+                records.append(r)
+                print(f"{layer} T={horizon} {payoff}: {r['src']['median_s']:.4f} s against "
+                      f"{r['against']['median_s']:.4f} s, ratio {r['ratio']:.3f}, wins {r['wins']}/{r['pairs']}, "
+                      f"same SHA-256: {r['sha256_equal']}, claim: {r['claim']}", file=sys.stderr)
     result = {
         "python": platform.python_version(), "machine": platform.machine(),
         "params": PARAMS, "repeat": REPEAT, "records": records,
     }
+    if args.against is not None:
+        result["pairs"] = PAIRS
     out = ROOT / "bench" / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0

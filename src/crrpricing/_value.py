@@ -11,6 +11,7 @@ rebuilt through ``__init__``. Assigning or deleting any attribute raises
 ``AttributeError``.
 
 ``echo`` is how every error message quotes its input, bounded in length.
+``FoldedPath`` is the price list a price walk yields with its running folds.
 """
 from __future__ import annotations
 
@@ -77,3 +78,15 @@ class Value:
         raise AttributeError(f"cannot assign to or delete {name!r}: {type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+
+class FoldedPath(list):
+    """A list of prices that also holds folds of the whole list: ``total``,
+    the sum from ``0`` left to right; ``high`` and ``low``, the values of the
+    builtins ``max`` and ``min``. A fold the maker did not keep is ``None``."""
+
+    __slots__ = ("total", "high", "low")
+
+    def __init__(self, prices: object = ()) -> None:
+        super().__init__(prices)
+        self.total = self.high = self.low = None

@@ -18,9 +18,9 @@ import itertools
 import json
 import math
 import sys
-from typing import Iterator
+from typing import Callable, Collection, Iterator
 
-from ._value import Value, echo
+from ._value import FoldedPath, Value, echo
 from .lattice import LatticeProcess, PathMeasure, TossPath, check_horizon, toss_products
 from .market import Asset, Market
 
@@ -63,7 +63,84 @@ def price_path(params: CrrParams, path: TossPath) -> list[float]:
     return prices
 
 
-def price_walk(params: CrrParams, n: int) -> Iterator[list[float]]:
+# Each fold a walk can keep: its value on the one price ``x``, and its step
+# from the value ``a`` on some prices to the value on those and one more, ``x``.
+# The sum starts from 0; ``high`` and ``low`` make the one comparison the
+# builtins ``max`` and ``min`` make (a later price wins only when strictly
+# greater or less), so each equals the builtin bit for bit.
+_FOLDS = {
+    "total": ("0 + {x}", "{a} + {x}"),
+    "high": ("{x}", "{x} if {x} > {a} else {a}"),
+    "low": ("{x}", "{x} if {x} < {a} else {a}"),
+}
+
+# The walk as source. Each kept fold gets one statement in place of a
+# ``{...}`` field after each price written: its value over ``p[0..j]`` at each
+# depth ``j`` in a list named after the fold, over ``p[0..n-1]`` in
+# ``<fold>_a``, and over the whole path in the slot of ``p``. A price is bound
+# to ``x`` (the ``{x}`` field) only when some fold reads it.
+_WALK = """\
+def walk(p, u, d):
+    n = len(p) - 1{start}
+    if n < 2:
+        if n:
+            {x}p[1] = p[0] * u{first}
+            yield p
+            {x}p[1] = p[0] * d{first}
+        yield p
+        return
+    m = n - 2
+    i = 0  # the depth that has just changed; up tosses follow it to depth m
+    pending = []  # depths whose down toss is still to come, deepest last
+    while True:
+        for j in range(i + 1, m + 1):
+            {x}p[j] = p[j - 1] * u{up}
+            pending.append(j)
+        s = p[m]
+        a = p[-2] = s * u{pair}
+        {x}p[-1] = a * u{leaf}
+        yield p
+        {x}p[-1] = a * d{leaf}
+        yield p
+        a = p[-2] = s * d{pair}
+        {x}p[-1] = a * u{leaf}
+        yield p
+        {x}p[-1] = a * d{leaf}
+        yield p
+        if not pending:
+            return
+        i = pending.pop()
+        {x}p[i] = p[i - 1] * d{down}
+"""
+
+_walks: dict[tuple[str, ...], Callable] = {}  # the compiled walk of each tuple of kept folds
+
+
+def _compile_walk(folds: tuple[str, ...]) -> Callable:
+    """``_WALK`` with the statements of ``folds``; with none, the bare walk."""
+
+    def steps(target: str, acc: str, x: str = "x") -> str:
+        return "".join(
+            f"; {target.format(f)} = {_FOLDS[f][1].format(a=acc.format(f), x=x)}" for f in folds
+        )
+
+    names: dict[str, object] = {}
+    exec(_WALK.format(
+        # each fold over p[0..0]; at n = 0 that is the whole path
+        start="".join(
+            f"; {f} = [{_FOLDS[f][0].format(x='p[0]')}] * (n + 1); p.{f} = {f}[0]" for f in folds
+        ),
+        x="x = " if folds else "",
+        first=steps("p.{}", "{}[0]"),
+        up=steps("{}[j]", "{}[j - 1]"),
+        down=steps("{}[i]", "{}[i - 1]"),
+        pair=steps("{}_a", "{}[m]", "a"),
+        leaf=steps("p.{}", "{}_a"),
+    ), names)
+    return names["walk"]
+
+
+def price_walk(params: CrrParams, n: int, folds: Collection[str] = ()) -> Iterator[list[float]]:
     """``price_path(params, s)`` for every length-``n`` toss path ``s``, in
     ``iter_paths`` order, as one list of ``n + 1`` prices rewritten in place
     between yields: copy a list to keep it.
@@ -72,39 +149,24 @@ def price_walk(params: CrrParams, n: int) -> Iterator[list[float]]:
     ``price_path``. A depth-first walk over the first ``n - 2`` tosses writes
     only the entries that change from one prefix to the next, and the last
     two tosses are unrolled, four paths per prefix.
+
+    ``folds`` names the running folds to keep, among ``total``, ``high`` and
+    ``low`` (``payoff.path_folds`` of a payoff names those it reads). With
+    none the list is a plain ``list``. Otherwise it is one ``FoldedPath``
+    whose kept slots hold the folds of the whole path at every yield (the
+    others stay ``None``): each written price updates the fold of its prefix
+    at that depth, so a path costs a few steps however long it is. Copying
+    the list keeps its prices, not its folds.
     """
     check_horizon(n)
-    u, d = params.u, params.d
-    p = [params.v] * (n + 1)
-    if n < 2:
-        if n:
-            p[1] = p[0] * u
-            yield p
-            p[1] = p[0] * d
-        yield p
-        return
-    m = n - 2
-    i = 0  # the depth that has just changed; up tosses follow it to depth m
-    pending = []  # depths whose down toss is still to come, deepest last
-    while True:
-        for j in range(i + 1, m + 1):
-            p[j] = p[j - 1] * u
-            pending.append(j)
-        s = p[m]
-        a = p[-2] = s * u
-        p[-1] = a * u
-        yield p
-        p[-1] = a * d
-        yield p
-        b = p[-2] = s * d
-        p[-1] = b * u
-        yield p
-        p[-1] = b * d
-        yield p
-        if not pending:
-            return
-        i = pending.pop()
-        p[i] = p[i - 1] * d
+    kept = tuple(name for name in _FOLDS if name in folds)
+    if len(kept) != len(set(folds)):
+        raise ValueError(f"folds must be among {tuple(_FOLDS)}, got {echo(folds)}")
+    walk = _walks.get(kept)
+    if walk is None:
+        walk = _walks[kept] = _compile_walk(kept)
+    prices = [params.v] * (n + 1)
+    return walk(FoldedPath(prices) if kept else prices, params.u, params.d)
 
 
 def terminal_prices(params: CrrParams, n: int) -> Iterator[tuple[float]]:

@@ -160,8 +160,8 @@ def toss_products(start: float, up: float, down: float, n: int) -> list[float]:
 
 
 def path_probability(m: PathMeasure, path: TossPath) -> float:
-    """Product of per-toss weights; the empty path has probability 1."""
-    return math.prod(m.p if o else 1.0 - m.p for o in path)
+    """Product of per-toss weights; the empty path has probability ``1.0``."""
+    return math.prod((m.p if o else 1.0 - m.p for o in path), start=1.0)
 
 
 class LatticeProcess:

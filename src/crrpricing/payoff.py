@@ -26,7 +26,7 @@ import operator
 import re
 from typing import Callable, Sequence, Union
 
-from ._value import Value, echo
+from ._value import FoldedPath, Value, echo
 
 
 class PayoffSyntaxError(ValueError):
@@ -396,6 +396,17 @@ _STATEMENT: dict[type[_Binary], str] = {
 }
 
 
+# Each path aggregate: the ``FoldedPath`` slot holding it, and the scan that
+# computes it from the prices ``p`` (the slot's ``total`` is the sum the
+# average divides by ``len(p)``). The sum runs left to right from 0 on every
+# Python: sum() compensates from 3.12 on, which would move prices in the last
+# digit.
+_AGGREGATE: dict[type, tuple[str, str]] = {
+    PathMax: ("high", "max(p)"), PathMin: ("low", "min(p)"), PathAvg: ("total", "_reduce(_add, p, 0)"),
+}
+_FOLDED = "f = p if type(p) is _FoldedPath else _no_folds"
+
+
 def _outside(index: object, prices: Sequence[float]) -> PayoffEvalError:
     return PayoffEvalError(f"price index S[{index}] outside observed path S[0..{len(prices) - 1}]")
 
@@ -414,10 +425,13 @@ def _compile(e: PayoffExpr) -> Callable[[Sequence[float]], float]:
     a tree walk evaluates them (a divisor before its numerator). Every
     constant, index and node the statements use is a global of the function,
     never source text. A node that is not an expression compiles to a
-    statement raising ``TypeError`` when reached."""
+    statement raising ``TypeError`` when reached. A path aggregate reads its
+    fold off ``p`` when ``p`` is a ``FoldedPath`` that keeps it, and scans
+    ``p`` otherwise."""
     names: dict[str, object] = {
         "_reduce": functools.reduce, "_add": operator.add, "_outside": _outside,
         "_division_by_zero": _division_by_zero, "_not_an_expression": _not_an_expression,
+        "_FoldedPath": FoldedPath, "_no_folds": FoldedPath(),
     }
     lines: list[str] = []
 
@@ -437,14 +451,16 @@ def _compile(e: PayoffExpr) -> Callable[[Sequence[float]], float]:
                 code = f"p[{i}]"
             case TerminalPrice():
                 code = "p[-1]"
-            case PathMax():
-                code = "max(p)"
-            case PathMin():
-                code = "min(p)"
-            case PathAvg():
-                # Left to right from 0 on every Python: sum() compensates from
-                # 3.12 on, which would move prices in the last digit.
-                code = "_reduce(_add, p, 0) / len(p)"
+            case PathMax() | PathMin() | PathAvg():
+                fold, scan = _AGGREGATE[type(node)]
+                if _FOLDED not in lines:
+                    lines.append(_FOLDED)
+                local = f"v{len(lines)}"
+                lines.append(f"{local} = f.{fold}")
+                lines.append(f"if {local} is None: {local} = {scan}")
+                if fold != "total":
+                    return local
+                code = f"{local} / len(p)"
             case Neg(operand):
                 code = f"-{emit(operand)}"
             case PosPart(operand):
@@ -478,7 +494,10 @@ def eval_payoff(e: PayoffExpr, prices: Sequence[float]) -> float:
     evaluated stays compiled in one slot, so evaluating one expression on
     path after path compiles it once. Neither this nor the compiled function
     keeps ``prices``, so a caller may rewrite the list between calls (as
-    ``crr.price_walk`` does); copy a list to keep it."""
+    ``crr.price_walk`` does); copy a list to keep it. ``max(S)``, ``min(S)``
+    and ``avg(S)`` read the fold a ``FoldedPath`` keeps (the walk keeps those
+    ``path_folds`` names) instead of scanning the prices, with the same
+    result; on any other sequence they scan it."""
     global _last
     if not prices:
         raise PayoffEvalError("price path must contain at least the initial price")
@@ -501,6 +520,23 @@ def payoff_horizon(e: PayoffExpr) -> int:
             return payoff_horizon(operand)
         case _Binary(left, right):
             return max(payoff_horizon(left), payoff_horizon(right))
+    raise TypeError(f"not a payoff expression: {e!r}")
+
+
+def path_folds(e: PayoffExpr) -> frozenset[str]:
+    """The running folds of the price path the expression reads: ``high``
+    for ``max(S)``, ``low`` for ``min(S)`` and ``total`` for ``avg(S)``, the
+    ``FoldedPath`` slots that ``crr.price_walk`` can keep. With
+    ``terminal_only``, this is the state a payoff needs along the path."""
+    match e:
+        case Const() | TerminalPrice() | PriceAt():
+            return frozenset()
+        case PathMax() | PathMin() | PathAvg():
+            return frozenset([_AGGREGATE[type(e)][0]])
+        case _Unary(operand):
+            return path_folds(operand)
+        case _Binary(left, right):
+            return path_folds(left) | path_folds(right)
     raise TypeError(f"not a payoff expression: {e!r}")
 
 

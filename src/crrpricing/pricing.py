@@ -41,7 +41,9 @@ from .market import (
     support_set,
     _write_csv,
 )
-from .payoff import PayoffEvalError, PayoffExpr, eval_payoff, payoff_horizon, terminal_only
+from .payoff import (
+    PayoffEvalError, PayoffExpr, eval_payoff, path_folds, payoff_horizon, terminal_only,
+)
 
 PayoffLike = Union[PayoffExpr, list[float]]
 
@@ -64,8 +66,13 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
     ``S_T`` is evaluated on the 1-tuples of ``terminal_prices``, any other on
     the one list that ``price_walk`` rewrites from path to path (no
     ``TossPath``): each evaluation ends before the walk moves on, and neither
-    ``eval_payoff`` nor its compiled function keeps the list. The first path
-    whose value is not finite or whose evaluation raises names the error.
+    ``eval_payoff`` nor its compiled function keeps the list. The walk keeps
+    the running folds the expression reads (``path_folds``): the sum for
+    ``avg(S)``, the maximum for ``max(S)`` and the minimum for ``min(S)``,
+    which ``eval_payoff`` reads instead of scanning the list, with the same
+    floats; an expression that reads none, such as ``S[1] - S_T``, walks a
+    plain list. The first path whose value is not finite or whose evaluation
+    raises names the error.
     """
     if not 0 <= maturity <= crr.horizon:
         raise ValueError(f"maturity {maturity} outside market horizon {crr.horizon}")
@@ -73,7 +80,10 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
         fixed = payoff_horizon(payoff)
         if fixed > maturity:
             raise PayoffEvalError(f"payoff observes S[{echo(fixed)}] but matures at {maturity}")
-        paths = (terminal_prices if terminal_only(payoff) else price_walk)(crr.params, maturity)
+        if terminal_only(payoff):
+            paths = terminal_prices(crr.params, maturity)
+        else:
+            paths = price_walk(crr.params, maturity, path_folds(payoff))
         source = map(functools.partial(eval_payoff, payoff), paths)
     elif isinstance(payoff, list):
         if len(payoff) != 1 << maturity:

@@ -1,6 +1,9 @@
 """Binomial market parameters, discounting, viability, risk-neutral weight."""
+import functools
+import itertools
 import json
 import math
+import operator
 import sys
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from crrpricing import crr as crr_module
+from crrpricing._value import FoldedPath
 from crrpricing.crr import (
     CrrMarket,
     CrrParams,
@@ -542,6 +546,37 @@ class TestPricePaths:
         ]
 
     @settings(max_examples=300, deadline=None)
+    @given(edge_walks(), st.sampled_from([1e-8, None]))
+    @example((PARAMS, 0), None)
+    @example((PARAMS, 1), None)
+    @example((PARAMS, 2), None)
+    def test_kept_folds_are_the_builtin_scans(self, walk, tie):
+        # u and d within 1e-8 of 1 make prices along a path tie
+        params, n = walk
+        if tie:
+            params = CrrParams(u=1 + tie, d=1 - tie, v=params.v, r=0.0, p=0.5)
+        scans = {"total": lambda p: functools.reduce(operator.add, p, 0), "high": max, "low": min}
+        hexed = lambda x: None if x is None else x.hex()
+        expected = [price_path(params, w) for w in iter_paths(n)]
+        for k in range(1, 4):
+            for folds in itertools.combinations(scans, k):
+                assert [
+                    (type(p), list(map(float.hex, p)), [hexed(getattr(p, f)) for f in scans])
+                    for p in price_walk(params, n, folds)
+                ] == [
+                    (FoldedPath, list(map(float.hex, prices)),
+                     [scans[f](prices).hex() if f in folds else None for f in scans])
+                    for prices in expected
+                ]
+
+    def test_walk_without_folds_yields_a_plain_list(self):
+        for n in range(5):
+            assert {type(p) for p in price_walk(PARAMS, n)} == {list}
+            assert {type(p) for p in price_walk(PARAMS, n, frozenset())} == {list}
+        with pytest.raises(ValueError, match="folds must be among"):
+            price_walk(PARAMS, 3, ["high", "mean"])
+
+    @settings(max_examples=300, deadline=None)
     @given(edge_walks())
     @example((PARAMS, 0))
     @example((PARAMS, 1))
@@ -562,7 +597,7 @@ class TestPricePaths:
     def test_weights_are_the_path_probabilities(self, p, n):
         m = PathMeasure(p)
         assert list(map(float.hex, m.weights(n))) == [
-            float(path_probability(m, w)).hex() for w in iter_paths(n)  # the empty product is int 1
+            path_probability(m, w).hex() for w in iter_paths(n)
         ]
 
     def test_yields_one_list_rewritten_in_place_lazily(self):

@@ -147,6 +147,9 @@ class TestPathProbability:
     def test_empty_path_has_probability_one(self):
         assert path_probability(PathMeasure(0.123), TossPath()) == 1.0
 
+    def test_empty_path_probability_is_the_float_weight(self):
+        assert path_probability(PathMeasure(0.5), TossPath()).hex() == PathMeasure(0.5).weights(0)[0].hex()
+
     @given(p=st.floats(0.0, 1.0), T=st.integers(0, 8))
     @settings(max_examples=60)
     def test_weights_sum_to_one(self, p, T):

@@ -4,15 +4,17 @@ import math
 import operator
 import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crrpricing import payoff as payoff_module
-from crrpricing._value import echo
+from crrpricing import pricing
+from crrpricing._value import FoldedPath, echo
 from crrpricing.crr import CrrMarket, CrrParams, price_path
-from crrpricing.lattice import TossPath, is_measurable_at
+from crrpricing.lattice import TossPath, is_measurable_at, iter_paths
 from crrpricing.payoff import (
     MAX_PAYOFF_DEPTH,
     Add,
@@ -33,6 +35,7 @@ from crrpricing.payoff import (
     TerminalPrice,
     eval_payoff,
     parse_payoff,
+    path_folds,
     payoff_horizon,
     print_payoff,
     terminal_only,
@@ -442,6 +445,8 @@ class TestCompiledMatchesInterpreter:
     @given(expressions, price_lists)
     def test_same_value_or_same_error(self, e, prices):
         assert outcome(eval_payoff, e, prices) == outcome(reference_eval_payoff, e, prices)
+        # a folded list that keeps no fold is scanned like any other sequence
+        assert outcome(eval_payoff, e, FoldedPath(prices)) == outcome(reference_eval_payoff, e, prices)
 
     def test_equal_expressions_keep_their_own_values(self):
         """Equal expressions can evaluate differently, so no compiled form is
@@ -489,6 +494,16 @@ class TestTerminalOnly:
         with pytest.raises(TypeError, match="not a payoff expression"):
             terminal_only(Add(TerminalPrice(), NOT_AN_EXPRESSION))
 
+    @pytest.mark.parametrize("text, expected", [
+        ("call(98)", set()), ("S[1] - S_T", set()), ("lookback", {"high"}), ("avg(S) - 1", {"total"}),
+        ("max(S) - min(S)", {"high", "low"}), ("pos(avg(S) / min(S) - max(S_T, S[2]))", {"total", "low"}),
+        ("-max(S) * avg(S) + min(S)", {"high", "total", "low"}),
+    ])
+    def test_path_folds_are_the_aggregates_read(self, text, expected):
+        assert path_folds(parse_payoff(text)) == expected
+        with pytest.raises(TypeError, match="not a payoff expression"):
+            path_folds(Add(PathMax(), NOT_AN_EXPRESSION))
+
 
 BINARY_NODES = [Add, Sub, Mul, Div, Max2, Min2]
 
@@ -524,3 +539,50 @@ class TestCompileSlot:
             counts.append(sum(node is e for node in compiled))
         # at most once per call of 64 paths; a repeat call reuses the closure
         assert max(counts) == 1 and counts[3] == 0
+
+
+# The usual market, and one whose u and d lie within 1e-7 of 1, so that the
+# prices along a path tie.
+WALK_MARKETS = [CrrMarket(PARAMS, horizon=8), CrrMarket(CrrParams(u=1 + 5e-8, d=1 - 5e-8, v=10.0, r=0.0, p=0.5), 8)]
+
+
+def plain_walk(params, n, folds=()):
+    """A fresh ``price_path`` list for each path, as the pass evaluated them
+    before the walk kept folds."""
+    return (price_path(params, w) for w in iter_paths(n))
+
+
+def hexed(fn, *args):
+    """A level's ``float.hex`` values, or the exception's type and message."""
+    try:
+        return list(map(float.hex, fn(*args)))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestFoldedWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(expressions, st.integers(0, 8), st.sampled_from(WALK_MARKETS))
+    def test_same_level_or_error_as_plain_price_lists(self, e, maturity, crr):
+        with mock.patch.object(pricing, "price_walk", plain_walk):
+            expected = hexed(terminal_payoffs, crr, e, maturity)
+        assert hexed(terminal_payoffs, crr, e, maturity) == expected
+
+    @pytest.mark.parametrize("text, kept", [
+        ("S[1] - S_T", None), ("lookback", {"high"}), ("max(S) - min(S)", {"high", "low"}),
+        ("avg(S) - 10", {"total"}),
+    ])
+    def test_the_walk_keeps_only_the_folds_read(self, text, kept):
+        walked = []
+        walk = pricing.price_walk
+
+        def recorded(*args):
+            for prices in walk(*args):
+                walked.append((type(prices), {f for f in ("total", "high", "low")
+                                              if getattr(prices, f, None) is not None}))
+                yield prices
+
+        with mock.patch.object(pricing, "price_walk", recorded):
+            terminal_payoffs(WALK_MARKETS[0], parse_payoff(text), 6)
+        # a payoff reading only S[i] walks a plain list, with no folds
+        assert walked == [(list, set()) if kept is None else (FoldedPath, kept)] * 2**6

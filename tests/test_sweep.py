@@ -1,8 +1,9 @@
 """Smoke run of the sweep, ``bench/sweep.py``: one record per layer (the
 payoff pass and the CSV writers) and payoff at T=4, one call each, measured
-in this process."""
+in this process; and one paired record of a checkout against itself."""
 import hashlib
 import runpy
+import statistics
 import sys
 from pathlib import Path
 
@@ -21,7 +22,8 @@ def test_one_record_per_writer_and_payoff_with_the_writers_bytes(monkeypatch):
                for layer, payoffs in sweep["LAYERS"].items() for payoff in payoffs]
     assert [(r["layer"], r["payoff"]) for r in records] == [
         ("pricing.terminal_payoffs", "call(10)"), ("pricing.terminal_payoffs", "lookback"),
-        ("pricing.terminal_payoffs", "avg(S) - 10"),
+        ("pricing.terminal_payoffs", "avg(S) - 10"), ("pricing.terminal_payoffs", "S[1] - S_T"),
+        ("pricing.terminal_payoffs", "max(S) - min(S)"),
         ("pricing.tree_csv", "call(10)"), ("pricing.tree_csv", "lookback"), ("pricing.tree_csv", "avg(S) - 10"),
         ("market.write_csv", "lookback"), ("market.write_csv", "avg(S) - 10"),
     ]
@@ -42,3 +44,26 @@ def test_one_record_per_writer_and_payoff_with_the_writers_bytes(monkeypatch):
         assert all(1 <= r["distinct"][name] <= n for name, n in values.items())
         assert len(r["runs_s"]) == 1 and r["median_s"] == r["runs_s"][0] > 0
         assert r["ru_maxrss_kb"] > 0 and r["tracemalloc_peak_bytes"] > 0
+
+
+def test_a_checkout_against_itself_has_the_same_bytes_and_no_claim(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    sweep = runpy.run_path(str(ROOT / "bench" / "sweep.py"))
+    r = sweep["paired"](str(ROOT), str(ROOT), "pricing.terminal_payoffs", 4, "lookback")
+    pairs = sweep["PAIRS"]
+    assert (r["layer"], r["horizon"], r["payoff"], r["pairs"]) == ("pricing.terminal_payoffs", 4, "lookback", pairs)
+    assert r["sha256_equal"] and r["src"]["sha256"] == r["against"]["sha256"]
+    assert r["same_source"] and r["claim"] is False
+    assert 0 <= r["wins"] <= pairs and r["ratio"] > 0
+    for side in ("src", "against"):
+        assert len(r[side]["medians_s"]) == pairs
+        assert r[side]["median_s"] == statistics.median(r[side]["medians_s"])
+
+
+def test_faster_needs_nine_wins_in_ten_and_a_gap_past_the_spread():
+    faster = runpy.run_path(str(ROOT / "bench" / "sweep.py"))["faster"]
+    other = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0, 1.0]
+    assert faster([x * 0.7 for x in other], other)
+    assert not faster(other, other)
+    assert not faster([x * 0.7 for x in other[:8]] + other[8:], other)  # eight wins in ten
+    assert not faster([x - 0.01 for x in other], other)  # every pair won, by less than the spread
