@@ -1,5 +1,6 @@
-"""Horizon sweep of the payoff pass and of the CSV I/O layer: the level of
-payoffs at maturity, and the value-tree and hedge writers.
+"""Horizon sweep of the payoff pass, hedge synthesis, verification and the
+CSV I/O layer: the level of payoffs at maturity, the hedge, its report, and
+the value-tree and hedge writers.
 
     python3 bench/sweep.py --label after
     python3 bench/sweep.py --src path/to/other/checkout --label before
@@ -8,13 +9,18 @@ payoffs at maturity, and the value-tree and hedge writers.
 writes ``bench/BENCH_<label>.json``. Each record times one layer on one
 payoff at one horizon of ``HORIZONS``, in a fresh process that imports
 ``crrpricing`` from ``<src>/src``, so one copy of this script times any
-checkout. The payoff pass evaluates the payoff on every maturity path; a
-writer writes the payoff's value tree or hedge to a string. A record holds
-the median wall time of ``REPEAT`` calls, the child's ``ru_maxrss`` after
-them (the tree or hedge written included), the ``tracemalloc`` peak of one
-more call, the length and SHA-256 of the text (for the payoff pass, the
-level's ``float.hex`` values one a line), and how many of the values are
-distinct, per column.
+checkout. The payoff pass evaluates the payoff on every maturity path; hedge
+synthesis builds the payoff's replicating portfolio, and verification checks
+that hedge against the payoff; a writer writes the payoff's value tree or
+hedge to a string. A record holds the median of ``REPEAT`` samples of the
+wall time per call, each sample timing as many back-to-back calls as make it
+last at least ``MIN_SAMPLE_S`` (that count is the record's ``calls``; it
+doubles from 1 until one sample lasts that long); the child's ``ru_maxrss``
+after them (the tree or hedge written included), the ``tracemalloc`` peak of
+one more call, the length and SHA-256 of the text, and how many of the
+values are distinct, per column. For the layers that return floats, the text
+is their ``float.hex`` values one a line: the payoff level, the hedge's
+levels one asset at a time in id order, and the report's four fields.
 
 With ``--against``, each record is taken ``PAIRS`` times from each of the
 two checkouts, one child at a time, alternating which checkout goes first
@@ -48,14 +54,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PARAMS = {"u": 1.1, "d": 0.9, "v": 10.0, "r": 0.02, "p": 0.5}
 HORIZONS = (8, 12, 16)
-REPEAT = 5  # timed calls per record
+REPEAT = 5  # timed samples per record
+MIN_SAMPLE_S = 0.05  # shortest sample: a T=8 call can take 0.2 ms, too short to time alone
 PAIRS = 10  # pairs of children per record under --against
-# layer -> the payoffs whose maturity level (pricing.terminal_payoffs), tree
-# (pricing.tree_csv) or hedge (market.write_csv) it makes; the payoff pass
+REPORT_FIELDS = ("self_financing", "max_terminal_error", "init_value", "tolerance")
+# layer -> the payoffs whose maturity level (pricing.terminal_payoffs), hedge
+# (pricing.replicating_portfolio), report (pricing.verify_replication), tree
+# (pricing.tree_csv) or hedge CSV (market.write_csv) it makes; the payoff pass
 # covers the terminal prices (call), the bare walk (S[1] - S_T), and walks
 # that keep the maximum, the sum, and the maximum and minimum folds
 LAYERS = {
     "pricing.terminal_payoffs": ("call(10)", "lookback", "avg(S) - 10", "S[1] - S_T", "max(S) - min(S)"),
+    "pricing.replicating_portfolio": ("lookback", "avg(S) - 10"),
+    "pricing.verify_replication": ("lookback", "avg(S) - 10"),
     "pricing.tree_csv": ("call(10)", "lookback", "avg(S) - 10"),
     "market.write_csv": ("lookback", "avg(S) - 10"),
 }
@@ -73,8 +84,16 @@ def layer_function(layer: str):
     return owner
 
 
+def sample(fn, args: tuple, calls: int) -> float:
+    """Wall time of ``calls`` back-to-back calls ``fn(*args)``."""
+    start = time.perf_counter()
+    for _ in range(calls):
+        fn(*args)
+    return time.perf_counter() - start
+
+
 def record(src: str, layer: str, horizon: int, payoff: str, repeat: int) -> dict:
-    """One record, measured in this process: the median of ``repeat`` calls."""
+    """One record, measured in this process: the median of ``repeat`` samples."""
     sys.path.insert(0, str(Path(src, "src").resolve()))
     from crrpricing.crr import CrrMarket, CrrParams
     from crrpricing.payoff import parse_payoff
@@ -82,7 +101,7 @@ def record(src: str, layer: str, horizon: int, payoff: str, repeat: int) -> dict
 
     crr = CrrMarket(CrrParams(**PARAMS), horizon=horizon)
     expr = parse_payoff(payoff)
-    if layer == "pricing.terminal_payoffs":
+    if layer in ("pricing.terminal_payoffs", "pricing.replicating_portfolio"):
         args = (crr, expr, horizon)
     elif layer == "pricing.tree_csv":
         tree = price_lattice(crr, expr, horizon)
@@ -90,23 +109,30 @@ def record(src: str, layer: str, horizon: int, payoff: str, repeat: int) -> dict
     else:
         hedge = replicating_portfolio(crr, expr, horizon)
         args, columns = (hedge,), {a.id: hedge.levels[a] for a in sorted(hedge.levels, key=lambda a: a.id)}
+        if layer == "pricing.verify_replication":
+            args = (crr, hedge, expr, horizon)
     fn = layer_function(layer)
-    runs = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        text = fn(*args)
-        runs.append(time.perf_counter() - start)
+    calls = 1
+    while sample(fn, args, calls) < MIN_SAMPLE_S:
+        calls *= 2
+    runs = [sample(fn, args, calls) / calls for _ in range(repeat)]
     maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     tracemalloc.start()
-    fn(*args)
+    text = fn(*args)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    if layer == "pricing.terminal_payoffs":  # the level, one float.hex a line
-        columns, text = {"payoff": [text]}, "".join(f"{x.hex()}\n" for x in text)
+    if layer == "pricing.terminal_payoffs":
+        columns = {"payoff": [text]}
+    elif layer == "pricing.replicating_portfolio":
+        columns = {a.id: text.levels[a] for a in sorted(text.levels, key=lambda a: a.id)}
+    elif layer == "pricing.verify_replication":
+        columns = {"report": [[float(getattr(text, f)) for f in REPORT_FIELDS]]}
+    if not isinstance(text, str):  # floats, one float.hex a line, column by column
+        text = "".join(f"{x.hex()}\n" for levels in columns.values() for level in levels for x in level)
     data = text.encode("utf-8")
     return {
         "layer": layer, "horizon": horizon, "payoff": payoff,
-        "median_s": statistics.median(runs), "runs_s": runs,
+        "median_s": statistics.median(runs), "runs_s": runs, "calls": calls,
         "ru_maxrss_kb": maxrss_kb, "tracemalloc_peak_bytes": peak,
         "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(),
         "values": {name: sum(map(len, levels)) for name, levels in columns.items()},

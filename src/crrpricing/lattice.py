@@ -143,6 +143,17 @@ class PathMeasure(Value):
         return toss_products(1.0, self.p, 1.0 - self.p, n)
 
 
+def toss_levels(start: float, up: float, down: float, n: int) -> Iterator[list[float]]:
+    """``toss_products`` at every length ``0 .. n``, each built from the last."""
+    level = [start]
+    yield level
+    for _ in range(n):
+        parents, level = level, level * 2
+        level[0::2] = [f * up for f in parents]
+        level[1::2] = [f * down for f in parents]
+        yield level
+
+
 def toss_products(start: float, up: float, down: float, n: int) -> list[float]:
     """The running product from ``start``, one factor per toss, ``up`` or
     ``down``, at every length-``n`` path in ``iter_paths`` order: node ``k``
@@ -150,13 +161,7 @@ def toss_products(start: float, up: float, down: float, n: int) -> list[float]:
     ``2k + 1``, each half of a level written by one slice assignment. From
     ``v`` with factors ``u`` and ``d`` this is the last price of each list
     ``crr.price_walk`` yields, bit for bit."""
-    level = [start]
-    for _ in range(n):
-        children = level * 2
-        children[0::2] = [f * up for f in level]
-        children[1::2] = [f * down for f in level]
-        level = children
-    return level
+    return next(itertools.islice(toss_levels(start, up, down, n), n, None))
 
 
 def path_probability(m: PathMeasure, path: TossPath) -> float:

@@ -212,8 +212,8 @@ def _held_at(level: list[float], shift: int) -> Iterable[float]:
 
 def _node_fsums(n: int, groups: Callable[[], list[list[Iterable[float]]]], consume: Callable = list):
     """``consume`` of, per group of columns (one per asset, in id order) from ``groups()``,
-    ``math.fsum`` across them at each length-``n`` node, lazily. A failing sum raises a
-    ``ValueError`` naming the first failing node, found by summing ``groups()`` again."""
+    ``math.fsum`` across them at each length-``n`` node, lazily (``_worth`` adds two columns: the same
+    floats). A failing sum raises a ``ValueError`` naming the first failing node, found by summing again."""
     def sums() -> list[Iterable[float]]:
         return [map(math.fsum, zip(*g)) if g else itertools.repeat(0.0, 1 << n) for g in groups()]
     try:
@@ -229,10 +229,18 @@ def _node_fsums(n: int, groups: Callable[[], list[list[Iterable[float]]]], consu
 
 
 def _worth(mkt: Market, p: QuantityProcess, n: int, chosen: list[int], consume: Callable = list):
-    """``_node_fsums`` of the time-``n`` worth of the holdings chosen at each time in ``chosen``."""
+    """``_node_fsums`` of the time-``n`` worth of the holdings chosen at each time in ``chosen``; a
+    two-asset node is ``x*h + y*g + 0.0``, one rounding of the exact sum as in ``math.fsum``, and
+    ``+ 0.0`` makes ``-0.0 + -0.0`` fsum's ``0.0``. A level with a node not finite is summed by fsum."""
     _check_time(mkt, p, n)
     support = sorted(support_set(p), key=lambda a: a.id)
     prices = [mkt.price(a).level(n) for a in support]
+    if len(support) == 2:
+        (a, b), (x, y) = support, prices
+        sums = [[s * h + t * g + 0.0 for s, h, t, g in zip(
+            x, _held_at(p.levels[a][c], n - c), y, _held_at(p.levels[b][c], n - c))] for c in chosen]
+        if all(map(math.isfinite, map(sum, sums))):  # a sum is finite only if every node is
+            return consume(*sums)
     return _node_fsums(n, lambda: [
         [map(operator.mul, s, _held_at(p.levels[a][t], n - t)) for a, s in zip(support, prices)]
         for t in chosen

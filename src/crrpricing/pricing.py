@@ -11,7 +11,6 @@ of arbitrage.
 """
 from __future__ import annotations
 
-import functools
 import io
 import itertools
 import math
@@ -29,7 +28,7 @@ from .crr import (
     risk_neutral_q,
     terminal_prices,
 )
-from .lattice import LatticeProcess, PathMeasure, label_at
+from .lattice import LatticeProcess, PathMeasure, label_at, toss_levels
 from .market import (
     Market,
     QuantityProcess,
@@ -62,38 +61,42 @@ def terminal_payoffs(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> list[
     Entry ``k`` belongs to the path with ``TossPath.index() == k`` (``iter_paths``
     order). Accepts a parsed expression or the maturity level itself (as
     ``read_path_table`` gives it); a function ``f`` of toss paths is the level
-    ``[f(w) for w in iter_paths(maturity)]``. An expression that reads only
-    ``S_T`` is evaluated on the 1-tuples of ``terminal_prices``, any other on
-    the one list that ``price_walk`` rewrites from path to path (no
-    ``TossPath``): each evaluation ends before the walk moves on, and neither
+    ``[f(w) for w in iter_paths(maturity)]``; a level of exact floats comes
+    back itself, not a copy. An expression that reads only ``S_T`` is
+    evaluated on the 1-tuples of ``terminal_prices``, any other on the one
+    list that ``price_walk`` rewrites from path to path (no ``TossPath``):
+    each evaluation ends before the walk moves on, and neither
     ``eval_payoff`` nor its compiled function keeps the list. The walk keeps
     the running folds the expression reads (``path_folds``): the sum for
     ``avg(S)``, the maximum for ``max(S)`` and the minimum for ``min(S)``,
     which ``eval_payoff`` reads instead of scanning the list, with the same
     floats; an expression that reads none, such as ``S[1] - S_T``, walks a
-    plain list. The first path whose value is not finite or whose evaluation
-    raises names the error.
+    plain list. A ``for`` loop calls this module's global ``eval_payoff`` once a path; the
+    first path whose value is not finite or whose evaluation raises names the error.
     """
     if not 0 <= maturity <= crr.horizon:
         raise ValueError(f"maturity {maturity} outside market horizon {crr.horizon}")
+    paths, source = (), ()
     if isinstance(payoff, get_args(PayoffExpr)):
         fixed = payoff_horizon(payoff)
         if fixed > maturity:
             raise PayoffEvalError(f"payoff observes S[{echo(fixed)}] but matures at {maturity}")
-        if terminal_only(payoff):
-            paths = terminal_prices(crr.params, maturity)
-        else:
-            paths = price_walk(crr.params, maturity, path_folds(payoff))
-        source = map(functools.partial(eval_payoff, payoff), paths)
+        paths = (terminal_prices(crr.params, maturity) if terminal_only(payoff)
+                 else price_walk(crr.params, maturity, path_folds(payoff)))
     elif isinstance(payoff, list):
         if len(payoff) != 1 << maturity:
             raise ValueError(f"payoff level has {len(payoff)} values, expected {1 << maturity}")
+        if set(map(type, payoff)) == {float}:
+            _require_finite_payoffs(payoff, maturity)
+            return payoff
         source = payoff
     else:
         raise TypeError(f"cannot interpret {type(payoff).__name__} as a payoff")
     values: list[float] = []
-    try:
-        values.extend(map(float, source))  # on a raise, keeps the values before it
+    try:  # on a raise, keeps the values before it
+        values.extend(map(float, source))
+        for p in paths:
+            values.append(float(eval_payoff(payoff, p)))
     except Exception as exc:  # whatever it is, a value before it that is not finite wins
         _require_finite_payoffs(values, maturity)
         if isinstance(exc, PayoffEvalError):
@@ -165,7 +168,8 @@ def price_lattice(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> PriceLat
     """
     q = risk_neutral_q(crr.params)
     r = crr.params.r
-    levels = [terminal_payoffs(crr, payoff, maturity)]
+    level = terminal_payoffs(crr, payoff, maturity)
+    levels = [payoff[:] if level is payoff else level]  # stored: a copy, not the caller's level
     for _ in range(maturity):
         kids = levels[0]
         levels.insert(0, [
@@ -193,17 +197,15 @@ def replicating_portfolio(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> 
     if maturity < 1:
         raise ValueError("replication needs at least one trading period")
     values = price_lattice(crr, payoff, maturity).levels
-    stock = crr.price(crr.risky)
-    prices = [stock.level(n) for n in range(maturity + 1)]
+    prices = list(toss_levels(crr.params.v, crr.params.u, crr.params.d, maturity))  # crr.price(crr.risky)
     delta = [
-        list(map(operator.truediv, map(operator.sub, v[0::2], v[1::2]),
-                 map(operator.sub, s[0::2], s[1::2])))
+        [(v_up - v_down) / (s_up - s_down)
+         for v_up, v_down, s_up, s_down in zip(v[0::2], v[1::2], s[0::2], s[1::2])]
         for v, s in zip(values[1:], prices[1:])
     ]
     bank = [
-        list(map(operator.truediv, map(operator.sub, v_n, map(operator.mul, h_n, s_n)),
-                 itertools.repeat(disc_rfr_proc(crr.params.r, n))))
-        for n, (v_n, h_n, s_n) in enumerate(zip(values, delta, prices))
+        [(value - held * price) / g for value, held, price in zip(v, h, s)]
+        for v, h, s, g in zip(values, delta, prices, [disc_rfr_proc(crr.params.r, n) for n in range(maturity)])
     ]
     _require_finite(f"hedge quantity of {crr.risky.id!r}", delta)
     _require_finite(f"hedge quantity of {crr.riskfree.id!r}", bank)
@@ -246,10 +248,10 @@ def verify_replication(
         )
     kappa = terminal_payoffs(crr, payoff, maturity)
     tol *= max(1.0, max(map(abs, kappa)))
-    errors = list(map(abs, map(operator.sub, closing_value_level(crr, p, maturity), kappa)))
-    return ReplicationReport(
+    worst = _worst([abs(c - x) for c, x in zip(closing_value_level(crr, p, maturity), kappa)])
+    return ReplicationReport(  # the errors are gone before the cash gaps are summed
         self_financing=is_self_financing(crr, p, tol),
-        max_terminal_error=_worst(errors),
+        max_terminal_error=worst,
         init_value=init_value(crr, p),
         tolerance=tol,
     )

@@ -1222,3 +1222,92 @@ class TestRepeatedValueBytes:
         assert [line.split(",", 3)[3] for line in text.splitlines()[-12:]] == [
             "0.0", "-0.0", "0.0", "0.0", "0.0", "-0.0", "1.0", "1", "True", "Tagged(1.0)", "1.0", "1.0"
         ]
+
+
+# Prices and holdings whose products reach both ends of the float range:
+# signed zeros, subnormals, +-1e308 (one product overflows past 1) and
+# values near 1 whose sums cancel.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.0, -1.0, 2.0]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def two_asset_portfolios(draw):
+    """A market that quotes APL and GOOG at edge prices, and a portfolio that
+    holds both at some node, at edge quantities."""
+    horizon = draw(st.integers(1, 4))
+
+    def levels(depth):
+        return [draw(st.lists(EDGE_FLOATS, min_size=1 << t, max_size=1 << t)) for t in range(depth)]
+
+    prices = {a: levels(horizon + 1) for a in (APL, GOOG)}
+    mkt = Market({**{a: LatticeProcess(horizon, table.__getitem__) for a, table in prices.items()},
+                  SLOT: LatticeProcess.constant(horizon, 0.0)}, stocks=[APL, GOOG])
+    table = {a: levels(horizon) for a in (APL, GOOG)}
+    for a in (APL, GOOG):
+        if not any(x != 0.0 for level in table[a] for x in level):
+            table[a][0][0] = draw(st.sampled_from([1.0, 1e308, -5e-324]))
+    return mkt, QuantityProcess(horizon, table)
+
+
+def fsum_level(mkt, p, n, t):
+    """Each length-``n`` node's ``math.fsum`` of price times holding chosen at
+    ``t``, in id order; a failing sum names its node."""
+    support = sorted(support_set(p), key=lambda a: a.id)
+    level = []
+    for k in range(1 << n):
+        products = [mkt.price(a).level(n)[k] * p.levels[a][t][k >> (n - t)] for a in support]
+        try:
+            level.append(math.fsum(products))
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"portfolio worth leaves the float range at node (t={n}, {label_at(n, k)}): {exc}") from None
+    return level
+
+
+def hexes(compute):
+    """``float.hex`` of each float ``compute()`` gives (signed zeros apart),
+    the bool it gives, or the type and message of what it raises."""
+    try:
+        got = compute()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return got if isinstance(got, bool) else list(map(float.hex, got if isinstance(got, list) else [got]))
+
+
+class TestTwoAssetWorth:
+    """A two-asset node is one addition of its two products; it must equal
+    the ``math.fsum`` of the two in every bit, or raise the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_asset_portfolios(), st.sampled_from([0.0, 1e-9, 1.0, math.inf]))
+    def test_levels_init_value_and_self_financing_match_fsum(self, case, tol):
+        mkt, p = case
+        assert len(support_set(p)) == 2
+        for n in range(p.horizon + 1):
+            assert hexes(lambda: closing_value_level(mkt, p, n)) == hexes(lambda: fsum_level(mkt, p, n, max(n - 1, 0)))
+        assert hexes(lambda: init_value(mkt, p)) == hexes(lambda: fsum_level(mkt, p, 0, 0)[0])
+        assert hexes(lambda: is_self_financing(mkt, p, tol)) == hexes(lambda: reference_is_self_financing(mkt, p, tol))
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        # the products 5e-324 * -0.5 (rounded) and 0 * -1 are both -0.0: fsum
+        # gives 0.0, a bare addition -0.0
+        tiny, zero = LatticeProcess.deterministic([5e-324, 5e-324]), LatticeProcess.deterministic([0.0, 0.0])
+        mkt = Market({APL: tiny, GOOG: zero, SLOT: zero}, stocks=[APL, GOOG])
+        p = QuantityProcess(1, {APL: [[-0.5]], GOOG: [[-1.0]]})
+        assert support_set(p) == {APL, GOOG}
+        assert (-0.0 + -0.0).hex() == "-0x0.0p+0" and math.fsum([-0.0, -0.0]).hex() == "0x0.0p+0"
+        assert init_value(mkt, p).hex() == closing_value_level(mkt, p, 1)[0].hex() == "0x0.0p+0"
+
+    def test_a_node_past_the_float_range_names_the_same_node(self):
+        huge = LatticeProcess.deterministic([1e308] * 3)
+        mkt = Market({APL: huge, GOOG: huge, SLOT: LatticeProcess.constant(2, 0.0)}, stocks=[APL, GOOG])
+        # at U the products 1e308 and 1e308 overflow their sum; at D, 2e308 is inf
+        p = QuantityProcess(2, {APL: [[1.0], [1.0, 2.0]], GOOG: [[-1.0], [1.0, 0.5]]})
+        with pytest.raises(ValueError, match=r"^portfolio worth leaves the float range at node \(t=2, UU\): intermediate overflow in fsum$"):
+            closing_value_level(mkt, p, 2)
+        with pytest.raises(ValueError, match=r"^portfolio worth leaves the float range at node \(t=1, U\): intermediate overflow in fsum$"):
+            is_self_financing(mkt, p)
+        q = QuantityProcess(2, {APL: [[1.0], [0.5, 2.0]], GOOG: [[-1.0], [0.25, 0.5]]})
+        assert closing_value_level(mkt, q, 2) == [7.5e307, 7.5e307, math.inf, math.inf]  # an inf product passes fsum

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import get_args
@@ -52,7 +53,7 @@ from crrpricing.market import (
     read_portfolio_csv,
     write_portfolio_csv,
 )
-from crrpricing.payoff import PayoffEvalError, PayoffExpr, eval_payoff, parse_payoff
+from crrpricing.payoff import PayoffEvalError, PayoffExpr, eval_payoff, parse_payoff, payoff_horizon
 from crrpricing.pricing import (
     ArbitrageVerdict,
     PriceLattice,
@@ -1000,6 +1001,84 @@ class TestHedgeBuildsNoTossPaths:
         assert text.count("\n") == 1 + 2 * (2**8 - 1)
         assert loaded.levels.keys() == hedge.levels.keys()
         assert all(repr(loaded.levels[a]) == repr(hedge.levels[a]) for a in hedge.levels)
+
+
+def map_hedge(crr, payoff, maturity):
+    """The hedge's levels by the ``operator`` map chains over each stock
+    level that ``replicating_portfolio`` comprehensions replace."""
+    values = price_lattice(crr, payoff, maturity).levels
+    prices = [crr.price(crr.risky).level(n) for n in range(maturity + 1)]
+    delta = [
+        list(map(operator.truediv, map(operator.sub, v[0::2], v[1::2]), map(operator.sub, s[0::2], s[1::2])))
+        for v, s in zip(values[1:], prices[1:])
+    ]
+    bank = [
+        list(map(operator.truediv, map(operator.sub, v_n, map(operator.mul, h_n, s_n)),
+                 itertools.repeat(disc_rfr_proc(crr.params.r, n))))
+        for n, (v_n, h_n, s_n) in enumerate(zip(values, delta, prices))
+    ]
+    return {crr.risky: delta, crr.riskfree: bank}
+
+
+def map_report(crr, p, payoff, maturity, tol=1e-9):
+    """The report's four fields with every node's worth a ``math.fsum``."""
+    support = sorted(p.levels, key=lambda a: a.id)
+
+    def worth(n, t):
+        prices = [crr.price(a).level(n) for a in support]
+        return [math.fsum(s[k] * p.levels[a][t][k >> (n - t)] for a, s in zip(support, prices))
+                for k in range(1 << n)]
+
+    kappa = terminal_payoffs(crr, payoff, maturity)
+    tol *= max(1.0, max(map(abs, kappa)))
+    errors = list(map(abs, map(operator.sub, worth(maturity, maturity - 1), kappa)))
+    financed = all(tol >= abs(a - b) for n in range(1, p.horizon) for a, b in zip(worth(n, n), worth(n, n - 1)))
+    return financed, max(errors), worth(0, 0)[0], tol
+
+
+class TestHedgeArithmeticMatchesMapFormulas:
+    """The comprehensions and the two-asset sums give the floats of the map
+    chains and ``math.fsum``, bit for bit."""
+
+    @pytest.mark.parametrize("params", [PARAMS, CrrParams(u=1.2, d=0.8, v=10.0, r=-0.05, p=0.5)], ids=["r>0", "r<0"])
+    @pytest.mark.parametrize("text", ["call(10)", "lookback", "avg(S) - 10", "S[1] - S_T"])
+    def test_hedge_and_report(self, params, text):
+        for maturity in range(1, 9):
+            crr = CrrMarket(params, horizon=maturity)
+            payoff = parse_payoff(text)
+            if payoff_horizon(payoff) > maturity:
+                continue
+            hedge = replicating_portfolio(crr, payoff, maturity)
+            want = map_hedge(crr, payoff, maturity)
+            assert hedge.levels.keys() == want.keys()
+            for a, levels in want.items():
+                assert [list(map(float.hex, level)) for level in hedge.levels[a]] == [
+                    list(map(float.hex, level)) for level in levels
+                ], (text, maturity, a)
+            report = verify_replication(crr, hedge, payoff, maturity)
+            got = (report.self_financing, report.max_terminal_error, report.init_value, report.tolerance)
+            assert got[0] is map_report(crr, hedge, payoff, maturity)[0]
+            assert list(map(float.hex, got[1:])) == list(map(float.hex, map_report(crr, hedge, payoff, maturity)[1:]))
+
+
+class TestGivenLevel:
+    def test_read_in_place_and_copied_where_stored(self, crr):
+        level = terminal_payoffs(crr, parse_payoff("lookback"), 3)
+        assert terminal_payoffs(crr, level, 3) is level
+        assert fair_price(crr, level, 3) == fair_price(crr, parse_payoff("lookback"), 3)
+        tree = price_lattice(crr, level, 3)
+        assert tree.levels[-1] == level and tree.levels[-1] is not level
+        level[0] = -1.0  # the tree keeps its own copy
+        assert tree.levels[-1][0] == 0.0
+
+    def test_entries_that_are_not_exact_floats_are_converted(self, crr):
+        for level in ([1] * 8, [1.0] * 7 + [Fraction(1, 2)], [True] * 8):
+            got = terminal_payoffs(crr, level, 3)
+            assert got is not level and got == list(map(float, level)) and set(map(type, got)) == {float}
+        with pytest.raises(PayoffEvalError, match="^payoff is not finite at path DDU$"):
+            terminal_payoffs(crr, [1.0] * 6 + [math.inf, 1.0], 3)
+        with pytest.raises(PayoffEvalError, match="^payoff is not finite at path DDU$"):
+            terminal_payoffs(crr, [1] * 6 + [math.inf, 1], 3)
 
 
 class TestWorkPerCommand:

@@ -1,16 +1,18 @@
 """Smoke run of the sweep, ``bench/sweep.py``: one record per layer (the
-payoff pass and the CSV writers) and payoff at T=4, one call each, measured
-in this process; and one paired record of a checkout against itself."""
+payoff pass, hedge synthesis, verification and the CSV writers) and payoff at
+T=4, one sample each, measured in this process; and one paired record of a
+checkout against itself."""
 import hashlib
+import json
 import runpy
 import statistics
 import sys
 from pathlib import Path
 
 from crrpricing.crr import CrrMarket, CrrParams
-from crrpricing.market import write_portfolio_csv
+from crrpricing.market import Asset, write_portfolio_csv
 from crrpricing.payoff import parse_payoff
-from crrpricing.pricing import price_lattice, replicating_portfolio, terminal_payoffs
+from crrpricing.pricing import price_lattice, replicating_portfolio, terminal_payoffs, verify_replication
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,6 +26,8 @@ def test_one_record_per_writer_and_payoff_with_the_writers_bytes(monkeypatch):
         ("pricing.terminal_payoffs", "call(10)"), ("pricing.terminal_payoffs", "lookback"),
         ("pricing.terminal_payoffs", "avg(S) - 10"), ("pricing.terminal_payoffs", "S[1] - S_T"),
         ("pricing.terminal_payoffs", "max(S) - min(S)"),
+        ("pricing.replicating_portfolio", "lookback"), ("pricing.replicating_portfolio", "avg(S) - 10"),
+        ("pricing.verify_replication", "lookback"), ("pricing.verify_replication", "avg(S) - 10"),
         ("pricing.tree_csv", "call(10)"), ("pricing.tree_csv", "lookback"), ("pricing.tree_csv", "avg(S) - 10"),
         ("market.write_csv", "lookback"), ("market.write_csv", "avg(S) - 10"),
     ]
@@ -33,6 +37,14 @@ def test_one_record_per_writer_and_payoff_with_the_writers_bytes(monkeypatch):
         if r["layer"] == "pricing.terminal_payoffs":
             level = terminal_payoffs(crr, payoff, 4)
             text, values = "".join(f"{x.hex()}\n" for x in level), {"payoff": 16}
+        elif r["layer"] == "pricing.replicating_portfolio":
+            hedge = replicating_portfolio(crr, payoff, 4)
+            text = "".join(f"{x.hex()}\n" for a in ("S", "rf") for level in hedge.levels[Asset(a)] for x in level)
+            values = {"S": 15, "rf": 15}
+        elif r["layer"] == "pricing.verify_replication":
+            report = verify_replication(crr, replicating_portfolio(crr, payoff, 4), payoff, 4)
+            fields = (report.self_financing, report.max_terminal_error, report.init_value, report.tolerance)
+            text, values = "".join(f"{float(x).hex()}\n" for x in fields), {"report": 4}
         elif r["layer"] == "pricing.tree_csv":
             text, values = price_lattice(crr, payoff, 4).to_csv(), {"value": 31}
         else:
@@ -42,7 +54,7 @@ def test_one_record_per_writer_and_payoff_with_the_writers_bytes(monkeypatch):
         assert r["bytes"] == len(text.encode())
         assert r["values"] == values
         assert all(1 <= r["distinct"][name] <= n for name, n in values.items())
-        assert len(r["runs_s"]) == 1 and r["median_s"] == r["runs_s"][0] > 0
+        assert len(r["runs_s"]) == 1 and r["median_s"] == r["runs_s"][0] > 0 and r["calls"] > 1  # a T=4 call is far shorter than a sample
         assert r["ru_maxrss_kb"] > 0 and r["tracemalloc_peak_bytes"] > 0
 
 
@@ -67,3 +79,20 @@ def test_faster_needs_nine_wins_in_ten_and_a_gap_past_the_spread():
     assert not faster(other, other)
     assert not faster([x * 0.7 for x in other[:8]] + other[8:], other)  # eight wins in ten
     assert not faster([x - 0.01 for x in other], other)  # every pair won, by less than the spread
+
+
+def test_pairs_of_a_checkout_against_itself_pass_the_same_checks_and_claim_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # pairs.py puts bench/ on it
+    main = runpy.run_path(str(ROOT / "bench" / "pairs.py"))["main"]
+    result = main(["--against", str(ROOT), "--workload", "hedge-asian", "--seeds", "1-2",
+                   "--seconds", "0.1", "--smoke"])
+    assert result["seeds"] == [1, 2] and result["same_source"]
+    hedge = result["workloads"]["hedge-asian"]
+    assert hedge["src_failed"] == hedge["against_failed"] == 0
+    assert hedge["src_attempted"] >= 2 * 4 and hedge["against_attempted"] >= 2 * 4  # warm-up and 3 ops a run
+    assert set(hedge["metrics"]) == {"latency_p50_ref", "latency_tail_ref", "peak_rss_mb", "setup_s"}
+    for m in hedge["metrics"].values():
+        assert len(m["src"]) == len(m["against"]) == m["pairs"] == 2 and 0 <= m["wins"] <= 2
+        assert m["src_quartiles"][1] == statistics.median(m["src"]) and m["against_iqr"] >= 0
+        assert m["faster"] is False
+    assert json.loads(capsys.readouterr().out) == result
