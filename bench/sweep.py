@@ -1,6 +1,7 @@
-"""Horizon sweep of the payoff pass, hedge synthesis, verification and the
-CSV I/O layer: the level of payoffs at maturity, the hedge, its report, and
-the value-tree and hedge writers.
+"""Horizon sweep of the payoff pass, hedge synthesis, verification, the
+CSV I/O layer and the CLI's cold start: the level of payoffs at maturity, the
+hedge, its report, the value-tree and hedge writers, and the commands of the
+benchmark's ``cli-roundtrip`` workload, each in a fresh process.
 
     python3 bench/sweep.py --label after
     python3 bench/sweep.py --src path/to/other/checkout --label before
@@ -22,14 +23,30 @@ values are distinct, per column. For the layers that return floats, the text
 is their ``float.hex`` values one a line: the payoff level, the hedge's
 levels one asset at a time in id order, and the report's four fields.
 
+The cold-start layer, ``cli.main``, takes one record per command of
+``cli-roundtrip`` (``check``, ``price``, ``replicate --out`` and ``verify``
+of ``lookback``) at ``COLD_HORIZON`` only. A record runs the command in
+``COLD_CHILDREN`` fresh ``python -m crrpricing`` processes, one at a time,
+on a copy of ``<src>/src`` without bytecode caches and under
+``PYTHONDONTWRITEBYTECODE=1``, so each compiles the modules it imports, as
+on a box that writes no bytecode. It holds their wall times (``runs_s``) and
+median, the median of their ``ru_maxrss`` (from ``os.wait4``), the SHA-256
+of the stdout followed by the file the command wrote, and the sorted
+``crrpricing`` modules the command loads, from one more, untimed
+``python -X importtime`` process.
+
 With ``--against``, each record is taken ``PAIRS`` times from each of the
 two checkouts, one child at a time, alternating which checkout goes first
 (A B, B A, A B, ...), so both sides see the same load. The record then holds
-both sides, each with the median of its children's medians; their ratio
-(``--src`` over ``--against``); the pairs that ``--src`` won; whether every
-child's SHA-256 is the same; and whether ``--src`` may claim to be faster:
-it won at least nine pairs in ten, the medians differ by more than the
-interquartile range of the ``--against`` children, and the two checkouts'
+both sides: each child's samples, the median of each child's samples and of
+those medians, and ``best_s``, the median over children of each child's
+fastest sample. The two sides are compared on ``best_s``: load on the box
+that slows some of a child's samples moves their median, but not the
+fastest of them. The record holds their ratio (``--src`` over ``--against``);
+the pairs that ``--src`` won; whether every child's SHA-256 is the same; and
+whether ``--src`` may claim to be faster: it won at least nine pairs in ten,
+the two ``best_s`` differ by more than the interquartile range of the
+``--against`` children's fastest samples, and the two checkouts'
 ``src/crrpricing`` sources differ.
 
 Layers are named as the benchmark's traced run names its spans
@@ -42,11 +59,14 @@ import argparse
 import hashlib
 import importlib
 import json
+import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -69,7 +89,11 @@ LAYERS = {
     "pricing.verify_replication": ("lookback", "avg(S) - 10"),
     "pricing.tree_csv": ("call(10)", "lookback", "avg(S) - 10"),
     "market.write_csv": ("lookback", "avg(S) - 10"),
+    "cli.main": ("check", "price", "replicate --out", "verify"),  # commands, not payoffs
 }
+COLD_LAYER = "cli.main"
+COLD_HORIZON = 8  # the horizon of the cli-roundtrip workload
+COLD_CHILDREN = 15  # fresh processes per cold-start record
 
 
 def layer_function(layer: str):
@@ -92,8 +116,56 @@ def sample(fn, args: tuple, calls: int) -> float:
     return time.perf_counter() - start
 
 
+def run_cli(argv: list[str], env: dict, cwd: str) -> tuple[float, int, bytes]:
+    """Wall time, ``ru_maxrss`` and stdout of one fresh ``python -m crrpricing``."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "crrpricing", *argv], env=env, cwd=cwd,
+                            stdout=subprocess.PIPE)
+    with proc.stdout:
+        stdout = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    seconds = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    if proc.returncode != 0:
+        raise RuntimeError(f"crrpricing {' '.join(argv)} exited with {proc.returncode}")
+    return seconds, usage.ru_maxrss, stdout
+
+
+def cold_record(src: str, horizon: int, command: str, children: int) -> dict:
+    """One cold-start record of ``command``: ``children`` fresh processes, and
+    the modules one more loads."""
+    with tempfile.TemporaryDirectory(prefix="sweep-") as tmp:
+        shutil.copytree(Path(src, "src"), Path(tmp, "src"), ignore=shutil.ignore_patterns("__pycache__"))
+        Path(tmp, "market.json").write_text(json.dumps({**PARAMS, "horizon": horizon}))
+        common = ["--config", "market.json", "--payoff", "lookback", "--maturity", str(horizon)]
+        argv, written = {
+            "check": (["check", "--config", "market.json"], None),
+            "price": (["price", *common], None),
+            "replicate --out": (["replicate", *common, "--out", "out.csv"], "out.csv"),
+            "verify": (["verify", *common, "--portfolio", "hedge.csv"], None),
+        }[command]
+        env = {**os.environ, "PYTHONPATH": str(Path(tmp, "src")), "PYTHONDONTWRITEBYTECODE": "1"}
+        run_cli(["replicate", *common, "--out", "hedge.csv"], env, tmp)  # verify's input, untimed
+        runs = [run_cli(argv, env, tmp) for _ in range(children)]
+        text = runs[-1][2] + (Path(tmp, written).read_bytes() if written else b"")
+        trace = subprocess.run([sys.executable, "-X", "importtime", "-m", "crrpricing", *argv],
+                               env=env, cwd=tmp, capture_output=True, text=True, check=True).stderr
+    modules = {line.rsplit("|", 1)[1].strip() for line in trace.splitlines() if line.startswith("import time:")}
+    return {
+        "layer": COLD_LAYER, "horizon": horizon, "payoff": "lookback", "command": command,
+        "median_s": statistics.median(r[0] for r in runs), "runs_s": [r[0] for r in runs],
+        "ru_maxrss_kb": statistics.median(r[1] for r in runs),
+        "bytes": len(text), "sha256": hashlib.sha256(text).hexdigest(),
+        "modules": sorted(m for m in modules if m.split(".")[0] == "crrpricing"),
+    }
+
+
 def record(src: str, layer: str, horizon: int, payoff: str, repeat: int) -> dict:
-    """One record, measured in this process: the median of ``repeat`` samples."""
+    """One record, measured in this process: the median of ``repeat`` samples;
+    of the cold-start layer, ``payoff`` is the command and ``repeat`` the
+    number of fresh processes."""
+    if layer == COLD_LAYER:
+        return cold_record(src, horizon, payoff, repeat)
     sys.path.insert(0, str(Path(src, "src").resolve()))
     from crrpricing.crr import CrrMarket, CrrParams
     from crrpricing.payoff import parse_payoff
@@ -169,29 +241,62 @@ def faster(this: list[float], other: list[float]) -> bool:
 
 def paired(src: str, against: str, layer: str, horizon: int, payoff: str) -> dict:
     """One record of each checkout from ``PAIRS`` alternating pairs of
-    children, run one at a time, and how the two compare."""
+    children, run one at a time, and how the two compare on ``best_s``."""
     sides: tuple[list[dict], list[dict]] = ([], [])
     for k in range(PAIRS):
         for side in (0, 1) if k % 2 == 0 else (1, 0):
             sides[side].append(child((src, against)[side], layer, horizon, payoff))
-    this, other = ([r["median_s"] for r in runs] for runs in sides)
+    this, other = ([min(r["runs_s"]) for r in runs] for runs in sides)
+    identity = ("layer", "horizon", "payoff", "command")
 
     def summary(runs: list[dict]) -> dict:
-        first = {k: v for k, v in runs[0].items() if k not in ("layer", "horizon", "payoff", "runs_s")}
+        first = {k: v for k, v in runs[0].items() if k not in identity}
         return {**first, "median_s": statistics.median(r["median_s"] for r in runs),
-                "medians_s": [r["median_s"] for r in runs],
-                "ru_maxrss_kb": statistics.median(r["ru_maxrss_kb"] for r in runs),
-                "tracemalloc_peak_bytes": statistics.median(r["tracemalloc_peak_bytes"] for r in runs)}
+                "best_s": statistics.median(min(r["runs_s"]) for r in runs),
+                "medians_s": [r["median_s"] for r in runs], "runs_s": [r["runs_s"] for r in runs],
+                **{k: statistics.median(r[k] for r in runs)
+                   for k in ("ru_maxrss_kb", "tracemalloc_peak_bytes") if k in first}}
 
     same_source = source_digest(src) == source_digest(against)
     return {
-        "layer": layer, "horizon": horizon, "payoff": payoff,
+        **{k: v for k, v in sides[0][0].items() if k in identity},
         "src": summary(sides[0]), "against": summary(sides[1]),
         "ratio": statistics.median(this) / statistics.median(other),
         "wins": sum(a < b for a, b in zip(this, other)), "pairs": PAIRS,
         "sha256_equal": len({r["sha256"] for runs in sides for r in runs}) == 1,
         "same_source": same_source, "claim": not same_source and faster(this, other),
     }
+
+
+def cases() -> list[tuple[str, int, str]]:
+    """Every ``(layer, horizon, payoff or command)`` of a sweep, in its order."""
+    return [(layer, horizon, case) for horizon in HORIZONS for layer, layer_cases in LAYERS.items()
+            for case in layer_cases if layer != COLD_LAYER or horizon == COLD_HORIZON]
+
+
+def sweep(src: str, against: str | None, label: str, todo: list[tuple[str, int, str]]) -> dict:
+    """The records of ``todo``, of ``src`` alone or paired with ``against``,
+    written to ``bench/BENCH_<label>.json``."""
+    records = []
+    for layer, horizon, case in todo:
+        if against is None:
+            records.append(child(src, layer, horizon, case))
+            print(f"{layer} T={horizon} {case}: {records[-1]['median_s']:.4f} s", file=sys.stderr)
+            continue
+        r = paired(src, against, layer, horizon, case)
+        records.append(r)
+        print(f"{layer} T={horizon} {case}: {r['src']['best_s']:.4f} s against "
+              f"{r['against']['best_s']:.4f} s, ratio {r['ratio']:.3f}, wins {r['wins']}/{r['pairs']}, "
+              f"same SHA-256: {r['sha256_equal']}, claim: {r['claim']}", file=sys.stderr)
+    result = {
+        "python": platform.python_version(), "machine": platform.machine(),
+        "params": PARAMS, "repeat": REPEAT, "cold_children": COLD_CHILDREN, "records": records,
+    }
+    if against is not None:
+        result["pairs"] = PAIRS
+    out = ROOT / "bench" / f"BENCH_{label}.json"
+    out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    return result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -204,30 +309,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.record:  # a child: one record as a JSON line
         layer, horizon, payoff = args.record
-        print(json.dumps(record(args.src, layer, int(horizon), payoff, REPEAT)))
+        repeat = COLD_CHILDREN if layer == COLD_LAYER else REPEAT
+        print(json.dumps(record(args.src, layer, int(horizon), payoff, repeat)))
         return 0
-
-    records = []
-    for horizon in HORIZONS:
-        for layer, payoffs in LAYERS.items():
-            for payoff in payoffs:
-                if args.against is None:
-                    records.append(child(args.src, layer, horizon, payoff))
-                    print(f"{layer} T={horizon} {payoff}: {records[-1]['median_s']:.4f} s", file=sys.stderr)
-                    continue
-                r = paired(args.src, args.against, layer, horizon, payoff)
-                records.append(r)
-                print(f"{layer} T={horizon} {payoff}: {r['src']['median_s']:.4f} s against "
-                      f"{r['against']['median_s']:.4f} s, ratio {r['ratio']:.3f}, wins {r['wins']}/{r['pairs']}, "
-                      f"same SHA-256: {r['sha256_equal']}, claim: {r['claim']}", file=sys.stderr)
-    result = {
-        "python": platform.python_version(), "machine": platform.machine(),
-        "params": PARAMS, "repeat": REPEAT, "records": records,
-    }
-    if args.against is not None:
-        result["pairs"] = PAIRS
-    out = ROOT / "bench" / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    sweep(args.src, args.against, args.label, cases())
     return 0
 
 

@@ -5,139 +5,61 @@ the two-asset binomial model, a payoff expression language, risk-neutral
 pricing with replicating portfolios, and the verification predicates that
 certify all of it.
 """
-from .crr import (
-    CrrMarket,
-    CrrParams,
-    MarketNotViableError,
-    disc_rfr_proc,
-    discounted_value,
-    filtration_equivalent_bernoulli,
-    is_viable,
-    price_path,
-    risk_neutral_q,
-    step_rate_from_annual,
-)
-from .lattice import (
-    LatticeProcess,
-    PathMeasure,
-    TossPath,
-    conditional_expectation_step,
-    enumerate_paths,
-    expectation,
-    is_measurable_at,
-    path_probability,
-)
-from .market import (
-    Asset,
-    Market,
-    PortfolioFormatError,
-    PredictabilityError,
-    QuantityProcess,
-    closing_value_process,
-    init_value,
-    is_self_financing,
-    is_trading_strategy,
-    make_self_financing,
-    qty_empty,
-    qty_mult_comp,
-    qty_rem_comp,
-    qty_single,
-    qty_sum,
-    quantities_allclose,
-    read_portfolio_csv,
-    support_set,
-    value_process,
-    write_portfolio_csv,
-)
-from .payoff import (
-    PayoffEvalError,
-    PayoffExpr,
-    PayoffSyntaxError,
-    eval_payoff,
-    parse_payoff,
-    payoff_horizon,
-    print_payoff,
-)
-from .pricing import (
-    ArbitrageVerdict,
-    PriceLattice,
-    construct_arbitrage,
-    fair_price,
-    is_arbitrage_process,
-    is_martingale,
-    is_risk_neutral,
-    martingale_residual,
-    one_step_no_arbitrage_check,
-    price_lattice,
-    replicating_portfolio,
-    verify_replication,
-)
+import sys
 
-__all__ = [
-    "Asset",
-    "ArbitrageVerdict",
-    "CrrMarket",
-    "CrrParams",
-    "LatticeProcess",
-    "Market",
-    "MarketNotViableError",
-    "PathMeasure",
-    "PayoffEvalError",
-    "PayoffExpr",
-    "PayoffSyntaxError",
-    "PortfolioFormatError",
-    "PredictabilityError",
-    "PriceLattice",
-    "QuantityProcess",
-    "ReplicationReport",
-    "TossPath",
-    "closing_value_process",
-    "conditional_expectation_step",
-    "construct_arbitrage",
-    "disc_rfr_proc",
-    "discounted_value",
-    "enumerate_paths",
-    "eval_payoff",
-    "expectation",
-    "fair_price",
-    "filtration_equivalent_bernoulli",
-    "init_value",
-    "is_arbitrage_process",
-    "is_martingale",
-    "is_measurable_at",
-    "is_risk_neutral",
-    "is_self_financing",
-    "is_trading_strategy",
-    "is_viable",
-    "make_self_financing",
-    "martingale_residual",
-    "one_step_no_arbitrage_check",
-    "parse_payoff",
-    "path_probability",
-    "payoff_horizon",
-    "price_lattice",
-    "price_path",
-    "print_payoff",
-    "qty_empty",
-    "qty_mult_comp",
-    "qty_rem_comp",
-    "qty_single",
-    "qty_sum",
-    "quantities_allclose",
-    "read_portfolio_csv",
-    "replicating_portfolio",
-    "risk_neutral_q",
-    "step_rate_from_annual",
-    "support_set",
-    "value_process",
-    "verify_replication",
-    "write_portfolio_csv",
-]
+# Each public name -> the module that defines it, loaded on the name's first
+# use (PEP 562), so ``import crrpricing`` compiles no engine module and a
+# command loads only what it runs. ``from crrpricing import *`` loads them all.
+_MODULES = {
+    "crr": (
+        "CrrMarket", "CrrParams", "MarketNotViableError", "disc_rfr_proc", "is_viable",
+        "price_path", "risk_neutral_q",
+    ),
+    "lattice": ("LatticeProcess", "PathMeasure", "TossPath", "enumerate_paths", "expectation"),
+    "_marketbase": ("Asset", "Market"),
+    "market": (
+        "PortfolioFormatError", "PredictabilityError", "QuantityProcess",
+        "closing_value_process", "init_value", "is_self_financing", "is_trading_strategy",
+        "read_portfolio_csv", "support_set", "value_process", "write_portfolio_csv",
+    ),
+    "payoff": (
+        "PayoffEvalError", "PayoffExpr", "PayoffSyntaxError", "eval_payoff", "parse_payoff",
+        "payoff_horizon", "print_payoff",
+    ),
+    "pricing": (
+        "ArbitrageVerdict", "PriceLattice", "construct_arbitrage", "fair_price",
+        "is_arbitrage_process", "one_step_no_arbitrage_check", "price_lattice",
+        "replicating_portfolio", "verify_replication",
+    ),
+    "reference": (
+        "conditional_expectation_step", "discounted_value",
+        "filtration_equivalent_bernoulli", "is_martingale", "is_measurable_at",
+        "is_risk_neutral", "make_self_financing", "martingale_residual", "path_probability",
+        "qty_empty", "qty_mult_comp", "qty_rem_comp", "qty_single", "qty_sum",
+        "quantities_allclose", "step_rate_from_annual",
+    ),
+    "_report": ("ReplicationReport",),
+}
+_EXPORTS = {name: module for module, names in _MODULES.items() for name in names}
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str) -> object:
-    # ReplicationReport loads with ``dataclasses`` on first use (see ``pricing``).
-    if name == "ReplicationReport":
-        from ._report import ReplicationReport
-        return ReplicationReport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # a public name, or a submodule that is not imported yet (``crrpricing.pricing``)
+    module = _EXPORTS.get(name)
+    qualified = f"{__name__}.{module or name}"
+    try:
+        __import__(qualified)  # the import statement's path, which ``python -X importtime`` logs
+    except ModuleNotFoundError as exc:
+        if module or exc.name != qualified:
+            raise
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = sys.modules[qualified]
+    if module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

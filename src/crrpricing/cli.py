@@ -20,26 +20,42 @@ from typing import Callable, TextIO
 from ._value import _SHOWN, echo
 from .crr import CrrMarket, MarketNotViableError, is_viable, risk_neutral_q
 from .lattice import label_at
-from .market import (
-    PredictabilityError,
-    closing_value_level,
-    closing_value_process,  # noqa: F401  (kept importable: perfbench/spans.py rebinds it here)
-    read_path_table,
-    read_portfolio_csv,
-    write_portfolio_csv,
-)
-from . import pricing  # terminal_payoffs through the module: perfbench/spans.py rebinds it there only
-from .payoff import parse_payoff
-from .pricing import (
-    NotStockPortfolioError,
-    PayoffLike,
-    fair_price,
-    construct_arbitrage,
-    is_arbitrage_process,
-    price_lattice,
-    replicating_portfolio,
-    verify_replication,
-)
+
+# Engine names, by module, that every command but a viable ``check`` runs.
+# ``_load_engine`` binds them, and the modules, as globals of this module when a
+# command first needs them, and commands call them as such globals, so a
+# monkeypatched or benchmark-traced ``cli.fair_price`` and the like sees every
+# call. ``closing_value_process`` is bound only for the benchmark's tracer.
+_ENGINE = {
+    "payoff": ("parse_payoff",),
+    "market": (
+        "PredictabilityError", "closing_value_level", "closing_value_process",
+        "read_path_table", "read_portfolio_csv", "write_portfolio_csv",
+    ),
+    "pricing": (
+        "NotStockPortfolioError", "PayoffLike", "fair_price", "construct_arbitrage",
+        "is_arbitrage_process", "price_lattice", "replicating_portfolio", "verify_replication",
+    ),
+}
+
+
+def _load_engine() -> None:
+    """Bind each name of ``_ENGINE``, and each of its modules, that is not bound yet."""
+    for module, names in _ENGINE.items():
+        qualified = f"{__package__}.{module}"
+        __import__(qualified)  # the import statement's path, which ``python -X importtime`` logs
+        engine = globals().setdefault(module, sys.modules[qualified])
+        for name in names:
+            globals().setdefault(name, getattr(engine, name))
+
+
+def __getattr__(name: str) -> object:
+    # an engine name looked up on this module before any command has bound it
+    if name in _ENGINE or any(name in names for names in _ENGINE.values()):
+        _load_engine()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_INVIABLE = 2
@@ -76,6 +92,7 @@ def _fmt(x: float) -> str:
 
 
 def _load_payoff(args: argparse.Namespace, hedge: bool = False) -> PayoffLike:
+    _load_engine()  # price, replicate and verify start here
     payoff = (parse_payoff(args.payoff) if args.payoff is not None
               else read_path_table(_read_text(args.path_table, "path table"), args.maturity))
     if hedge and args.maturity < 1:  # before the market's viability or the portfolio's decision times
@@ -152,6 +169,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if is_viable(crr.params):
         print(f"viable; q = {_fmt(risk_neutral_q(crr.params))}")
         return EXIT_OK
+    _load_engine()
     portfolio = construct_arbitrage(crr)
     verdict = is_arbitrage_process(crr, crr.measure(), portfolio)
     if verdict.violated_clause == "no-strict-gain":

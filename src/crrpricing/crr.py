@@ -22,7 +22,7 @@ from typing import Callable, Collection, Iterator
 
 from ._value import FoldedPath, Value, echo
 from .lattice import LatticeProcess, PathMeasure, TossPath, check_horizon, toss_products
-from .market import Asset, Market
+from ._marketbase import Asset, Market
 
 RISKY_ID = "S"
 RISKFREE_ID = "rf"
@@ -193,15 +193,6 @@ def disc_rfr_proc(r: float, n: int) -> float:
     return (1.0 + r) ** n
 
 
-def discounted_value(r: float, process: LatticeProcess) -> LatticeProcess:
-    """The process deflated by the risk-free growth at each time."""
-    if not r > -1:
-        raise ValueError(f"per-period rate must exceed -1, got r={r}")
-    return LatticeProcess(
-        process.horizon, lambda n: [x / disc_rfr_proc(r, n) for x in process.level(n)]
-    )
-
-
 def is_viable(params: CrrParams) -> bool:
     """No-arbitrage condition on the parameters, with strict boundaries."""
     return params.d < 1.0 + params.r < params.u
@@ -215,31 +206,6 @@ def risk_neutral_q(params: CrrParams) -> float:
             f"d={params.d}, 1+r={1.0 + params.r}, u={params.u}"
         )
     return (1.0 + params.r - params.d) / (params.u - params.d)
-
-
-def step_rate_from_annual(annual: float, steps_per_year: int) -> float:
-    """Per-step rate whose compounding over a year matches the annual rate."""
-    if not annual > -1:
-        raise ValueError(f"annual rate must exceed -1, got {annual}")
-    if steps_per_year < 1:
-        raise ValueError(f"steps per year must be at least 1, got {steps_per_year}")
-    return (1.0 + annual) ** (1.0 / steps_per_year) - 1.0
-
-
-def filtration_equivalent_bernoulli(p: float, q: float) -> bool:
-    """Whether two Bernoulli toss weights share the same zero-probability
-    events on the lattice of any horizon.
-
-    Any interior pair gives every cylinder positive weight under both
-    measures; degenerate weights agree only with themselves, whatever the
-    horizon.
-    """
-    for name, value in (("p", p), ("q", q)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    if 0.0 < p < 1.0 and 0.0 < q < 1.0:
-        return True
-    return p == q
 
 
 class CrrMarket(Market):

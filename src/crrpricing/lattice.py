@@ -164,11 +164,6 @@ def toss_products(start: float, up: float, down: float, n: int) -> list[float]:
     return next(itertools.islice(toss_levels(start, up, down, n), n, None))
 
 
-def path_probability(m: PathMeasure, path: TossPath) -> float:
-    """Product of per-toss weights; the empty path has probability ``1.0``."""
-    return math.prod((m.p if o else 1.0 - m.p for o in path), start=1.0)
-
-
 class LatticeProcess:
     """A real value at every node (n, prefix) for n up to the horizon.
 
@@ -239,37 +234,3 @@ class LatticeProcess:
 def expectation(m: PathMeasure, f: LatticeProcess, n: int) -> float:
     """Expected value of the process at time ``n`` under the path measure."""
     return math.fsum(map(operator.mul, f.level(n), m.weights(n)))
-
-
-def conditional_expectation_step(
-    m: PathMeasure, f: LatticeProcess, n: int, prefix: TossPath
-) -> float:
-    """One-step conditional expectation: the weighted mean of the two
-    children values of ``prefix`` at time ``n + 1``."""
-    if len(prefix) != n:
-        raise ValueError(f"prefix has length {len(prefix)}, expected {n}")
-    up = f.at(n + 1, prefix.child(True))
-    down = f.at(n + 1, prefix.child(False))
-    return m.p * up + (1.0 - m.p) * down
-
-
-def is_measurable_at(f: Callable[[TossPath], float], horizon: int, n: int) -> bool:
-    """Whether a function of the length-``horizon`` paths depends only on the
-    first ``n`` tosses.
-
-    Checked exhaustively: the function must agree on every pair of terminal
-    paths sharing a length-``n`` prefix.
-    """
-    check_horizon(horizon)
-    if not 0 <= n <= horizon:
-        raise ValueError(f"time {n} outside lattice horizon {horizon}")
-    seen: dict[TossPath, float] = {}
-    for w in iter_paths(horizon):
-        key = w.truncate(n)
-        value = f(w)
-        if key in seen:
-            if value != seen[key]:
-                return False
-        else:
-            seen[key] = value
-    return True

@@ -1,13 +1,14 @@
 """Discrete market structure and portfolio algebra.
 
 A market is a finite set of assets with adapted price processes, a subset of
-which are stocks. Portfolios are quantity processes: per asset, one list per
+which are stocks (``Asset`` and ``Market``, from ``_marketbase``, re-exported
+here). Portfolios are quantity processes: per asset, one list per
 interval ``]n-1, n]`` holds an amount for each of the first ``n-1`` tosses, so
 predictability is built into the representation. Value and closing-value
-processes, the self-financing predicate, and a funding construction that
-repairs any portfolio into a self-financing one are provided, with one record
+processes and the self-financing predicate are provided, with one record
 loop for both CSV inputs, each label parsed to its prefix length and index:
-portfolios and path tables.
+portfolios and path tables. The quantity-process constructors and the
+funding construction live in ``reference``.
 """
 from __future__ import annotations
 
@@ -20,11 +21,9 @@ import operator
 import re
 from typing import Callable, Iterable, Mapping
 
-from ._value import Value, echo
-from .lattice import LatticeProcess, TossPath, check_horizon, iter_paths
-from .lattice import label_at, parse_label, prefix_labels
-
-QuantityFn = Callable[[int, TossPath], float]
+from ._marketbase import Asset, Market
+from ._value import echo
+from .lattice import TossPath, check_horizon, label_at, parse_label, prefix_labels
 
 
 class PortfolioFormatError(ValueError):
@@ -33,44 +32,6 @@ class PortfolioFormatError(ValueError):
 
 class PredictabilityError(ValueError):
     """A portfolio table assigns quantities that peek at future tosses."""
-
-
-class Asset(Value):
-    """A tradable instrument; a ``Market`` names which ones are stocks."""
-
-    __slots__ = ("id",)
-
-    def __init__(self, id: str):
-        if not id:
-            raise ValueError("asset id must be nonempty")
-        super().__init__(id)
-
-
-class Market:
-    """Assets with price processes; the stocks must be a proper subset."""
-
-    __slots__ = ("assets", "stocks", "prices", "horizon")
-
-    def __init__(self, prices: Mapping[Asset, LatticeProcess], stocks: Iterable[Asset]):
-        self.prices = dict(prices)
-        self.assets = frozenset(self.prices)
-        self.stocks = frozenset(stocks)
-        if not self.stocks <= self.assets:
-            raise ValueError("stocks must be drawn from the market's assets")
-        if self.stocks == self.assets:
-            raise ValueError("market needs at least one non-stock asset slot")
-        horizons = {p.horizon for p in self.prices.values()}
-        if len(horizons) != 1:
-            raise ValueError(f"price processes disagree on horizon: {sorted(horizons)}")
-        self.horizon = horizons.pop()
-        if self.horizon < 1:
-            raise ValueError("market horizon must be at least 1")
-
-    def price(self, asset: Asset) -> LatticeProcess:
-        try:
-            return self.prices[asset]
-        except KeyError:
-            raise ValueError(f"asset {asset.id!r} is not traded on this market") from None
 
 
 class QuantityProcess:
@@ -110,48 +71,6 @@ class QuantityProcess:
             )
         table = self.levels.get(asset)
         return 0.0 if table is None else table[n - 1][prefix.index()]
-
-
-def _tabulate(fn: QuantityFn, horizon: int) -> list[list[float]]:
-    """``fn(n, w)`` at every trading node, as the levels of a quantity process."""
-    check_horizon(horizon)
-    return [[fn(n, w) for w in iter_paths(n - 1)] for n in range(1, horizon + 1)]
-
-
-def qty_empty(horizon: int) -> QuantityProcess:
-    """The quantity process that never buys or sells anything."""
-    return QuantityProcess(horizon, {})
-
-
-def qty_single(asset: Asset, prc: QuantityFn, horizon: int) -> QuantityProcess:
-    """A quantity process that only ever trades one asset."""
-    return QuantityProcess(horizon, {asset: _tabulate(prc, horizon)})
-
-
-def qty_sum(q1: QuantityProcess, q2: QuantityProcess) -> QuantityProcess:
-    """Pointwise sum of holdings."""
-    if q1.horizon != q2.horizon:
-        raise ValueError(f"horizon mismatch: {q1.horizon} vs {q2.horizon}")
-    zeros = [[0.0] * (1 << t) for t in range(q1.horizon)]
-    return QuantityProcess(q1.horizon, {
-        a: [list(map(operator.add, l1, l2))
-            for l1, l2 in zip(q1.levels.get(a, zeros), q2.levels.get(a, zeros))]
-        for a in q1.levels.keys() | q2.levels.keys()
-    })
-
-
-def qty_mult_comp(q: QuantityProcess, prd: QuantityFn) -> QuantityProcess:
-    """Scale every holding by a predictable process."""
-    scale = _tabulate(prd, q.horizon)
-    return QuantityProcess(q.horizon, {
-        a: [list(map(operator.mul, level, factors)) for level, factors in zip(table, scale)]
-        for a, table in q.levels.items()
-    })
-
-
-def qty_rem_comp(q: QuantityProcess, asset: Asset) -> QuantityProcess:
-    """Nullify the holdings of one asset."""
-    return QuantityProcess(q.horizon, {a: t for a, t in q.levels.items() if a != asset})
 
 
 def support_set(q: QuantityProcess) -> frozenset[Asset]:
@@ -263,39 +182,6 @@ def is_self_financing(mkt: Market, p: QuantityProcess, tol: float = 1e-9) -> boo
         # ``tol >= gap`` is false for a NaN gap, so a NaN fails the check.
         return all(map(functools.partial(operator.ge, tol), map(abs, map(operator.sub, value, closing))))
     return all(_worth(mkt, p, n, [n, n - 1], financed) for n in range(1, p.horizon))
-
-
-def make_self_financing(
-    mkt: Market, p: QuantityProcess, funding: Asset, v0: float
-) -> QuantityProcess:
-    """Overwrite the funding-asset holdings so the result is self-financing
-    with initial value ``v0``; all other holdings are kept as given.
-
-    The funding asset must never have a zero price, since each rebalancing
-    buys or sells exactly the quantity of it that absorbs the cash imbalance.
-    """
-    _check_time(mkt, p, 0)
-    horizon = p.horizon
-    fprices = [mkt.price(funding).level(n) for n in range(horizon + 1)]
-    for n, level in enumerate(fprices):
-        if 0.0 in level:
-            raise ValueError(
-                f"funding asset {funding.id!r} has zero price at node "
-                f"(t={n}, {label_at(n, level.index(0.0))})"
-            )
-
-    others = sorted((a for a in support_set(p) if a != funding), key=lambda a: a.id)
-    beta = [[(v0 - init_value(mkt, qty_rem_comp(p, funding))) / fprices[0][0]]]
-    for n in range(1, horizon):
-        cost = _node_fsums(n, lambda: [[
-            map(operator.mul, mkt.price(a).level(n),
-                map(operator.sub, _held_at(p.levels[a][n - 1], 1), p.levels[a][n]))
-            for a in others
-        ]])
-        beta.append(list(map(operator.add, _held_at(beta[-1], 1), map(operator.truediv, cost, fprices[n]))))
-    levels = {a: t for a, t in p.levels.items() if a != funding}
-    levels[funding] = beta
-    return QuantityProcess(horizon, levels)
 
 
 def is_trading_strategy(p: QuantityProcess) -> bool:
@@ -535,19 +421,3 @@ def read_path_table(text: str, maturity: int) -> list[float]:
             f"paths, e.g. {label_at(maturity, level.index(None))}"
         )
     return level
-
-
-def quantities_allclose(
-    q1: QuantityProcess, q2: QuantityProcess, tol: float = 1e-12
-) -> bool:
-    """Pointwise equality of holdings at every stored key, within ``tol``;
-    a NaN holding is close to nothing, not even another NaN."""
-    if q1.horizon != q2.horizon:
-        return False
-    zeros = [[0.0] * (1 << t) for t in range(q1.horizon)]
-    return all(
-        abs(x - y) <= tol
-        for a in q1.levels.keys() | q2.levels.keys()
-        for l1, l2 in zip(q1.levels.get(a, zeros), q2.levels.get(a, zeros))
-        for x, y in zip(l1, l2)
-    )

@@ -5,9 +5,9 @@ The fair price of a maturity-``T`` payoff is its expectation under the
 risk-neutral toss weight, discounted to time 0. The same payoff is hedged by
 a two-asset portfolio whose risky position at each node is the ratio of the
 one-step value spread to the one-step price spread; the verifiers check
-self-financing, predictability, terminal replication, the martingale
-property of discounted prices, and the absence (or explicit construction)
-of arbitrage.
+self-financing, predictability, terminal replication, and the absence (or
+explicit construction) of arbitrage. The martingale property of discounted
+prices is checked in ``reference``.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from ._value import Value, echo
 from .crr import (
     CrrMarket,
     disc_rfr_proc,
-    discounted_value,
     is_viable,
     price_path,  # noqa: F401  (kept importable: perfbench/spans.py rebinds it here)
     price_walk,
@@ -254,36 +253,6 @@ def verify_replication(
         max_terminal_error=worst,
         init_value=init_value(crr, p),
         tolerance=tol,
-    )
-
-
-def martingale_residual(m: PathMeasure, process: LatticeProcess, horizon: int) -> float:
-    """Largest one-step defect |X_n - E[X_{n+1} | first n tosses]|; NaN when
-    any defect is NaN, so ``is_martingale`` fails on a NaN node."""
-    if horizon > process.horizon:
-        raise ValueError(f"horizon {horizon} outside process horizon {process.horizon}")
-    defects = [
-        abs(x - (m.p * up + (1.0 - m.p) * down))
-        for here, kids in itertools.pairwise(map(process.level, range(horizon + 1)))
-        for x, up, down in zip(here, kids[0::2], kids[1::2])
-    ]
-    return _worst(defects)
-
-
-def is_martingale(
-    m: PathMeasure, process: LatticeProcess, horizon: int, tol: float = 1e-9
-) -> bool:
-    """One-step driftlessness at every node; the multi-step property follows
-    by iterating conditional expectations."""
-    return martingale_residual(m, process, horizon) <= tol
-
-
-def is_risk_neutral(crr: CrrMarket, m: PathMeasure, tol: float = 1e-9) -> bool:
-    """Whether every discounted stock price is driftless under ``m``."""
-    r = crr.params.r
-    return all(
-        is_martingale(m, discounted_value(r, crr.price(a)), crr.horizon, tol)
-        for a in sorted(crr.stocks, key=lambda a: a.id)
     )
 
 

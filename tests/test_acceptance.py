@@ -11,10 +11,8 @@ import pytest
 from crrpricing.crr import (
     CrrMarket,
     CrrParams,
-    discounted_value,
     is_viable,
     risk_neutral_q,
-    step_rate_from_annual,
 )
 from crrpricing.lattice import (
     LatticeProcess,
@@ -23,7 +21,6 @@ from crrpricing.lattice import (
     enumerate_paths,
     expectation,
     iter_paths,
-    path_probability,
 )
 from crrpricing.market import (
     Asset,
@@ -33,9 +30,6 @@ from crrpricing.market import (
     init_value,
     is_self_financing,
     is_trading_strategy,
-    make_self_financing,
-    qty_single,
-    qty_sum,
     value_process,
 )
 from crrpricing.payoff import PayoffSyntaxError, eval_payoff, parse_payoff, print_payoff
@@ -43,11 +37,19 @@ from crrpricing.pricing import (
     construct_arbitrage,
     fair_price,
     is_arbitrage_process,
-    martingale_residual,
     one_step_no_arbitrage_check,
     price_lattice,
     replicating_portfolio,
     verify_replication,
+)
+from crrpricing.reference import (
+    discounted_value,
+    make_self_financing,
+    martingale_residual,
+    path_probability,
+    qty_single,
+    qty_sum,
+    step_rate_from_annual,
 )
 
 

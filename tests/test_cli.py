@@ -1068,15 +1068,134 @@ assert sorted(crrpricing.__all__) == sorted(set(names) - {"__builtins__"})
 """
 
 
+def fresh_python(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter without site: nothing but the package can load it."""
+    src = str(Path(cli.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-S", "-c", script, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+
+
+# Runs one command through cli.main, or none, and prints the exit code and the
+# package's modules it loaded.
+LOADED_SCRIPT = """
+import contextlib, io, json, sys
+import crrpricing
+argv = sys.argv[1:]
+if argv:
+    from crrpricing import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+else:
+    rc = 0
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "crrpricing")]))
+"""
+CLI_BASE = ["crrpricing", "crrpricing._marketbase", "crrpricing._value", "crrpricing.cli",
+            "crrpricing.crr", "crrpricing.lattice"]
+ENGINE = ["crrpricing.market", "crrpricing.payoff", "crrpricing.pricing"]
+MOVED_TO_REFERENCE = (
+    "conditional_expectation_step", "discounted_value", "filtration_equivalent_bernoulli",
+    "is_martingale", "is_measurable_at", "is_risk_neutral", "make_self_financing",
+    "martingale_residual", "path_probability", "qty_empty", "qty_mult_comp", "qty_rem_comp",
+    "qty_single", "qty_sum", "quantities_allclose", "step_rate_from_annual",
+)
+
+
 class TestColdStart:
     def test_check_and_price_never_load_dataclasses(self, config):
-        # a fresh interpreter without site: nothing but the package can load it
-        src = str(Path(cli.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", COLD_START_SCRIPT, config],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
-        )
+        proc = fresh_python(COLD_START_SCRIPT, config)
         assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, "", "")
+
+    @pytest.mark.parametrize("command, code, loaded", [
+        (None, EXIT_OK, ["crrpricing"]),
+        ("check", EXIT_OK, CLI_BASE),  # no payoff language, pricing, portfolios or oracle
+        ("check-inviable", EXIT_CHECK_INVIABLE, sorted(CLI_BASE + ENGINE)),
+        ("price", EXIT_OK, sorted(CLI_BASE + ENGINE)),
+        ("replicate", EXIT_OK, sorted(CLI_BASE + ENGINE + ["crrpricing._report"])),
+        ("verify", EXIT_OK, sorted(CLI_BASE + ENGINE + ["crrpricing._report"])),
+    ], ids=["import", "check", "check-inviable", "price", "replicate", "verify"])
+    def test_each_command_loads_only_the_modules_it_runs(self, config, tmp_path, command, code, loaded):
+        hedge = tmp_path / "hedge.csv"
+        assert main(["replicate", "--config", config, "--payoff", "lookback", "--maturity", "2",
+                     "--out", str(hedge)]) == EXIT_OK
+        common = ["--config", config, "--payoff", "lookback", "--maturity", "2"]
+        argv = {
+            None: [],
+            "check": ["check", "--config", config],
+            "check-inviable": ["check", "--config", write_config(tmp_path, r=0.25)],
+            "price": ["price", *common],
+            "replicate": ["replicate", *common, "--out", str(tmp_path / "out.csv")],
+            "verify": ["verify", *common, "--portfolio", str(hedge)],
+        }[command]
+        proc = fresh_python(LOADED_SCRIPT, *argv)
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout) == [code, loaded]
+
+    def test_lazy_names_are_listed_and_submodules_resolve(self):
+        script = """
+import crrpricing, sys
+assert set(crrpricing.__all__) <= set(dir(crrpricing)), set(crrpricing.__all__) - set(dir(crrpricing))
+assert len(crrpricing.__all__) == 58
+assert crrpricing.pricing is sys.modules["crrpricing.pricing"]
+assert crrpricing.fair_price is crrpricing.pricing.fair_price
+assert not hasattr(crrpricing, "no_such_name")
+"""
+        proc = fresh_python(script)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize("name", MOVED_TO_REFERENCE)
+    def test_each_oracle_name_is_the_reference_modules(self, name):
+        import crrpricing
+        from crrpricing import reference
+
+        assert getattr(crrpricing, name) is getattr(reference, name)
+        assert getattr(reference, name).__module__ == "crrpricing.reference"
+
+
+# perfbench/spans.py is read, never edited: the names its tracer rebinds
+# must resolve on a fresh interpreter, and a trace after the commands have
+# run must put every binding back.
+BINDINGS_SCRIPT = """
+import contextlib, importlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from perfbench.spans import SPAN_BINDINGS, Tracer
+
+def bindings():
+    found = {}
+    for module, path in [b for bs in SPAN_BINDINGS.values() for b in bs] + [
+            ("crrpricing.lattice", "enumerate_paths"), ("crrpricing.lattice", "TossPath.__init__")]:
+        owner = importlib.import_module(module)
+        for name in path.split("."):
+            owner = getattr(owner, name)
+        found[module, path] = owner
+    return found
+
+if sys.argv[2] == "resolve":
+    assert all(callable(f) for f in bindings().values())
+else:
+    from crrpricing import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["check", "--config", sys.argv[3]]) == 0
+        assert cli.main(["replicate", "--config", sys.argv[3], "--payoff", "lookback", "--maturity", "2"]) == 0
+    before = bindings()
+    tracer = Tracer()
+    tracer.install()
+    assert all(f is not before[k] for k, f in bindings().items()
+               if k != ("crrpricing.lattice", "enumerate_paths"))
+    tracer.uninstall()
+    after = bindings()
+    changed = [k for k in before if after[k] is not before[k]]
+    assert not changed, changed
+"""
+
+
+class TestBenchmarkBindings:
+    @pytest.mark.parametrize("when", ["resolve", "trace-after-commands"])
+    def test_every_traced_name_resolves_and_is_restored(self, config, when):
+        root = str(Path(__file__).resolve().parents[1])
+        proc = fresh_python(BINDINGS_SCRIPT, root, when, config)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 class BrokenPipeStdout(io.StringIO):

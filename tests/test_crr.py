@@ -17,13 +17,10 @@ from crrpricing.crr import (
     CrrParams,
     MarketNotViableError,
     disc_rfr_proc,
-    discounted_value,
-    filtration_equivalent_bernoulli,
     is_viable,
     price_path,
     price_walk,
     risk_neutral_q,
-    step_rate_from_annual,
     terminal_prices,
 )
 from crrpricing.lattice import (
@@ -31,9 +28,7 @@ from crrpricing.lattice import (
     PathMeasure,
     TossPath,
     enumerate_paths,
-    is_measurable_at,
     iter_paths,
-    path_probability,
     toss_products,
 )
 from crrpricing.market import (
@@ -42,11 +37,18 @@ from crrpricing.market import (
     closing_value_process,
     init_value,
     is_self_financing,
-    qty_single,
-    qty_sum,
 )
 from crrpricing.payoff import parse_payoff
 from crrpricing.pricing import fair_price
+from crrpricing.reference import (
+    discounted_value,
+    filtration_equivalent_bernoulli,
+    is_measurable_at,
+    path_probability,
+    qty_single,
+    qty_sum,
+    step_rate_from_annual,
+)
 
 PARAMS = CrrParams(u=1.2, d=0.8, v=10.0, r=0.03, p=0.5)
 

@@ -11,15 +11,13 @@ from crrpricing.lattice import (
     LatticeProcess,
     PathMeasure,
     TossPath,
-    conditional_expectation_step,
     enumerate_paths,
     expectation,
-    is_measurable_at,
     iter_paths,
     label_at,
-    path_probability,
     prefix_labels,
 )
+from crrpricing.reference import conditional_expectation_step, is_measurable_at, path_probability
 
 
 def path(label: str) -> TossPath:

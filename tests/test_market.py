@@ -28,6 +28,13 @@ from crrpricing.market import (
     init_value,
     is_self_financing,
     is_trading_strategy,
+    read_path_table,
+    read_portfolio_csv,
+    support_set,
+    value_process,
+    write_portfolio_csv,
+)
+from crrpricing.reference import (
     make_self_financing,
     qty_empty,
     qty_mult_comp,
@@ -35,11 +42,6 @@ from crrpricing.market import (
     qty_single,
     qty_sum,
     quantities_allclose,
-    read_path_table,
-    read_portfolio_csv,
-    support_set,
-    value_process,
-    write_portfolio_csv,
 )
 
 APL = Asset("Apl")

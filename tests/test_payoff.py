@@ -14,7 +14,7 @@ from crrpricing import payoff as payoff_module
 from crrpricing import pricing
 from crrpricing._value import FoldedPath, echo
 from crrpricing.crr import CrrMarket, CrrParams, price_path
-from crrpricing.lattice import TossPath, is_measurable_at, iter_paths
+from crrpricing.lattice import TossPath, iter_paths
 from crrpricing.payoff import (
     MAX_PAYOFF_DEPTH,
     Add,
@@ -41,6 +41,7 @@ from crrpricing.payoff import (
     terminal_only,
 )
 from crrpricing.pricing import terminal_payoffs
+from crrpricing.reference import is_measurable_at
 
 
 class TestParsing:

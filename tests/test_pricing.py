@@ -23,7 +23,6 @@ from crrpricing.crr import (
     CrrParams,
     MarketNotViableError,
     disc_rfr_proc,
-    discounted_value,
     price_path,
     risk_neutral_q,
 )
@@ -31,11 +30,9 @@ from crrpricing.lattice import (
     LatticeProcess,
     PathMeasure,
     TossPath,
-    conditional_expectation_step,
     enumerate_paths,
     expectation,
     iter_paths,
-    path_probability,
     prefix_labels,
 )
 from crrpricing.market import (
@@ -45,11 +42,7 @@ from crrpricing.market import (
     closing_value_level,
     closing_value_process,
     init_value,
-    qty_empty,
-    qty_single,
-    qty_sum,
     QuantityProcess,
-    quantities_allclose,
     read_portfolio_csv,
     write_portfolio_csv,
 )
@@ -60,14 +53,23 @@ from crrpricing.pricing import (
     construct_arbitrage,
     fair_price,
     is_arbitrage_process,
-    is_martingale,
-    is_risk_neutral,
-    martingale_residual,
     one_step_no_arbitrage_check,
     price_lattice,
     replicating_portfolio,
     terminal_payoffs,
     verify_replication,
+)
+from crrpricing.reference import (
+    conditional_expectation_step,
+    discounted_value,
+    is_martingale,
+    is_risk_neutral,
+    martingale_residual,
+    path_probability,
+    qty_empty,
+    qty_single,
+    qty_sum,
+    quantities_allclose,
 )
 
 PARAMS = CrrParams(u=1.2, d=0.8, v=10.0, r=0.03, p=0.5)

@@ -1,7 +1,7 @@
 """Smoke run of the sweep, ``bench/sweep.py``: one record per layer (the
 payoff pass, hedge synthesis, verification and the CSV writers) and payoff at
-T=4, one sample each, measured in this process; and one paired record of a
-checkout against itself."""
+T=4, one sample each, measured in this process; one cold-start record per
+command at T=3; and one paired record of a checkout against itself."""
 import hashlib
 import json
 import runpy
@@ -12,7 +12,9 @@ from pathlib import Path
 from crrpricing.crr import CrrMarket, CrrParams
 from crrpricing.market import Asset, write_portfolio_csv
 from crrpricing.payoff import parse_payoff
-from crrpricing.pricing import price_lattice, replicating_portfolio, terminal_payoffs, verify_replication
+from crrpricing.pricing import (
+    fair_price, price_lattice, replicating_portfolio, terminal_payoffs, verify_replication,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,7 +23,8 @@ def test_one_record_per_writer_and_payoff_with_the_writers_bytes(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # record() puts the checkout on it
     sweep = runpy.run_path(str(ROOT / "bench" / "sweep.py"))
     records = [sweep["record"](str(ROOT), layer, 4, payoff, 1)
-               for layer, payoffs in sweep["LAYERS"].items() for payoff in payoffs]
+               for layer, payoffs in sweep["LAYERS"].items() if layer != sweep["COLD_LAYER"]
+               for payoff in payoffs]
     assert [(r["layer"], r["payoff"]) for r in records] == [
         ("pricing.terminal_payoffs", "call(10)"), ("pricing.terminal_payoffs", "lookback"),
         ("pricing.terminal_payoffs", "avg(S) - 10"), ("pricing.terminal_payoffs", "S[1] - S_T"),
@@ -58,6 +61,41 @@ def test_one_record_per_writer_and_payoff_with_the_writers_bytes(monkeypatch):
         assert r["ru_maxrss_kb"] > 0 and r["tracemalloc_peak_bytes"] > 0
 
 
+def test_one_cold_start_record_per_command_with_its_bytes_and_modules(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    sweep = runpy.run_path(str(ROOT / "bench" / "sweep.py"))
+    commands = sweep["LAYERS"][sweep["COLD_LAYER"]]
+    assert commands == ("check", "price", "replicate --out", "verify")
+    records = {c: sweep["record"](str(ROOT), "cli.main", 3, c, 2) for c in commands}
+    crr = CrrMarket(CrrParams(**sweep["PARAMS"]), horizon=3)
+    payoff = parse_payoff("lookback")
+    hedge = replicating_portfolio(crr, payoff, 3)
+    report = verify_replication(crr, hedge, payoff, 3)
+    base = ["crrpricing", "crrpricing._marketbase", "crrpricing._value", "crrpricing.cli",
+            "crrpricing.crr", "crrpricing.lattice"]
+    engine = sorted(base + ["crrpricing.market", "crrpricing.payoff", "crrpricing.pricing"])
+    expected = {  # stdout, then the file the command wrote
+        "check": (f"viable; q = {crr.risk_neutral_measure().p:.6g}\n", base),
+        "price": (f"fair price: {fair_price(crr, payoff, 3):.6g}\n", engine),
+        "replicate --out": (
+            f"replicating: yes; init value = {report.init_value:.6g}; "
+            f"max terminal error = {report.max_terminal_error:.6g}\n" + write_portfolio_csv(hedge),
+            sorted(engine + ["crrpricing._report"])),
+        "verify": (
+            "stock-portfolio: pass\ntrading-strategy: pass\nself-financing: pass\n"
+            f"terminal-match: pass (max error = {report.max_terminal_error:.6g})\n"
+            f"init value = {report.init_value:.6g}\nreplicating: yes\n",
+            sorted(engine + ["crrpricing._report"])),
+    }
+    for command, r in records.items():
+        text, modules = expected[command]
+        assert (r["layer"], r["horizon"], r["payoff"], r["command"]) == ("cli.main", 3, "lookback", command)
+        assert r["sha256"] == hashlib.sha256(text.encode()).hexdigest() and r["bytes"] == len(text.encode())
+        assert r["modules"] == modules
+        assert len(r["runs_s"]) == 2 and r["median_s"] == statistics.median(r["runs_s"]) > 0
+        assert r["ru_maxrss_kb"] > 0
+
+
 def test_a_checkout_against_itself_has_the_same_bytes_and_no_claim(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     sweep = runpy.run_path(str(ROOT / "bench" / "sweep.py"))
@@ -68,8 +106,10 @@ def test_a_checkout_against_itself_has_the_same_bytes_and_no_claim(monkeypatch):
     assert r["same_source"] and r["claim"] is False
     assert 0 <= r["wins"] <= pairs and r["ratio"] > 0
     for side in ("src", "against"):
-        assert len(r[side]["medians_s"]) == pairs
+        assert len(r[side]["medians_s"]) == len(r[side]["runs_s"]) == pairs
         assert r[side]["median_s"] == statistics.median(r[side]["medians_s"])
+        assert r[side]["best_s"] == statistics.median(map(min, r[side]["runs_s"]))  # the sides' statistic
+    assert r["ratio"] == r["src"]["best_s"] / r["against"]["best_s"]
 
 
 def test_faster_needs_nine_wins_in_ten_and_a_gap_past_the_spread():
