@@ -1,6 +1,7 @@
-"""Horizon sweep of the payoff pass, hedge synthesis, verification, the
-CSV I/O layer and the CLI's cold start: the level of payoffs at maturity, the
-hedge, its report, the value-tree and hedge writers, and the commands of the
+"""Horizon sweep of the payoff pass, backward induction, the fair price,
+hedge synthesis, verification, the CSV I/O layer and the CLI's cold start:
+the level of payoffs at maturity, the value tree, the price, the hedge, its
+report, the value-tree and hedge writers, and the commands of the
 benchmark's ``cli-roundtrip`` workload, each in a fresh process.
 
     python3 bench/sweep.py --label after
@@ -10,18 +11,23 @@ benchmark's ``cli-roundtrip`` workload, each in a fresh process.
 writes ``bench/BENCH_<label>.json``. Each record times one layer on one
 payoff at one horizon of ``HORIZONS``, in a fresh process that imports
 ``crrpricing`` from ``<src>/src``, so one copy of this script times any
-checkout. The payoff pass evaluates the payoff on every maturity path; hedge
-synthesis builds the payoff's replicating portfolio, and verification checks
-that hedge against the payoff; a writer writes the payoff's value tree or
-hedge to a string. A record holds the median of ``REPEAT`` samples of the
-wall time per call, each sample timing as many back-to-back calls as make it
-last at least ``MIN_SAMPLE_S`` (that count is the record's ``calls``; it
-doubles from 1 until one sample lasts that long); the child's ``ru_maxrss``
-after them (the tree or hedge written included), the ``tracemalloc`` peak of
-one more call, the length and SHA-256 of the text, and how many of the
-values are distinct, per column. For the layers that return floats, the text
-is their ``float.hex`` values one a line: the payoff level, the hedge's
-levels one asset at a time in id order, and the report's four fields.
+checkout. The payoff pass evaluates the payoff on every maturity path;
+backward induction (``price_lattice``) and the fair price are given that
+level, so they time no payoff pass; hedge synthesis builds the payoff's
+replicating portfolio, and verification checks that hedge against the
+payoff; a writer writes the payoff's value tree or hedge to a string. The
+layers measured in process reuse one market for every call, so after the
+first call they time the market's stored price levels and path weights
+warm, as a caller that reuses its market does. A record holds the median of
+``REPEAT`` samples of the wall time per call, each sample timing as many
+back-to-back calls as make it last at least ``MIN_SAMPLE_S`` (that count is
+the record's ``calls``; it doubles from 1 until one sample lasts that long);
+the child's ``ru_maxrss`` after them (the tree or hedge written included),
+the ``tracemalloc`` peak of one more call, the length and SHA-256 of the
+text, and how many of the values are distinct, per column. For the layers that return floats, the text
+is their ``float.hex`` values one a line: the payoff level, the value tree's
+levels from the root, the price, the hedge's levels one asset at a time in
+id order, and the report's four fields.
 
 The cold-start layer, ``cli.main``, takes one record per command of
 ``cli-roundtrip`` (``check``, ``price``, ``replicate --out`` and ``verify``
@@ -78,13 +84,16 @@ REPEAT = 5  # timed samples per record
 MIN_SAMPLE_S = 0.05  # shortest sample: a T=8 call can take 0.2 ms, too short to time alone
 PAIRS = 10  # pairs of children per record under --against
 REPORT_FIELDS = ("self_financing", "max_terminal_error", "init_value", "tolerance")
-# layer -> the payoffs whose maturity level (pricing.terminal_payoffs), hedge
+# layer -> the payoffs whose maturity level (pricing.terminal_payoffs), value
+# tree (pricing.price_lattice), price (pricing.fair_price), hedge
 # (pricing.replicating_portfolio), report (pricing.verify_replication), tree
-# (pricing.tree_csv) or hedge CSV (market.write_csv) it makes; the payoff pass
+# CSV (pricing.tree_csv) or hedge CSV (market.write_csv) it makes; the payoff pass
 # covers the terminal prices (call), the bare walk (S[1] - S_T), and walks
 # that keep the maximum, the sum, and the maximum and minimum folds
 LAYERS = {
     "pricing.terminal_payoffs": ("call(10)", "lookback", "avg(S) - 10", "S[1] - S_T", "max(S) - min(S)"),
+    "pricing.price_lattice": ("lookback", "avg(S) - 10"),
+    "pricing.fair_price": ("lookback", "avg(S) - 10"),
     "pricing.replicating_portfolio": ("lookback", "avg(S) - 10"),
     "pricing.verify_replication": ("lookback", "avg(S) - 10"),
     "pricing.tree_csv": ("call(10)", "lookback", "avg(S) - 10"),
@@ -169,12 +178,14 @@ def record(src: str, layer: str, horizon: int, payoff: str, repeat: int) -> dict
     sys.path.insert(0, str(Path(src, "src").resolve()))
     from crrpricing.crr import CrrMarket, CrrParams
     from crrpricing.payoff import parse_payoff
-    from crrpricing.pricing import price_lattice, replicating_portfolio
+    from crrpricing.pricing import price_lattice, replicating_portfolio, terminal_payoffs
 
     crr = CrrMarket(CrrParams(**PARAMS), horizon=horizon)
     expr = parse_payoff(payoff)
     if layer in ("pricing.terminal_payoffs", "pricing.replicating_portfolio"):
         args = (crr, expr, horizon)
+    elif layer in ("pricing.price_lattice", "pricing.fair_price"):
+        args = (crr, terminal_payoffs(crr, expr, horizon), horizon)  # the payoff pass, untimed
     elif layer == "pricing.tree_csv":
         tree = price_lattice(crr, expr, horizon)
         args, columns = (tree,), {"value": tree.levels}
@@ -195,6 +206,10 @@ def record(src: str, layer: str, horizon: int, payoff: str, repeat: int) -> dict
     tracemalloc.stop()
     if layer == "pricing.terminal_payoffs":
         columns = {"payoff": [text]}
+    elif layer == "pricing.price_lattice":
+        columns = {"value": text.levels}
+    elif layer == "pricing.fair_price":
+        columns = {"price": [[text]]}
     elif layer == "pricing.replicating_portfolio":
         columns = {a.id: text.levels[a] for a in sorted(text.levels, key=lambda a: a.id)}
     elif layer == "pricing.verify_replication":

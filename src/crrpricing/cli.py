@@ -112,7 +112,9 @@ def cmd_price(args: argparse.Namespace) -> int:
         payoff = _maturity_level(crr, payoff, args.maturity)
     price = fair_price(crr, payoff, args.maturity)
     if args.tree:
-        _write_text(args.tree, "tree", price_lattice(crr, payoff, args.maturity).to_csv)
+        tree = price_lattice(crr, payoff, args.maturity)
+        del crr, payoff  # the writer needs neither the market's stored levels nor the maturity level
+        _write_text(args.tree, "tree", tree.to_csv)
     print(f"fair price: {_fmt(price)}")
     return EXIT_OK
 

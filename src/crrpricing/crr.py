@@ -11,6 +11,11 @@ every node. The risk-free asset compounds at a constant per-period rate
 ``r``. The market admits no arbitrage among stock-only portfolios exactly
 when ``d < 1 + r < u``, in which case the unique Bernoulli up-probability
 making the discounted risky price driftless is ``q = (1 + r - d) / (u - d)``.
+
+A ``CrrMarket`` is fixed once built, so it builds its risky price levels and
+its risk-neutral path weights once, as ``array('d')`` levels, on first
+demand and only as deep as asked; the hedge, its check and every fair price
+on that market read them from there.
 """
 from __future__ import annotations
 
@@ -21,7 +26,9 @@ import sys
 from typing import Callable, Collection, Iterator
 
 from ._value import FoldedPath, Value, echo
-from .lattice import LatticeProcess, PathMeasure, TossPath, check_horizon, toss_products
+from .lattice import (
+    LatticeProcess, PathMeasure, TossPath, _StoredLevels, _StoredProcess, check_horizon, toss_products,
+)
 from ._marketbase import Asset, Market
 
 RISKY_ID = "S"
@@ -211,22 +218,31 @@ def risk_neutral_q(params: CrrParams) -> float:
 class CrrMarket(Market):
     """The binomial market, an instance of the generic ``Market``: one risky
     asset and one risk-free asset, the two stocks, and a free slot for a
-    derivative product."""
+    derivative product.
 
-    __slots__ = ("params", "risky", "riskfree", "extra")
+    The market keeps two families of levels, each built on first demand up
+    to the deepest time asked (``lattice._StoredLevels``): ``_prices``, the
+    risky price from ``v`` by ``u`` and ``d``, whose public ``level(n)`` is
+    a fresh list copied from it and whose ``_view(n)``, read by the worths
+    and the one-step check, is the stored level itself; and, in a viable
+    market, ``_weights``, the risk-neutral path weights from 1 by ``q`` and
+    ``1 - q``, level ``n`` equal to ``risk_neutral_measure().weights(n)``
+    bit for bit."""
+
+    __slots__ = ("params", "risky", "riskfree", "extra", "_prices", "_weights")
 
     def __init__(self, params: CrrParams, horizon: int):
         self.params = params
         self.risky = Asset(RISKY_ID)
         self.riskfree = Asset(RISKFREE_ID)
         self.extra = Asset(EXTRA_ID)
+        self._prices = _StoredLevels(params.v, params.u, params.d)
+        self._weights = None
         # built first: the price processes check the horizon against the cap,
         # and the market checks that it is at least 1
         super().__init__(
             prices={
-                self.risky: LatticeProcess(
-                    horizon, lambda n: toss_products(params.v, params.u, params.d, n)
-                ),
+                self.risky: _StoredProcess(horizon, self._prices),
                 self.riskfree: LatticeProcess(
                     horizon, lambda n: [disc_rfr_proc(params.r, n)] * (1 << n)
                 ),
@@ -261,6 +277,7 @@ class CrrMarket(Market):
                     f"risk-neutral path weights leave the float range within horizon "
                     f"{horizon}: smallest {weight!r} (q={q!r})"
                 )
+            self._weights = _StoredLevels(1.0, q, 1.0 - q)
 
     def measure(self) -> PathMeasure:
         """The physical toss measure."""

@@ -3,10 +3,11 @@
 Scenarios are finite sequences of coin tosses (up/down). A process assigns a
 real value to every node ``(time n, prefix of n tosses)``; adaptedness is
 structural because the value at time ``n`` can only be keyed by the first
-``n`` outcomes. A process is stored as its levels: time ``n`` is one list of
-``2**n`` values in ``iter_paths`` order, where the children of entry ``k``
-sit at ``2k`` (up) and ``2k + 1`` (down) of the next level, so operators walk
-whole levels and a single node is looked up by ``TossPath.index()``. An
+``n`` outcomes. A process is stored as its levels: time ``n`` is one list (in
+a market's store, one ``array('d')``) of ``2**n`` values in ``iter_paths``
+order, where the children of entry ``k`` sit at ``2k`` (up) and ``2k + 1``
+(down) of the next level, so operators walk whole levels and a single node
+is looked up by ``TossPath.index()``. An
 i.i.d. Bernoulli weight on tosses turns the lattice into a finite
 probability space with exact expectation operators.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._value import Value, echo
 
@@ -143,35 +144,82 @@ class PathMeasure(Value):
         return toss_products(1.0, self.p, 1.0 - self.p, n)
 
 
-def toss_levels(start: float, up: float, down: float, n: int) -> Iterator[list[float]]:
-    """``toss_products`` at every length ``0 .. n``, each built from the last."""
-    level = [start]
-    yield level
-    for _ in range(n):
-        parents, level = level, level * 2
-        level[0::2] = [f * up for f in parents]
-        level[1::2] = [f * down for f in parents]
-        yield level
-
-
 def toss_products(start: float, up: float, down: float, n: int) -> list[float]:
     """The running product from ``start``, one factor per toss, ``up`` or
     ``down``, at every length-``n`` path in ``iter_paths`` order: node ``k``
     holding ``f`` has children ``f * up`` at ``2k`` and ``f * down`` at
-    ``2k + 1``, each half of a level written by one slice assignment. From
-    ``v`` with factors ``u`` and ``d`` this is the last price of each list
-    ``crr.price_walk`` yields, bit for bit."""
-    return next(itertools.islice(toss_levels(start, up, down, n), n, None))
+    ``2k + 1``, each half of a level written by one slice assignment, each
+    level built from the last. From ``v`` with factors ``u`` and ``d`` this
+    is the last price of each list ``crr.price_walk`` yields, bit for bit."""
+    level = [start]
+    for _ in range(n):
+        parents, level = level, level * 2
+        level[0::2] = [f * up for f in parents]
+        level[1::2] = [f * down for f in parents]
+    return level
+
+
+class _StoredLevels:
+    """``toss_products(start, up, down, n)`` for ``n`` up to the deepest asked,
+    kept as ``array('d')`` levels of 8 bytes a node and built on first
+    demand, bit for bit (the factors are taken as floats).
+
+    ``upto(n)`` returns every level built so far, ``n`` and deeper included.
+    A caller that needs more extends a copy of that list and publishes it in
+    one assignment, so concurrent readers each get correct levels, though two
+    of them may build the same level."""
+
+    __slots__ = ("start", "up", "down", "levels")
+
+    def __init__(self, start: float, up: float, down: float):
+        self.start, self.up, self.down = float(start), float(up), float(down)
+        self.levels: list = []
+
+    def upto(self, n: int) -> list:
+        levels = self.levels
+        if n < len(levels):
+            return levels
+        from array import array  # loaded at the first build: a viable ``check`` builds none
+
+        grown = levels[:] or [array("d", [self.start])]
+        while len(grown) <= n:
+            grown.append(_child_level(grown[-1], self.up, self.down))
+        if len(grown) > len(self.levels):  # another reader may have published deeper levels
+            self.levels = grown
+        return grown
+
+
+# Parents per step of ``_child_level``, whose comprehensions hold at most this
+# many floats: 100-135 ns a parent on a 2-core box, against 160-190 through a
+# generator per half; a comprehension per half would hold 17 MB at 2**20 nodes.
+_CHUNK = 4096
+
+
+def _child_level(parents, up: float, down: float):
+    """The ``array('d')`` level after ``parents``, as ``toss_products`` builds
+    it: entry ``k`` holding ``f`` has children ``f * up`` at ``2k`` and
+    ``f * down`` at ``2k + 1``, ``_CHUNK`` parents at a time."""
+    from array import array
+
+    level = parents * 2
+    for i in range(0, len(parents), _CHUNK):
+        chunk = parents[i:i + _CHUNK]
+        end = 2 * (i + len(chunk))
+        level[2 * i:end:2] = array("d", [f * up for f in chunk])
+        level[2 * i + 1:end:2] = array("d", [f * down for f in chunk])
+    return level
 
 
 class LatticeProcess:
     """A real value at every node (n, prefix) for n up to the horizon.
 
     Backed by a function ``level(n)`` that returns the ``2**n`` time-``n``
-    values in ``iter_paths`` order, so formula-defined processes (price walks,
-    discount curves) compute a level on demand and store nothing up front;
-    ``at(n, prefix)`` is ``level(n)[prefix.index()]``, which computes the
-    whole level, so loops over nodes should walk ``level`` instead.
+    values in ``iter_paths`` order, so a process is defined by a formula or
+    a store: the discount curve computes a level on demand, while the
+    market's risky price (``_StoredProcess``) copies it from levels built
+    once; ``at(n, prefix)`` reads one node of ``_view(n)``, which for a
+    computed process is the whole level, so loops over nodes should walk
+    ``level`` instead.
     """
 
     __slots__ = ("horizon", "_level")
@@ -182,7 +230,7 @@ class LatticeProcess:
         self._level = level
 
     def at(self, n: int, prefix: TossPath) -> float:
-        level = self.level(n)  # checks the time before the prefix length
+        level = self._view(n)  # checks the time before the prefix length
         if len(prefix) != n:
             raise ValueError(
                 f"time-{n} values are keyed by length-{n} prefixes, got length {len(prefix)}"
@@ -197,6 +245,11 @@ class LatticeProcess:
         if len(values) != 1 << n:
             raise ValueError(f"time-{n} level has {len(values)} values, expected {1 << n}")
         return values
+
+    def _view(self, n: int) -> Sequence[float]:
+        """``level(n)`` for a caller that only reads it: the same values, and
+        for a process that keeps its levels, the kept level, not a copy."""
+        return self.level(n)
 
     @classmethod
     def from_table(cls, horizon: int, table: Mapping[tuple[int, TossPath], float]) -> "LatticeProcess":
@@ -229,6 +282,22 @@ class LatticeProcess:
             raise ValueError("need at least the time-0 value")
         vals = list(values_by_time)
         return cls(len(vals) - 1, lambda n: [vals[n]] * (1 << n))
+
+
+class _StoredProcess(LatticeProcess):
+    """The process of a ``_StoredLevels``: ``level(n)`` is a fresh list
+    copied from the store, ``_view(n)`` the stored ``array('d')`` itself."""
+
+    __slots__ = ()
+
+    def __init__(self, horizon: int, store: _StoredLevels):
+        super().__init__(horizon, lambda n: store.upto(n)[n])
+
+    def level(self, n: int) -> list[float]:
+        return self._view(n).tolist()
+
+    def _view(self, n: int) -> Sequence[float]:
+        return LatticeProcess.level(self, n)
 
 
 def expectation(m: PathMeasure, f: LatticeProcess, n: int) -> float:

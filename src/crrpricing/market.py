@@ -99,7 +99,7 @@ def _node_worth(mkt: Market, p: QuantityProcess, n: int, path: TossPath, t: int)
     _check_time(mkt, p, n)
     k = (path if len(path) == n else path.truncate(n)).index()
     support = sorted(support_set(p), key=lambda a: a.id)
-    products = [mkt.price(a).level(n)[k] * p.levels[a][t][k >> (n - t)] for a in support]
+    products = [mkt.price(a)._view(n)[k] * p.levels[a][t][k >> (n - t)] for a in support]
     try:
         return math.fsum(products)
     except (OverflowError, ValueError) as exc:
@@ -110,9 +110,12 @@ def value_process(mkt: Market, p: QuantityProcess, n: int, path: TossPath) -> fl
     """Cash needed at time ``n`` to hold the portfolio until ``n + 1``.
 
     At the final trading time the portfolio is not rebalanced again, so the
-    value there is taken to be the closing value. Each call computes every
-    traded asset's whole time-``n`` price level to read one node of it: about
-    0.2-0.3 s at ``(20, U^20)`` on a 2-core box.
+    value there is taken to be the closing value. Each call reads one node
+    of every traded asset's time-``n`` price level (``LatticeProcess._view``),
+    which a computed process builds whole. On a ``CrrMarket`` the first call
+    builds the stored risky levels up to ``n`` (about 0.2 s at ``(20, U^20)``
+    on a 2-core box), and later calls read the stored level in well under a
+    millisecond.
     """
     return _node_worth(mkt, p, n, path, min(n, p.horizon - 1))
 
@@ -120,7 +123,7 @@ def value_process(mkt: Market, p: QuantityProcess, n: int, path: TossPath) -> fl
 def closing_value_process(mkt: Market, p: QuantityProcess, n: int, path: TossPath) -> float:
     """Proceeds of liquidating at time ``n`` the holdings carried over
     ``]n-1, n]``; at time 0, the value. Like ``value_process``, each call
-    computes every traded asset's whole price level to read one node."""
+    reads one node of every traded asset's price level."""
     return _node_worth(mkt, p, n, path, max(n - 1, 0))
 
 
@@ -153,7 +156,7 @@ def _worth(mkt: Market, p: QuantityProcess, n: int, chosen: list[int], consume: 
     ``+ 0.0`` makes ``-0.0 + -0.0`` fsum's ``0.0``. A level with a node not finite is summed by fsum."""
     _check_time(mkt, p, n)
     support = sorted(support_set(p), key=lambda a: a.id)
-    prices = [mkt.price(a).level(n) for a in support]
+    prices = [mkt.price(a)._view(n) for a in support]
     if len(support) == 2:
         (a, b), (x, y) = support, prices
         sums = [[s * h + t * g + 0.0 for s, h, t, g in zip(

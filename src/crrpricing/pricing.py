@@ -27,7 +27,7 @@ from .crr import (
     risk_neutral_q,
     terminal_prices,
 )
-from .lattice import LatticeProcess, PathMeasure, label_at, toss_levels
+from .lattice import LatticeProcess, PathMeasure, label_at
 from .market import (
     Market,
     QuantityProcess,
@@ -113,10 +113,12 @@ def _require_finite_payoffs(values: list[float], maturity: int) -> None:
 
 
 def fair_price(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> float:
-    """Discounted risk-neutral expectation of the payoff over maturity paths."""
-    measure = crr.risk_neutral_measure()
+    """Discounted risk-neutral expectation of the payoff over maturity paths;
+    the weights are the market's stored level, ``risk_neutral_measure().weights``
+    bit for bit."""
+    risk_neutral_q(crr.params)  # an inviable market fails before the payoff is evaluated
     kappa = terminal_payoffs(crr, payoff, maturity)  # checks the maturity before 2^maturity weights
-    expectation = math.fsum(map(operator.mul, measure.weights(maturity), kappa))
+    expectation = math.fsum(map(operator.mul, crr._weights.upto(maturity)[maturity], kappa))
     price = expectation / disc_rfr_proc(crr.params.r, maturity)
     _require_finite("price", [[price]])
     return price
@@ -167,12 +169,13 @@ def price_lattice(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> PriceLat
     """
     q = risk_neutral_q(crr.params)
     r = crr.params.r
+    q_down, growth = 1.0 - q, 1.0 + r  # the same floats at every node, computed once
     level = terminal_payoffs(crr, payoff, maturity)
     levels = [payoff[:] if level is payoff else level]  # stored: a copy, not the caller's level
     for _ in range(maturity):
         kids = levels[0]
         levels.insert(0, [
-            (q * up + (1.0 - q) * down) / (1.0 + r) for up, down in zip(kids[0::2], kids[1::2])
+            (q * up + q_down * down) / growth for up, down in zip(kids[0::2], kids[1::2])
         ])
     _require_finite("option value", levels)
     root = levels[0][0]
@@ -196,7 +199,7 @@ def replicating_portfolio(crr: CrrMarket, payoff: PayoffLike, maturity: int) -> 
     if maturity < 1:
         raise ValueError("replication needs at least one trading period")
     values = price_lattice(crr, payoff, maturity).levels
-    prices = list(toss_levels(crr.params.v, crr.params.u, crr.params.d, maturity))  # crr.price(crr.risky)
+    prices = crr._prices.upto(maturity)  # crr.price(crr.risky)'s stored levels, maturity and deeper
     delta = [
         [(v_up - v_down) / (s_up - s_down)
          for v_up, v_down, s_up, s_down in zip(v[0::2], v[1::2], s[0::2], s[1::2])]
@@ -333,7 +336,7 @@ def one_step_no_arbitrage_check(crr: CrrMarket) -> bool:
     """
     stock = crr.price(crr.risky)
     gross_rf = 1.0 + crr.params.r
-    for here, kids in itertools.pairwise(map(stock.level, range(crr.horizon + 1))):
+    for here, kids in itertools.pairwise(map(stock._view, range(crr.horizon + 1))):
         for s, s_up, s_down in zip(here, kids[0::2], kids[1::2]):
             up, down = s_up / s, s_down / s
             if not min(up, down) < gross_rf < max(up, down):

@@ -455,6 +455,120 @@ class TestPriceLevels:
         assert stock.at(2, path("UU")) == stock.level(2)[0]
 
 
+class TestStoredLevels:
+    """The market's risky levels and risk-neutral weights, built once and
+    only as deep as asked, against ``toss_products``, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_markets(), st.data())
+    def test_levels_asked_in_any_order_equal_the_running_product(self, crr, data):
+        stock = crr.price(crr.risky)
+        order = data.draw(st.permutations(range(crr.horizon + 1)))
+        deepest = -1
+        for n in order:
+            assert list(map(float.hex, stock.level(n))) == list(map(float.hex, toss_products(
+                crr.params.v, crr.params.u, crr.params.d, n)))
+            deepest = max(deepest, n)
+            assert len(crr._prices.levels) == deepest + 1  # extended only to the deepest time asked
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    def test_levels_built_in_several_chunks_equal_the_running_product(self, chunk, monkeypatch):
+        from crrpricing import lattice
+
+        horizon = 14  # level 14 has 8,192 parents, two steps of the default chunk
+        if chunk is not None:
+            monkeypatch.setattr(lattice, "_CHUNK", chunk)  # steps that do not divide a level
+            horizon = 6
+        crr = CrrMarket(CrrParams(u=1.1, d=0.9, v=10.0, r=0.02, p=0.5), horizon=horizon)
+        measure = crr.risk_neutral_measure()
+        for n in range(horizon + 1):
+            assert list(map(float.hex, crr.price(crr.risky).level(n))) == list(map(float.hex, toss_products(
+                10.0, 1.1, 0.9, n)))
+            assert list(map(float.hex, crr._weights.upto(n)[n])) == list(map(float.hex, measure.weights(n)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_markets())
+    def test_stored_weights_are_the_risk_neutral_measures(self, crr):
+        if not is_viable(crr.params):
+            assert crr._weights is None
+            return
+        measure = crr.risk_neutral_measure()
+        for n in reversed(range(crr.horizon + 1)):
+            assert list(map(float.hex, crr._weights.upto(n)[n])) == list(map(float.hex, measure.weights(n)))
+
+    def test_a_level_is_a_fresh_list_copied_from_the_store(self):
+        crr = CrrMarket(PARAMS, horizon=3)
+        level = crr.price(crr.risky).level(3)
+        assert type(level) is list and level == list(crr._prices.levels[3])
+        assert crr.price(crr.risky).level(3) is not level
+
+    def test_the_view_is_the_stored_level_and_at_reads_it(self):
+        crr = CrrMarket(PARAMS, horizon=3)
+        stock = crr.price(crr.risky)
+        assert stock._view(2) is crr._prices.levels[2]
+        assert stock.at(2, path("UD")) == stock.level(2)[1] == 10.0 * 1.2 * 0.8
+        with pytest.raises(ValueError, match="^time 4 outside process horizon 3$"):
+            stock._view(4)
+        assert len(crr._prices.levels) == 3  # a time past the horizon builds nothing
+
+    def test_threads_reading_one_fresh_market_get_the_right_levels(self):
+        import threading
+
+        crr = CrrMarket(CrrParams(u=1.1, d=0.9, v=10.0, r=0.02, p=0.5), horizon=12)
+        times = (12, 9, 11, 6)  # more readers than cores, the two deepest first
+        start = threading.Barrier(len(times), timeout=60)
+        got = {}
+
+        def read(n):
+            start.wait()
+            got[n] = crr.price(crr.risky).level(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            threads = [threading.Thread(target=read, args=(n,)) for n in times]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for n in times:
+            assert list(map(float.hex, got[n])) == list(map(float.hex, toss_products(10.0, 1.1, 0.9, n)))
+        published = crr._prices.levels
+        assert len(published) in {n + 1 for n in times}  # one reader's levels, whole
+        for n, level in enumerate(published):
+            assert list(map(float.hex, level)) == list(map(float.hex, toss_products(10.0, 1.1, 0.9, n)))
+
+    def test_an_inviable_check_at_horizon_24_stores_no_level_past_one(self, tmp_path, capsys, monkeypatch):
+        from crrpricing import cli
+
+        config = tmp_path / "market.json"
+        config.write_text(json.dumps({"u": 1.2, "d": 0.8, "v": 10.0, "r": 0.25, "p": 0.5, "horizon": 24}))
+        markets = []
+        read_market = cli._read_market
+        monkeypatch.setattr(cli, "_read_market", lambda p: markets.append(read_market(p)) or markets[-1])
+        assert cli.main(["check", "--config", str(config)]) == cli.EXIT_CHECK_INVIABLE
+        assert "arbitrage portfolio (witness time 1)" in capsys.readouterr().out
+        (crr,) = markets
+        assert [len(level) for level in crr._prices.levels] == [1, 2]
+        assert crr._weights is None
+
+    def test_a_viable_check_builds_nothing(self, tmp_path, capsys, monkeypatch):
+        from crrpricing import cli
+
+        config = tmp_path / "market.json"
+        config.write_text(json.dumps({"u": 1.2, "d": 0.8, "v": 10.0, "r": 0.02, "p": 0.5, "horizon": 24}))
+        markets = []
+        read_market = cli._read_market
+        monkeypatch.setattr(cli, "_read_market", lambda p: markets.append(read_market(p)) or markets[-1])
+        assert cli.main(["check", "--config", str(config)]) == cli.EXIT_OK
+        capsys.readouterr()
+        (crr,) = markets
+        assert crr._prices.levels == [] and crr._weights.levels == []
+
+
 def near(edge: float) -> st.SearchStrategy[float]:
     """``edge`` or a float close to it, kept within the positive finite floats."""
     return st.sampled_from([

@@ -1111,6 +1111,43 @@ class TestWorkPerCommand:
         # one terminal_payoffs evaluation per command, one eval_payoff per path
         assert calls == {"eval_payoff": 2**8}
 
+    @pytest.mark.parametrize("caller", ["library", "replicate --out"])
+    def test_each_stored_level_is_built_once_at_horizon_twelve(self, caller, tmp_path, capsys, monkeypatch):
+        from crrpricing import lattice
+
+        params = {"u": 1.15, "d": 0.9, "v": 100.0, "r": 0.02, "p": 0.45}
+        builds = collections.Counter()  # (up factor, depth of the level built), and toss_products calls
+        child_level = lattice._child_level
+
+        def counted(parents, up, down):
+            builds[up, len(parents).bit_length()] += 1
+            return child_level(parents, up, down)
+
+        def counted_products(products):
+            def call(*args):
+                builds["toss_products"] += 1
+                return products(*args)
+            return call
+
+        monkeypatch.setattr(lattice, "_child_level", counted)
+        for module in (lattice, crr_module):  # each calls toss_products through its own global
+            monkeypatch.setattr(module, "toss_products", counted_products(module.toss_products))
+        if caller == "library":
+            crr = CrrMarket(CrrParams(**params), horizon=12)
+            expr = parse_payoff("avg(S) - 100")
+            hedge = replicating_portfolio(crr, expr, 12)
+            assert verify_replication(crr, hedge, expr, 12).is_replicating()
+        else:
+            config = tmp_path / "market.json"
+            config.write_text(json.dumps({**params, "horizon": 12}))
+            assert cli.main(["replicate", "--config", str(config), "--payoff", "avg(S) - 100",
+                             "--maturity", "12", "--out", str(tmp_path / "out.csv")]) == 0
+            capsys.readouterr()
+        q = risk_neutral_q(CrrParams(**params))
+        # levels 1..12 of the risky price (up factor u) and of the weights (up factor q), once
+        # each, and no level rebuilt from the start by toss_products
+        assert builds == {(up, n): 1 for up in (1.15, q) for n in range(1, 13)}
+
 
 def loop_terminal_payoffs(crr, payoff, maturity):
     """``terminal_payoffs`` as the per-path loop it was before the price lists

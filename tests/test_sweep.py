@@ -1,7 +1,8 @@
 """Smoke run of the sweep, ``bench/sweep.py``: one record per layer (the
-payoff pass, hedge synthesis, verification and the CSV writers) and payoff at
-T=4, one sample each, measured in this process; one cold-start record per
-command at T=3; and one paired record of a checkout against itself."""
+payoff pass, backward induction, the fair price, hedge synthesis,
+verification and the CSV writers) and payoff at T=4, one sample each,
+measured in this process; one cold-start record per command at T=3; and one
+paired record of a checkout against itself."""
 import hashlib
 import json
 import runpy
@@ -29,6 +30,8 @@ def test_one_record_per_writer_and_payoff_with_the_writers_bytes(monkeypatch):
         ("pricing.terminal_payoffs", "call(10)"), ("pricing.terminal_payoffs", "lookback"),
         ("pricing.terminal_payoffs", "avg(S) - 10"), ("pricing.terminal_payoffs", "S[1] - S_T"),
         ("pricing.terminal_payoffs", "max(S) - min(S)"),
+        ("pricing.price_lattice", "lookback"), ("pricing.price_lattice", "avg(S) - 10"),
+        ("pricing.fair_price", "lookback"), ("pricing.fair_price", "avg(S) - 10"),
         ("pricing.replicating_portfolio", "lookback"), ("pricing.replicating_portfolio", "avg(S) - 10"),
         ("pricing.verify_replication", "lookback"), ("pricing.verify_replication", "avg(S) - 10"),
         ("pricing.tree_csv", "call(10)"), ("pricing.tree_csv", "lookback"), ("pricing.tree_csv", "avg(S) - 10"),
@@ -40,6 +43,11 @@ def test_one_record_per_writer_and_payoff_with_the_writers_bytes(monkeypatch):
         if r["layer"] == "pricing.terminal_payoffs":
             level = terminal_payoffs(crr, payoff, 4)
             text, values = "".join(f"{x.hex()}\n" for x in level), {"payoff": 16}
+        elif r["layer"] == "pricing.price_lattice":
+            tree = price_lattice(crr, terminal_payoffs(crr, payoff, 4), 4)
+            text, values = "".join(f"{x.hex()}\n" for level in tree.levels for x in level), {"value": 31}
+        elif r["layer"] == "pricing.fair_price":
+            text, values = f"{fair_price(crr, payoff, 4).hex()}\n", {"price": 1}
         elif r["layer"] == "pricing.replicating_portfolio":
             hedge = replicating_portfolio(crr, payoff, 4)
             text = "".join(f"{x.hex()}\n" for a in ("S", "rf") for level in hedge.levels[Asset(a)] for x in level)
